@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"distcoll/internal/binding"
@@ -327,5 +329,153 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		if !bytes.Equal(bufs.Bytes(id), want) {
 			t.Fatalf("rank %d gathered wrong data under background context", r)
 		}
+	}
+}
+
+// TestRunContextCancelWakesParkedRanks: a chain r0 → r1 → r2 where op0's
+// combiner cancels the context. op0 still completes; rank 1 must refuse to
+// perform op1, and rank 2 — parked on op1, which will now never complete —
+// must be woken by the context, not left waiting. The error still reports
+// exactly the unfinished ops.
+func TestRunContextCancelWakesParkedRanks(t *testing.T) {
+	s := sched.New(3)
+	b := []sched.BufID{s.AddBuffer(0, "a", 8), s.AddBuffer(1, "a", 8), s.AddBuffer(2, "a", 8)}
+	o0 := s.AddOp(sched.Op{Rank: 0, Kind: sched.OpReduce, Src: b[0], Dst: b[0], Bytes: 8})
+	o1 := s.AddOp(sched.Op{Rank: 1, Mode: sched.ModeKnem, Src: b[0], Dst: b[1], Bytes: 8, Deps: []sched.OpID{o0}})
+	s.AddOp(sched.Op{Rank: 2, Mode: sched.ModeKnem, Src: b[1], Dst: b[2], Bytes: 8, Deps: []sched.OpID{o1}})
+	bufs := Alloc(s)
+	copy(bufs.Bytes(b[0]), "payload!")
+	ctx, cancel := context.WithCancel(context.Background())
+	err := RunReduceContext(ctx, s, bufs, func(dst, src []byte) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want canceled error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "2/3 ops unfinished") ||
+		!strings.Contains(err.Error(), "rank 1: op 1") || !strings.Contains(err.Error(), "rank 2: op 2") {
+		t.Fatalf("dump does not name the two unfinished ops: %v", err)
+	}
+	if bytes.Equal(bufs.Bytes(b[2]), bufs.Bytes(b[0])) {
+		t.Fatal("downstream op performed after cancellation")
+	}
+}
+
+// fanSchedule is the completion array's worst case: one op of rank 0 that
+// every other rank waits on, then one op of rank 0 that waits on all of
+// them. Every rank's buffer must end up holding rank 0's payload, and
+// rank 0's "sum" buffer the XOR of all of them.
+func fanSchedule(n int, size int64) (s *sched.Schedule, data []sched.BufID, sum sched.BufID) {
+	s = sched.New(n)
+	data = make([]sched.BufID, n)
+	for r := range data {
+		data[r] = s.AddBuffer(r, "data", size)
+	}
+	seed := s.AddBuffer(0, "seed", size)
+	sum = s.AddBuffer(0, "sum", size)
+	first := s.AddOp(sched.Op{Rank: 0, Src: seed, Dst: data[0], Bytes: size})
+	pulls := make([]sched.OpID, 0, n-1)
+	for r := 1; r < n; r++ {
+		pulls = append(pulls, s.AddOp(sched.Op{Rank: r, Mode: sched.ModeKnem, Src: data[0], Dst: data[r], Bytes: size, Deps: []sched.OpID{first}}))
+	}
+	prev := first
+	for r := 1; r < n; r++ {
+		prev = s.AddOp(sched.Op{Rank: 0, Kind: sched.OpReduce, Src: data[r], Dst: sum, Bytes: size,
+			Deps: []sched.OpID{pulls[r-1], prev}})
+	}
+	return s, data, sum
+}
+
+// TestManyRanksBlockedOnOneOp runs the fan schedule repeatedly on ONE set
+// of wake channels, the way a communicator reuses its members' channels
+// across collectives, with every channel pre-loaded with a stale token:
+// leftover tokens may only cost a re-check, never a lost or early wake-up.
+// Run with -race: the completion word is also the only thing ordering a
+// pull after the write it depends on.
+func TestManyRanksBlockedOnOneOp(t *testing.T) {
+	const n, size = 32, 256
+	s, data, sum := fanSchedule(n, size)
+	idx, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(idx.Waiters(0)); got != n-1 {
+		t.Fatalf("op 0 has %d waiters, want %d", got, n-1)
+	}
+	wake := make([]chan struct{}, n)
+	for r := range wake {
+		wake[r] = make(chan struct{}, 1)
+	}
+	xor := func(dst, src []byte) {
+		for i := range dst {
+			dst[i] ^= src[i]
+		}
+	}
+	for iter := 0; iter < 200; iter++ {
+		for r := range wake {
+			select {
+			case wake[r] <- struct{}{}: // stale token from "the previous collective"
+			default:
+			}
+		}
+		bufs := Alloc(s)
+		seed, _ := s.FindBuffer(0, "seed")
+		msg := pattern(iter, size)
+		copy(bufs.Bytes(seed), msg)
+		p := NewProgress(idx, wake)
+		h := &plainHooks{ctx: context.Background(), b: bufs, combine: xor}
+		errs := make(chan error, n)
+		for r := 0; r < n; r++ {
+			go func(rank int) { errs <- p.RunRank(rank, h) }(r)
+		}
+		for r := 0; r < n; r++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; r < n; r++ {
+			if !bytes.Equal(bufs.Bytes(data[r]), msg) {
+				t.Fatalf("iter %d: rank %d holds wrong data", iter, r)
+			}
+		}
+		want := make([]byte, size)
+		for r := 1; r < n; r++ {
+			xor(want, msg)
+		}
+		if !bytes.Equal(bufs.Bytes(sum), want) {
+			t.Fatalf("iter %d: fan-in combined before its dependencies completed", iter)
+		}
+		for id := range s.Ops {
+			if !p.Done(sched.OpID(id)) {
+				t.Fatalf("iter %d: op %d not marked done", iter, id)
+			}
+		}
+	}
+}
+
+// TestRunUsesOneGoroutinePerRank pins the driver's shape: a schedule with
+// thousands of ops on two ranks must not spawn a goroutine per op. The
+// combiner observes the goroutine count from inside the run.
+func TestRunUsesOneGoroutinePerRank(t *testing.T) {
+	s := sched.New(2)
+	a, b := s.AddBuffer(0, "a", 8), s.AddBuffer(1, "b", 8)
+	prev := s.AddOp(sched.Op{Rank: 0, Kind: sched.OpReduce, Src: a, Dst: a, Bytes: 8})
+	for i := 1; i < 4000; i++ {
+		buf := a
+		if i%2 == 1 {
+			buf = b
+		}
+		prev = s.AddOp(sched.Op{Rank: i % 2, Kind: sched.OpReduce, Src: buf, Dst: buf, Bytes: 8, Deps: []sched.OpID{prev}})
+	}
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	err := RunReduce(s, Alloc(s), func(dst, src []byte) {
+		if g := int64(runtime.NumGoroutine() - base); g > peak.Load() {
+			peak.Store(g)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak.Load() > 8 {
+		t.Fatalf("run of a 2-rank schedule had %d extra goroutines alive", peak.Load())
 	}
 }

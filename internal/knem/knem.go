@@ -38,7 +38,7 @@ type Mover interface {
 // Device is one node's KNEM pseudo-device.
 type Device struct {
 	mu      sync.RWMutex
-	regions map[Cookie]*region
+	regions map[Cookie]region
 	next    atomic.Uint64
 
 	copies  atomic.Int64 // completed copy operations
@@ -52,7 +52,7 @@ type region struct {
 
 // NewDevice creates an empty device.
 func NewDevice() *Device {
-	return &Device{regions: make(map[Cookie]*region)}
+	return &Device{regions: make(map[Cookie]region)}
 }
 
 var _ Mover = (*Device)(nil)
@@ -77,7 +77,7 @@ func (d *Device) Owner(c Cookie) (int, bool) {
 func (d *Device) Declare(owner int, buf []byte) Cookie {
 	c := Cookie(d.next.Add(1))
 	d.mu.Lock()
-	d.regions[c] = &region{owner: owner, buf: buf}
+	d.regions[c] = region{owner: owner, buf: buf}
 	d.mu.Unlock()
 	d.declare.Add(1)
 	return c
@@ -169,18 +169,20 @@ func (d *Device) SumRegion(c Cookie, offset, n int64, sum func([]byte) uint32) (
 	return sum(r.buf[offset : offset+n]), nil
 }
 
-func (d *Device) lookup(c Cookie, offset, n int64) (*region, error) {
+// lookup returns a copy of the region record (the buffer itself is
+// aliased, never copied) after bounds-checking the requested range.
+func (d *Device) lookup(c Cookie, offset, n int64) (region, error) {
 	if n < 0 || offset < 0 {
-		return nil, fmt.Errorf("knem: negative range (off=%d, len=%d)", offset, n)
+		return region{}, fmt.Errorf("knem: negative range (off=%d, len=%d)", offset, n)
 	}
 	d.mu.RLock()
 	r, ok := d.regions[c]
 	d.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("knem: invalid cookie %d", c)
+		return region{}, fmt.Errorf("knem: invalid cookie %d", c)
 	}
 	if offset+n > int64(len(r.buf)) {
-		return nil, fmt.Errorf("knem: range [%d,%d) exceeds region of %d bytes", offset, offset+n, len(r.buf))
+		return region{}, fmt.Errorf("knem: range [%d,%d) exceeds region of %d bytes", offset, offset+n, len(r.buf))
 	}
 	return r, nil
 }

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+
 	"distcoll/internal/core"
 	"distcoll/internal/health"
 	"distcoll/internal/plancache"
@@ -57,6 +59,39 @@ func (c *Comm) adaptiveSchedule(coll tune.Collective, root int, bytes, align int
 		return nil, nil, err
 	}
 	return s, &adecision{coll: coll, bytes: bytes, dec: dec, hit: hit}, nil
+}
+
+// fixedVariants are the plan-cache Variant strings of the fixed components.
+// Within one of them the algorithm is a pure function of the rest of the
+// key (communicator size via Topo, byte size, root), so the component name
+// is the whole discriminator; the prefix keeps them apart from every
+// tune.Decision.CacheKey.
+var fixedVariants = [...]string{KNEMColl: "fixed/knemcoll", Tuned: "fixed/tuned", MPICH2: "fixed/mpich2"}
+
+// fixedSchedule fetches a fixed component's schedule through the world's
+// plan cache: the same key space and the same invalidation (break, Shrink,
+// Free, health revision, partition epoch) as the Adaptive component's
+// plans, compiling only on a miss. It emits no plan_cache trace event —
+// that event records a selector decision, and a fixed component makes
+// none.
+func (c *Comm) fixedSchedule(coll string, comp Component, root int, bytes, align int64, compile func() (*sched.Schedule, error)) (*sched.Schedule, error) {
+	if comp < 0 || int(comp) >= len(fixedVariants) {
+		return nil, fmt.Errorf("mpi: unknown component %v", comp)
+	}
+	st := c.state
+	st.mu.Lock()
+	topo := st.topoHashLocked()
+	st.mu.Unlock()
+	s, _, err := st.world.plans.Get(plancache.Key{
+		Topo:    topo,
+		Tenant:  st.world.tenant,
+		Coll:    coll,
+		Root:    root,
+		Size:    bytes,
+		Align:   align,
+		Variant: fixedVariants[comp],
+	}, compile)
+	return s, err
 }
 
 // topoHashLocked returns the cached fingerprint of the communicator's

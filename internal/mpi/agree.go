@@ -80,7 +80,7 @@ func (c *Comm) AgreeContext(ctx context.Context) ([]int, error) {
 	slot.arrivedBy[c.rank] = true
 	st.mu.Unlock()
 
-	desc := fmt.Sprintf("agreement (comm %d, round %d)", st.id, seq)
+	desc := blockDesc{kind: blockAgree, comm: st.id, a: seq}
 	w.blockEnter(me, desc)
 	defer w.blockExit(me)
 	timeoutC, stop := w.watchdog()
@@ -176,10 +176,10 @@ func (c *Comm) AgreeContext(ctx context.Context) ([]int, error) {
 				}
 			}
 			st.mu.Unlock()
-			return nil, &HangError{Rank: me, Op: desc, Deadline: w.opDeadline,
+			return nil, &HangError{Rank: me, Op: desc.String(), Deadline: w.opDeadline,
 				Dump: w.BlockedDump(), Suspicion: w.hangSuspicion(me, waitingOn)}
 		case <-ctx.Done():
-			return nil, &HangError{Rank: me, Op: desc + " (context)", Deadline: w.opDeadline, Dump: w.BlockedDump()}
+			return nil, &HangError{Rank: me, Op: desc.String() + " (context)", Deadline: w.opDeadline, Dump: w.BlockedDump()}
 		}
 	}
 }

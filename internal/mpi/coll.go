@@ -8,6 +8,7 @@ import (
 	"distcoll/internal/baseline"
 	"distcoll/internal/core"
 	"distcoll/internal/distance"
+	"distcoll/internal/exec"
 	"distcoll/internal/fault"
 	"distcoll/internal/integrity"
 	"distcoll/internal/knem"
@@ -38,19 +39,13 @@ const (
 	Adaptive
 )
 
+var componentNames = [...]string{KNEMColl: "knemcoll", Tuned: "tuned", MPICH2: "mpich2", Adaptive: "adaptive"}
+
 func (c Component) String() string {
-	switch c {
-	case KNEMColl:
-		return "knemcoll"
-	case Tuned:
-		return "tuned"
-	case MPICH2:
-		return "mpich2"
-	case Adaptive:
-		return "adaptive"
-	default:
+	if c < 0 || int(c) >= len(componentNames) {
 		return fmt.Sprintf("Component(%d)", int(c))
 	}
+	return componentNames[c]
 }
 
 // Transient KNEM copy failures are retried with exponential backoff before
@@ -62,8 +57,8 @@ const (
 )
 
 // collPlan is the shared execution state of one collective: the compiled
-// schedule, the real backing buffers, KNEM cookies, and per-op completion
-// gates. Cookie cleanup is handled by a reaper: the LAST member to leave
+// schedule, the real backing buffers, KNEM cookies, and the executor's
+// completion state. Cookie cleanup is handled by a reaper: the LAST member to leave
 // execute force-destroys every region, which works on the success path and
 // on every abandonment path (failure, watchdog timeout, crash) alike,
 // since even a crashing member leaves execute.
@@ -73,7 +68,7 @@ type collPlan struct {
 	id      int64  // world-unique plan id
 	bufs    [][]byte
 	cookies []knem.Cookie
-	done    []chan struct{}
+	prog    exec.Progress
 	world   *World
 	members int
 	leavers atomic.Int32
@@ -107,16 +102,6 @@ func (p *collPlan) notePlanCache(ad *adecision) {
 	p.world.tracer.PlanCache(string(ad.coll), p.id, ad.bytes, ad.dec.String(), ad.hit)
 }
 
-// isDone reports op completion for the pending-op diagnostic.
-func (p *collPlan) isDone(id sched.OpID) bool {
-	select {
-	case <-p.done[id]:
-		return true
-	default:
-		return false
-	}
-}
-
 // reap releases every KNEM region of the plan. Called exactly once, by the
 // last member to leave execute, so no member can still be mid-copy.
 func (p *collPlan) reap() {
@@ -131,16 +116,23 @@ func (p *collPlan) reap() {
 
 // emptyPlan is the no-op plan for zero-byte collectives.
 func (st *commState) emptyPlan(op string, n int) *collPlan {
-	return &collPlan{s: sched.New(n), op: op, world: st.world, members: len(st.group)}
+	s := sched.New(n)
+	idx, _ := s.Index() // an op-less schedule over n ≥ 1 ranks is valid
+	return &collPlan{s: s, op: op, prog: exec.NewProgress(idx, st.wake), world: st.world, members: len(st.group)}
 }
 
-// newPlan validates the schedule, binds caller buffers, allocates
-// auxiliary ones (bounce/temporary segments), and declares every buffer as
-// a KNEM region owned by the member's WORLD rank (fault plans address
-// world ranks).
+// newPlan checks the schedule (once per schedule object: Index memoises
+// it) and the caller buffer sizes (per call), binds caller buffers,
+// allocates auxiliary ones (bounce/temporary segments), and declares every
+// buffer as a KNEM region owned by the member's WORLD rank (fault plans
+// address world ranks).
 func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int, name string) []byte) (*collPlan, error) {
-	if err := s.Validate(); err != nil {
+	idx, err := s.Index()
+	if err != nil {
 		return nil, err
+	}
+	if s.NumRanks > len(st.group) {
+		return nil, fmt.Errorf("mpi: schedule for %d ranks on a communicator of %d", s.NumRanks, len(st.group))
 	}
 	plan := &collPlan{
 		s:       s,
@@ -148,10 +140,11 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 		id:      st.world.nplan.Add(1),
 		bufs:    make([][]byte, len(s.Buffers)),
 		cookies: make([]knem.Cookie, len(s.Buffers)),
-		done:    make([]chan struct{}, len(s.Ops)),
+		prog:    exec.NewProgress(idx, st.wake),
 		world:   st.world,
 		members: len(st.group),
 	}
+	var aux int64
 	for i, spec := range s.Buffers {
 		if b := caller(spec.Rank, spec.Name); b != nil {
 			if int64(len(b)) != spec.Bytes {
@@ -160,12 +153,17 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 			}
 			plan.bufs[i] = b
 		} else {
-			plan.bufs[i] = make([]byte, spec.Bytes)
+			aux += spec.Bytes
+		}
+	}
+	// One slab for all auxiliary buffers: a rank-based baseline stages
+	// through a bounce buffer per send, thousands per plan.
+	slab := make([]byte, aux)
+	for i, spec := range s.Buffers {
+		if plan.bufs[i] == nil {
+			plan.bufs[i], slab = slab[:spec.Bytes:spec.Bytes], slab[spec.Bytes:]
 		}
 		plan.cookies[i] = st.world.mover.Declare(st.group[spec.Rank], plan.bufs[i])
-	}
-	for i := range plan.done {
-		plan.done[i] = make(chan struct{})
 	}
 	st.world.tracer.PlanBuild(op, plan.id, len(s.Ops), len(s.Buffers), s.TotalCopiedBytes())
 	return plan, nil
@@ -242,7 +240,7 @@ func (c *Comm) bcastLedger(buf []byte, root int, comp Component, led *recovery.C
 		return err
 	}
 	plan := result.(*collPlan)
-	return c.runPlanVerified(plan, func() error {
+	return c.runPlanVerified(plan, nil, func() error {
 		return c.ledgerBcastVerify(plan, buf, root, led)
 	})
 }
@@ -381,7 +379,7 @@ func (c *Comm) allgatherLedger(send, recv []byte, comp Component, led *recovery.
 		return err
 	}
 	plan := result.(*collPlan)
-	return c.runPlanVerified(plan, func() error {
+	return c.runPlanVerified(plan, nil, func() error {
 		return c.ledgerAllgatherVerify(plan, recv, len(send), led)
 	})
 }
@@ -456,49 +454,49 @@ func (c *Comm) verifyAllgatherDigests(plan *collPlan, recv []byte, block int) er
 // composition (the paper's dynamic-communicator argument). The *adecision
 // result is non-nil only for the Adaptive component: the selector's
 // choice, which the plan builder ties to the plan id in the trace.
-func (c *Comm) buildBcast(size int64, root int, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		tree, err := c.state.distanceTree(root)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileBroadcast(tree, size, 0)
-	case Tuned:
-		alg, seg := baseline.TunedBcastDecision(n, size)
-		s, err = baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
-	case MPICH2:
-		alg, seg := baseline.MPICHBcastDecision(n, size)
-		s, err = baseline.CompileBcast(alg, n, root, size, seg, baseline.NemesisSM())
-	case Adaptive:
+func (c *Comm) buildBcast(size int64, root int, comp Component) (*sched.Schedule, *adecision, error) {
+	if comp == Adaptive {
 		return c.adaptiveSchedule(tune.CollBcast, root, size, 0)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
 	}
+	s, err := c.fixedSchedule("bcast", comp, root, size, 0, func() (*sched.Schedule, error) {
+		n := c.Size()
+		switch comp {
+		case KNEMColl:
+			tree, err := c.state.distanceTree(root)
+			if err != nil {
+				return nil, err
+			}
+			return core.CompileBroadcast(tree, size, 0)
+		case Tuned:
+			alg, seg := baseline.TunedBcastDecision(n, size)
+			return baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
+		default:
+			alg, seg := baseline.MPICHBcastDecision(n, size)
+			return baseline.CompileBcast(alg, n, root, size, seg, baseline.NemesisSM())
+		}
+	})
 	return s, nil, err
 }
 
-func (c *Comm) buildAllgather(block int64, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		ring, err := c.state.distanceRing()
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileAllgather(ring, block)
-	case Tuned:
-		alg := baseline.TunedAllgatherDecision(n, block)
-		s, err = baseline.CompileAllgather(alg, n, block, baseline.SMKnemBTL())
-	case MPICH2:
-		alg := baseline.TunedAllgatherDecision(n, block)
-		s, err = baseline.CompileAllgather(alg, n, block, baseline.NemesisSM())
-	case Adaptive:
+func (c *Comm) buildAllgather(block int64, comp Component) (*sched.Schedule, *adecision, error) {
+	if comp == Adaptive {
 		return c.adaptiveSchedule(tune.CollAllgather, 0, block, 0)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
 	}
+	s, err := c.fixedSchedule("allgather", comp, 0, block, 0, func() (*sched.Schedule, error) {
+		n := c.Size()
+		switch comp {
+		case KNEMColl:
+			ring, err := c.state.distanceRing()
+			if err != nil {
+				return nil, err
+			}
+			return core.CompileAllgather(ring, block)
+		case Tuned:
+			return baseline.CompileAllgather(baseline.TunedAllgatherDecision(n, block), n, block, baseline.SMKnemBTL())
+		default:
+			return baseline.CompileAllgather(baseline.TunedAllgatherDecision(n, block), n, block, baseline.NemesisSM())
+		}
+	})
 	return s, nil, err
 }
 
@@ -510,45 +508,24 @@ func (c *Comm) distanceMatrix() distance.Matrix {
 	return c.state.matrixLocked()
 }
 
-// runPlan executes this member's share and synchronizes completion. A
-// member that crashed must NOT join the completion barrier — it is dead;
-// its absence is precisely what tells the survivors to fail over.
-func (c *Comm) runPlan(plan *collPlan) error {
-	return c.runPlanVerified(plan, nil)
-}
-
-// runPlanVerified is runPlan with a post-execution verification hook (the
-// end-to-end digest check). The hook runs after this member's share
-// completed but before the completion rendezvous, and its verdict is
-// deposited INTO the rendezvous: the completion barrier doubles as an
-// agreement on the collective's outcome, so either every member observes
-// the digest failure or none does. Without that, the one rank that
-// detected corruption would retry while the others moved on — a silent
-// divergence of the resilient recovery loops.
-func (c *Comm) runPlanVerified(plan *collPlan, verify func() error) error {
+// runPlanVerified executes this member's share — combine is the reduction
+// operator, nil on copy-only plans — and synchronizes completion. A member
+// that crashed must NOT join the completion barrier: it is dead, and its
+// absence is precisely what tells the survivors to fail over. verify (may
+// be nil) is the end-to-end digest check; it runs after this member's share
+// but before the rendezvous, and its verdict is deposited INTO it: the
+// completion barrier doubles as an agreement on the outcome, so either
+// every member observes the digest failure or none does — otherwise the one
+// rank that detected corruption would retry while the others moved on.
+func (c *Comm) runPlanVerified(plan *collPlan, combine func(dst, src []byte), verify func() error) error {
 	finishBracket := c.opBracket(plan)
-	err := c.execute(plan)
+	err := c.execute(plan, combine)
 	if fault.IsCrashed(err) {
 		finishBracket(err)
 		return err
 	}
 	if err == nil && verify != nil {
 		err = verify()
-	}
-	if ferr := c.finish(plan, err); err == nil {
-		err = ferr
-	}
-	finishBracket(err)
-	return err
-}
-
-// runReducePlan is runPlan for plans with combining operations.
-func (c *Comm) runReducePlan(plan *collPlan, op ReduceOp) error {
-	finishBracket := c.opBracket(plan)
-	err := c.executeReduce(plan, op)
-	if fault.IsCrashed(err) {
-		finishBracket(err)
-		return err
 	}
 	if ferr := c.finish(plan, err); err == nil {
 		err = ferr
@@ -572,137 +549,121 @@ func (c *Comm) opBracket(plan *collPlan) func(error) {
 	}
 }
 
-// execute runs this member's share of the plan: consult the fault
-// injector, wait for dependencies (failure-aware, watchdogged), perform
-// the copy (via the KNEM data path for kernel-assisted ops, with transient
-// retry), signal completion.
-func (c *Comm) execute(plan *collPlan) error {
-	return c.executeOps(plan, func(o *sched.Op, dst []byte, wr int) error {
-		if o.Mode == sched.ModeKnem {
-			// Receiver-driven single copy through the device.
-			return c.knemPull(plan, wr, o, dst)
-		}
-		copy(dst, plan.bufs[o.Src][o.SrcOff:o.SrcOff+o.Bytes])
-		return nil
-	})
-}
-
-// executeOps is the shared per-member execution loop.
-func (c *Comm) executeOps(plan *collPlan, perform func(o *sched.Op, dst []byte, wr int) error) error {
-	wr := c.state.group[c.rank]
+// execute runs this member's share of the plan through exec's one executor
+// with the runtime's hooks; the last member to leave reaps the plan.
+func (c *Comm) execute(plan *collPlan, combine func(dst, src []byte)) error {
 	defer func() {
 		if int(plan.leavers.Add(1)) == plan.members {
 			plan.reap()
 		}
 	}()
-	// When tracing, resolve the member distance matrix once so every copy
-	// event carries the distance class of the edge it crossed.
-	tr := c.state.world.tracer
-	var mx distance.Matrix
-	if tr.Enabled() && plan.s.NumRanks <= c.Size() {
-		mx = c.distanceMatrix()
+	m := &member{c: c, plan: plan, wr: c.state.group[c.rank], combine: combine}
+	// Copy events carry the distance class of the edge they crossed, read
+	// from the base view: O(1) dense or clustered, so tracing never
+	// materializes a cluster-scale communicator's O(n²) matrix.
+	if c.state.world.tracer.Enabled() {
+		c.state.mu.Lock()
+		m.dist = c.state.baseViewLocked()
+		c.state.mu.Unlock()
 	}
-	for i := range plan.s.Ops {
-		o := &plan.s.Ops[i]
-		if o.Rank != c.rank {
-			continue
-		}
-		if err := c.opFault(wr); err != nil {
-			return err
-		}
-		if err := c.awaitDeps(plan, o, wr); err != nil {
-			return err
-		}
-		if o.Bytes > 0 {
-			dst := plan.bufs[o.Dst][o.DstOff : o.DstOff+o.Bytes]
-			var t0 time.Time
-			if tr.Enabled() {
-				t0 = time.Now()
-			}
-			if err := perform(o, dst, wr); err != nil {
-				return err
-			}
-			if tr.Enabled() {
-				src, dstRank := plan.s.Buffers[o.Src].Rank, plan.s.Buffers[o.Dst].Rank
-				dist := -1
-				if mx != nil && src < mx.Size() && dstRank < mx.Size() {
-					dist = mx.At(src, dstRank)
-				}
-				tr.Copy(plan.op, plan.id, c.rank, src, dstRank, int(o.ID), o.Chunk,
-					o.Bytes, dist, o.Mode.String(), time.Since(t0))
-			}
-			if plan.onDone != nil {
-				if f := plan.onDone[c.rank]; f != nil {
-					f(o)
-				}
-			}
-		}
-		close(plan.done[o.ID])
-	}
-	return nil
+	return plan.prog.RunRank(c.rank, m)
 }
 
-// opFault consults the injector before one schedule operation. A crash is
-// published to the world (waking every blocked rank) and breaks the
-// communicator before the error propagates.
-func (c *Comm) opFault(wr int) error {
-	inj := c.state.world.inj
-	if inj == nil {
+// member is one communicator member's run of one plan: the exec.Hooks.
+type member struct {
+	c       *Comm
+	plan    *collPlan
+	wr      int                   // the member's world rank
+	combine func(dst, src []byte) // reduction operator; nil on copy-only plans
+	scratch []byte                // landing buffer of kernel-assisted reduces (member.move)
+	dist    distance.View         // set only while tracing; covers every schedule rank (newPlan)
+}
+
+// BeforeOp consults the injector. A crash is published to the world (waking
+// every blocked rank) and breaks the communicator before it propagates.
+func (m *member) BeforeOp(*sched.Op) error {
+	w := m.c.state.world
+	if w.inj == nil {
 		return nil
 	}
-	err := inj.BeforeOp(wr)
+	err := w.inj.BeforeOp(m.wr)
 	if err != nil && fault.IsCrashed(err) {
-		c.state.setBroken()
-		c.state.world.MarkFailed(wr)
+		m.c.state.setBroken()
+		w.MarkFailed(m.wr)
 	}
 	return err
 }
 
-// awaitDeps blocks until the op's dependencies complete. If any member of
-// the communicator fails meanwhile, the collective cannot complete
-// reliably, so the wait aborts with a RankFailureError; if the watchdog
-// deadline expires, it aborts with a HangError carrying both the
-// blocked-rank dump and the schedule's pending-op dump.
-func (c *Comm) awaitDeps(plan *collPlan, o *sched.Op, wr int) error {
-	for _, d := range o.Deps {
-		select {
-		case <-plan.done[d]:
-			continue
-		default:
-		}
-		if err := c.awaitDep(plan, o, d, wr); err != nil {
-			return err
+// Perform moves one op's bytes (member.move), then traces the copy and
+// reports it to the member's completion hook — all before the executor
+// publishes the op as complete.
+func (m *member) Perform(o *sched.Op) error {
+	if o.Bytes == 0 {
+		return nil
+	}
+	plan := m.plan
+	tr := plan.world.tracer
+	var t0 time.Time
+	if tr.Enabled() {
+		t0 = time.Now()
+	}
+	if err := m.move(o, plan.bufs[o.Dst][o.DstOff:o.DstOff+o.Bytes]); err != nil {
+		return err
+	}
+	if tr.Enabled() {
+		src, dstRank := plan.s.Buffers[o.Src].Rank, plan.s.Buffers[o.Dst].Rank
+		tr.Copy(plan.op, plan.id, m.c.rank, src, dstRank, int(o.ID), o.Chunk,
+			o.Bytes, m.dist.At(src, dstRank), o.Mode.String(), time.Since(t0))
+	}
+	if plan.onDone != nil {
+		if f := plan.onDone[m.c.rank]; f != nil {
+			f(o)
 		}
 	}
 	return nil
 }
 
-func (c *Comm) awaitDep(plan *collPlan, o *sched.Op, d sched.OpID, wr int) error {
-	w := c.state.world
-	desc := fmt.Sprintf("collective op %d (waiting on op %d of rank %d)",
-		o.ID, d, c.state.group[plan.s.Ops[d].Rank])
+// Await blocks until dependency d of o completes. If a member of the
+// communicator fails meanwhile the collective cannot complete, so the wait
+// aborts with a RankFailureError; if the watchdog expires, with a HangError
+// carrying the blocked-rank and pending-op dumps. Nothing here allocates or
+// formats until the wait fails.
+func (m *member) Await(p *exec.Progress, o *sched.Op, d sched.OpID) error {
+	st := m.c.state
+	w, wr := st.world, m.wr
+	depRank := st.group[m.plan.s.Ops[d].Rank]
+	desc := blockDesc{kind: blockDep, a: int(o.ID), b: int(d), c: depRank}
 	w.blockEnter(wr, desc)
 	defer w.blockExit(wr)
-	timeoutC, stop := w.watchdog()
-	defer stop()
-	for {
+	dog := &st.dogs[m.c.rank]
+	timeoutC := dog.arm(w.opDeadline)
+	defer dog.disarm()
+	for gen := 0; ; {
 		failed, failCh := w.failureWatch()
-		if dead := deadIn(failed, c.state.group); len(dead) > 0 {
-			c.state.setBroken()
-			if perr := w.partitionCheck(wr); perr != nil {
-				return perr
+		if len(failed) != gen { // scan the group once per failure generation
+			gen = len(failed)
+			if dead := deadIn(failed, st.group); len(dead) > 0 {
+				st.setBroken()
+				if perr := w.partitionCheck(wr); perr != nil {
+					return perr
+				}
+				return &RankFailureError{Failed: dead}
 			}
-			return &RankFailureError{Failed: dead}
+		}
+		if p.Done(d) {
+			return nil
 		}
 		select {
-		case <-plan.done[d]:
-			return nil
+		case <-p.Wake(m.c.rank):
 		case <-failCh:
 		case <-timeoutC:
-			w.tracer.Watchdog(wr, desc)
-			return &HangError{Rank: wr, Op: desc, Deadline: w.opDeadline,
-				Dump:      w.BlockedDump() + "; schedule: " + plan.s.PendingDump(plan.isDone),
-				Suspicion: w.hangSuspicion(wr, []int{c.state.group[plan.s.Ops[d].Rank]})}
+			if !dog.expired() {
+				continue
+			}
+			w.tracer.Watchdog(wr, desc.String())
+			return &HangError{Rank: wr, Op: desc.String(), Deadline: w.opDeadline,
+				Dump:      w.BlockedDump() + "; schedule: " + m.plan.s.PendingDump(p.Done),
+				Suspicion: w.hangSuspicion(wr, []int{depRank})}
 		}
 	}
 }

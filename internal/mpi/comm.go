@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"distcoll/internal/core"
 	"distcoll/internal/distance"
@@ -25,6 +26,15 @@ type commState struct {
 	// equal seq values identify the same logical collective.
 	seqs  []int
 	slots map[int]*collSlot
+
+	// Per-member parking state, indexed by communicator rank and created
+	// with the communicator. wake is the member's channel in the executor's
+	// wake protocol (exec.Progress): capacity 1, reused by every collective
+	// on the communicator. dogs is the member's watchdog timer, re-armed per
+	// blocking wait instead of allocated; only the member's own goroutine
+	// touches it.
+	wake []chan struct{}
+	dogs []watchdog
 
 	// Agreement rounds use their own sequence space and slots: Agree must
 	// run on a broken communicator, below the fail-fast collective path.
@@ -50,7 +60,7 @@ type commState struct {
 	// sparse clustered view (distance.Clustered); tree/ring construction
 	// and plan-cache hashing then run over the view, so a cluster-scale
 	// communicator never materializes its O(n²) matrix unless a dense-only
-	// consumer (trace distance tags, repair compilation) asks for it.
+	// consumer (repair compilation, hierarchical alltoall) asks for it.
 	matrix       distance.Matrix
 	clustered    *distance.Clustered
 	clusterKnown bool
@@ -77,15 +87,60 @@ type commState struct {
 }
 
 func newCommState(w *World, group []int) *commState {
-	return &commState{
+	st := &commState{
 		world:      w,
 		id:         w.ncomm.Add(1),
 		group:      group,
 		seqs:       make([]int, len(group)),
 		slots:      make(map[int]*collSlot),
+		wake:       make([]chan struct{}, len(group)),
+		dogs:       make([]watchdog, len(group)),
 		agreeSeqs:  make([]int, len(group)),
 		agreeSlots: make(map[int]*agreeSlot),
 		trees:      make(map[int]*core.Tree),
+	}
+	for i := range st.wake {
+		st.wake[i] = make(chan struct{}, 1)
+	}
+	return st
+}
+
+// watchdog is one member's reusable deadline timer. Re-arming a timer
+// whose previous tick was never received can deliver that stale tick
+// early, so a tick only counts once the clock agrees (expired).
+type watchdog struct {
+	t        *time.Timer
+	deadline time.Time
+}
+
+// arm starts the watchdog for one blocking wait of at most d and returns
+// its channel (nil — never firing — when d disables the watchdog).
+func (wd *watchdog) arm(d time.Duration) <-chan time.Time {
+	if d <= 0 {
+		return nil
+	}
+	wd.deadline = time.Now().Add(d)
+	if wd.t == nil {
+		wd.t = time.NewTimer(d)
+	} else {
+		wd.t.Reset(d)
+	}
+	return wd.t.C
+}
+
+// expired reports whether a received tick is the armed deadline; on a
+// stale early tick it re-arms for the remainder instead.
+func (wd *watchdog) expired() bool {
+	if rem := time.Until(wd.deadline); rem > 0 {
+		wd.t.Reset(rem)
+		return false
+	}
+	return true
+}
+
+func (wd *watchdog) disarm() {
+	if wd.t != nil {
+		wd.t.Stop()
 	}
 }
 
@@ -174,19 +229,23 @@ func (st *commState) epochLocked() int64 {
 	return epoch
 }
 
+// baseViewLocked returns the communicator's own distance view: the sparse
+// clustered view on multi-machine placements, the dense matrix otherwise.
+// Callers hold st.mu.
+func (st *commState) baseViewLocked() distance.View {
+	if cv := st.clusteredLocked(); cv != nil {
+		return cv
+	}
+	return st.matrixLocked()
+}
+
 // viewLocked returns the distance view collective construction should run
-// over: the sparse clustered view on multi-machine placements, the dense
-// matrix otherwise — overlaid with the current demotion snapshot when
+// over: the base view, overlaid with the current demotion snapshot when
 // the world runs gray-failure detection (the overlay passes the base
 // view through untouched while no member edge is demoted). Callers hold
 // st.mu.
 func (st *commState) viewLocked() distance.View {
-	var base distance.View
-	if cv := st.clusteredLocked(); cv != nil {
-		base = cv
-	} else {
-		base = st.matrixLocked()
-	}
+	base := st.baseViewLocked()
 	if snap := st.healthLocked(); snap != nil {
 		return health.WrapView(base, st.group, snap)
 	}
@@ -394,11 +453,12 @@ func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) e
 		return nil
 	default:
 	}
-	desc := fmt.Sprintf("collective sync (comm %d, seq %d)", st.id, seq)
+	desc := blockDesc{kind: blockSync, comm: st.id, a: seq}
 	w.blockEnter(wr, desc)
 	defer w.blockExit(wr)
-	timeoutC, stop := w.watchdog()
-	defer stop()
+	dog := &st.dogs[c.rank]
+	timeoutC := dog.arm(w.opDeadline)
+	defer dog.disarm()
 	for {
 		failed, failCh := w.failureWatch()
 		st.mu.Lock()
@@ -434,6 +494,9 @@ func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) e
 			return nil
 		case <-failCh:
 		case <-timeoutC:
+			if !dog.expired() {
+				continue
+			}
 			st.mu.Lock()
 			var missing []int
 			for i, g := range st.group {
@@ -442,10 +505,10 @@ func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) e
 				}
 			}
 			st.mu.Unlock()
-			return &HangError{Rank: wr, Op: desc, Deadline: w.opDeadline,
+			return &HangError{Rank: wr, Op: desc.String(), Deadline: w.opDeadline,
 				Dump: w.BlockedDump(), Suspicion: w.hangSuspicion(wr, missing)}
 		case <-ctx.Done():
-			return &HangError{Rank: wr, Op: desc + " (context)", Deadline: w.opDeadline, Dump: w.BlockedDump()}
+			return &HangError{Rank: wr, Op: desc.String() + " (context)", Deadline: w.opDeadline, Dump: w.BlockedDump()}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func (c *Comm) bcastDelta(ctx context.Context, buf []byte, root int, comp Compon
 		return "", err
 	}
 	out := result.(*deltaOutcome)
-	return out.mode, c.runPlanVerified(out.plan, func() error {
+	return out.mode, c.runPlanVerified(out.plan, nil, func() error {
 		return c.ledgerBcastVerify(out.plan, buf, root, led)
 	})
 }
@@ -268,7 +268,7 @@ func (c *Comm) allgatherDelta(ctx context.Context, send, recv []byte, comp Compo
 		return "", err
 	}
 	out := result.(*deltaOutcome)
-	return out.mode, c.runPlanVerified(out.plan, func() error {
+	return out.mode, c.runPlanVerified(out.plan, nil, func() error {
 		return c.ledgerAllgatherVerify(out.plan, recv, len(send), led)
 	})
 }

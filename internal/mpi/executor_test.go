@@ -1,0 +1,383 @@
+package mpi
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"distcoll/internal/binding"
+	"distcoll/internal/fault"
+	"distcoll/internal/hwtopo"
+	"distcoll/internal/sched"
+	"distcoll/internal/trace"
+)
+
+// runSchedule executes a hand-built schedule as one collective on c, with
+// runtime-allocated buffers: the executor's hooks without a compiler in
+// front of them.
+func runSchedule(c *Comm, s *sched.Schedule) (*collPlan, error) {
+	_, result, err := c.coordinate(nil, func([]any) (any, error) {
+		return c.state.newPlan("test", s, func(int, string) []byte { return nil })
+	})
+	if err != nil {
+		return nil, err
+	}
+	plan := result.(*collPlan)
+	return plan, c.runPlanVerified(plan, nil, nil)
+}
+
+// fanSchedule: one op of rank 0 that every other rank's pull waits on.
+func fanSchedule(n int, size int64) *sched.Schedule {
+	s := sched.New(n)
+	data := make([]sched.BufID, n)
+	for r := range data {
+		data[r] = s.AddBuffer(r, "data", size)
+	}
+	seed := s.AddBuffer(0, "seed", size)
+	first := s.AddOp(sched.Op{Rank: 0, Src: seed, Dst: data[0], Bytes: size})
+	for r := 1; r < n; r++ {
+		s.AddOp(sched.Op{Rank: r, Mode: sched.ModeKnem, Src: data[0], Dst: data[r], Bytes: size, Deps: []sched.OpID{first}})
+	}
+	return s
+}
+
+// warmAllocsPerCall runs `calls` warm calls of one collective on an IG-48
+// world and returns heap allocations per call summed over all ranks (and
+// the two bracketing barriers, amortised).
+func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, rank int) error) float64 {
+	t.Helper()
+	var m0, m1 runtime.MemStats
+	err := w.Run(func(p *Proc) error {
+		c := p.Comm()
+		for i := 0; i < 3; i++ { // warm: plan cache, topology, map growth
+			if err := call(c, p.Rank()); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		for i := 0; i < calls; i++ {
+			if err := call(c, p.Rank()); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(calls)
+}
+
+// TestWarmCollectiveAllocBudget is the allocation gate of the executor: on
+// a warm 48-rank world, one collective call costs a bounded number of heap
+// allocations summed over ALL ranks — a per-rank constant (argument boxing,
+// rendezvous slots, the hooks value, closures) plus a per-plan constant,
+// and nothing per schedule op or per auxiliary buffer. The three cells span
+// 47, 2256 and 4512 ops; the budget is the same for all of them. With a
+// channel per op, a Validate per call and allocating waits, the same cells
+// cost 588, 7,518 and 63,826.
+func TestWarmCollectiveAllocBudget(t *testing.T) {
+	const budget = 300 // 48 ranks × ~3 + per-plan; measured 159–171
+	const n = 48
+	bufs := func(size int) [][]byte {
+		out := make([][]byte, n)
+		for r := range out {
+			out[r] = make([]byte, size)
+		}
+		return out
+	}
+	type cell struct {
+		name string
+		ops  int // schedule size, to show the budget does not scale with it
+		call func(c *Comm, rank int) error
+	}
+	b4k := bufs(4096)
+	send, gathered, reduced := bufs(1024), bufs(n*1024), bufs(1024)
+	cells := []cell{
+		{"bcast 4KiB knemcoll", n - 1, func(c *Comm, r int) error { return c.Bcast(b4k[r], 0, KNEMColl) }},
+		{"allgather 1KiB adaptive", n * (n - 1), func(c *Comm, r int) error { return c.Allgather(send[r], gathered[r], Adaptive) }},
+		{"allreduce 1KiB adaptive", 2 * n * (n - 1), func(c *Comm, r int) error {
+			return c.Allreduce(send[r], reduced[r], OpSumInt64, Adaptive)
+		}},
+	}
+	for _, cell := range cells {
+		w := igWorld(t, "crosssocket", n)
+		got := warmAllocsPerCall(t, w, 20, cell.call)
+		t.Logf("%-26s %d ops: %.0f allocs/call over %d ranks", cell.name, cell.ops, got, n)
+		if got > budget {
+			t.Errorf("%s: %.0f allocations per warm call, budget %d", cell.name, got, budget)
+		}
+	}
+}
+
+// TestManyRanksBlockedOnOneOp parks 15 ranks on one op of a straggling
+// rank 0, over and over on the same communicator, so every later round
+// starts with whatever wake tokens the previous one left behind. Every
+// pull must still see the completed write.
+func TestManyRanksBlockedOnOneOp(t *testing.T) {
+	const n, size, rounds = 16, 512, 40
+	w := faultWorld(t, n, fault.Plan{SlowRanks: map[int]time.Duration{0: 200 * time.Microsecond}})
+	s := fanSchedule(n, size)
+	err := w.Run(func(p *Proc) error {
+		c := p.Comm()
+		for i := 0; i < rounds; i++ {
+			// Interleave a real collective so tokens cross plans.
+			if err := c.Allgather(pattern(p.Rank(), 64), make([]byte, n*64), KNEMColl); err != nil {
+				return err
+			}
+			plan, err := runSchedule(c, s)
+			if err != nil {
+				return err
+			}
+			seed, _ := s.FindBuffer(0, "seed")
+			mine, _ := s.FindBuffer(c.Rank(), "data")
+			if !bytes.Equal(plan.bufs[mine], plan.bufs[seed]) {
+				return fmt.Errorf("round %d: rank %d pulled before the write completed", i, p.Rank())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompletionRacesMarkFailed crashes a rank at every op index of an
+// 8-rank allgather in turn: survivors are mid-ring, some parked on the
+// victim's ops, some completing their own, when MarkFailed fires. Every
+// survivor must come back with the typed RankFailureError — from the
+// dependency wait or from the finish vote — naming nobody but the victim
+// (a survivor that reaches the vote between the victim's setBroken and its
+// MarkFailed sees the break before the death, and names nobody), and the
+// victim with its crash.
+func TestCompletionRacesMarkFailed(t *testing.T) {
+	const n, victim, block = 8, 5, 256
+	for at := 0; at < n; at++ {
+		w := faultWorld(t, n, fault.Plan{CrashAtOp: map[int]int{victim: at}})
+		errs := make([]error, n)
+		w.Run(func(p *Proc) error {
+			errs[p.Rank()] = p.Comm().Allgather(pattern(p.Rank(), block), make([]byte, n*block), KNEMColl)
+			return nil
+		})
+		for r, err := range errs {
+			if r == victim {
+				if !fault.IsCrashed(err) {
+					t.Errorf("crash at op %d: victim got %v", at, err)
+				}
+				continue
+			}
+			var rf *RankFailureError
+			if !errors.As(err, &rf) || len(rf.Failed) > 1 || (len(rf.Failed) == 1 && rf.Failed[0] != victim) {
+				t.Errorf("crash at op %d: rank %d got %v, want RankFailureError{[%d]}", at, r, err, victim)
+			}
+		}
+	}
+}
+
+// TestDependencyWatchdogNamesOpAndDependency: rank 0 stalls past the
+// deadline before the one op everybody waits on. Each waiter's HangError
+// must name its blocked op, the dependency and the rank executing it, and
+// carry both dumps — formatted only now, on failure.
+func TestDependencyWatchdogNamesOpAndDependency(t *testing.T) {
+	const n = 6
+	w := faultWorld(t, n, fault.Plan{SlowRanks: map[int]time.Duration{0: 500 * time.Millisecond}},
+		WithOpDeadline(50*time.Millisecond))
+	s := fanSchedule(n, 128)
+	errs := make([]error, n)
+	w.Run(func(p *Proc) error {
+		_, errs[p.Rank()] = runSchedule(p.Comm(), s)
+		return nil
+	})
+	hangs := 0
+	for r := 1; r < n; r++ {
+		var he *HangError
+		if !errors.As(errs[r], &he) {
+			continue // a rank may instead lose the race to the finish vote
+		}
+		hangs++
+		if want := fmt.Sprintf("collective op %d (waiting on op 0 of rank 0)", r); he.Op != want {
+			t.Errorf("rank %d: HangError.Op = %q, want %q", r, he.Op, want)
+		}
+		if he.Rank != r || he.Deadline != 50*time.Millisecond {
+			t.Errorf("rank %d: HangError{Rank: %d, Deadline: %v}", r, he.Rank, he.Deadline)
+		}
+		if !strings.Contains(he.Dump, fmt.Sprintf("rank %d in collective op %d (waiting on op 0 of rank 0) for", r, r)) {
+			t.Errorf("rank %d: blocked-rank dump does not list the waiter: %q", r, he.Dump)
+		}
+		if !strings.Contains(he.Dump, fmt.Sprintf("schedule: %d/%d ops unfinished", n, n)) ||
+			!strings.Contains(he.Dump, "waits on [0]") || !strings.Contains(he.Dump, "runnable") {
+			t.Errorf("rank %d: pending-op dump missing or wrong: %q", r, he.Dump)
+		}
+	}
+	if hangs == 0 {
+		t.Fatalf("no dependency-wait HangError among %v", errs)
+	}
+}
+
+// TestWatchdogIgnoresStaleTick pins the reusable watchdog timer: a tick
+// that fired after its wait had already ended stays in the channel, and
+// the next wait must not mistake it for its own deadline.
+func TestWatchdogIgnoresStaleTick(t *testing.T) {
+	var wd watchdog
+	if wd.arm(0) != nil {
+		t.Fatal("disabled watchdog returned a channel")
+	}
+	wd.disarm() // no timer yet: must be a no-op
+	c := wd.arm(time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // let it fire unobserved: the stale tick
+	wd.disarm()
+	c2 := wd.arm(time.Hour)
+	if c2 != c {
+		t.Fatal("watchdog allocated a second timer")
+	}
+	select {
+	case <-c2:
+		if wd.expired() {
+			t.Fatal("stale tick taken for the new deadline")
+		}
+	default: // runtimes that clear the channel on Reset leave nothing to ignore
+	}
+	wd.disarm()
+	c3 := wd.arm(5 * time.Millisecond)
+	<-c3
+	for !wd.expired() {
+		<-c3
+	}
+}
+
+// TestTracingKeepsClusteredCommSparse: copy events are tagged with the
+// distance class of the edge they crossed, read from the communicator's
+// own view. On a multi-machine communicator that view is the O(n) clustered
+// one; tracing must not be what materialises the O(n²) matrix.
+func TestTracingKeepsClusteredCommSparse(t *testing.T) {
+	topo := hwtopo.NewIGCluster()
+	b, err := binding.CrossSocket(topo, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := trace.NewRing(trace.DefaultRingCapacity)
+	w := NewWorld(b, WithTracer(trace.New(ring)))
+	err = w.Run(func(p *Proc) error {
+		if err := p.Comm().Bcast(make([]byte, 8192), 3, KNEMColl); err != nil {
+			return err
+		}
+		return p.Comm().Allgather(make([]byte, 128), make([]byte, 48*128), KNEMColl)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := w.worldComm
+	if st.clustered == nil {
+		t.Fatal("igcluster world communicator has no clustered view")
+	}
+	if st.matrix != nil {
+		t.Error("traced collectives materialised the dense distance matrix on a clustered communicator")
+	}
+	copies := trace.Filter(ring.Events(), trace.KindCopy)
+	if len(copies) == 0 {
+		t.Fatal("no copy events traced")
+	}
+	for _, e := range copies {
+		if want := st.clustered.At(e.Src, e.Dst); e.Dist != want {
+			t.Fatalf("copy %d→%d tagged distance %d, clustered view says %d", e.Src, e.Dst, e.Dist, want)
+		}
+	}
+}
+
+// TestFixedComponentsUsePlanCache: a fixed component compiles each shape
+// once and then hits the world's plan cache, without emitting the
+// selector's plan_cache trace event; breaking the communicator drops the
+// entries like it drops Adaptive's.
+func TestFixedComponentsUsePlanCache(t *testing.T) {
+	const n, reps = 8, 4
+	b, err := binding.CrossSocket(hwtopo.NewIG(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := trace.NewRing(trace.DefaultRingCapacity)
+	w := NewWorld(b, WithTracer(trace.New(ring)))
+	err = w.Run(func(p *Proc) error {
+		c := p.Comm()
+		for i := 0; i < reps; i++ {
+			for _, comp := range []Component{KNEMColl, Tuned, MPICH2} {
+				if err := c.Bcast(make([]byte, 2048), 1, comp); err != nil {
+					return err
+				}
+				if err := c.Allreduce(make([]byte, 512), make([]byte, 512), OpSumInt64, comp); err != nil {
+					return err
+				}
+				send, recv := pattern(p.Rank(), 64), make([]byte, n*64)
+				if err := c.Gather(send, recv, 2, comp); err != nil {
+					return err
+				}
+				if p.Rank() == 2 && !bytes.Equal(recv[64:128], pattern(1, 64)) {
+					return errors.New("cached gather schedule delivered wrong data")
+				}
+				if err := c.Alltoall(make([]byte, n*32), make([]byte, n*32), comp); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shapes = 3 * 4
+	st := w.PlanCache().Stats()
+	if st.Misses != shapes || st.Hits != shapes*(reps-1) || st.Size != shapes {
+		t.Errorf("plan cache after %d reps of %d fixed shapes: %+v", reps, shapes, st)
+	}
+	if evs := trace.Filter(ring.Events(), trace.KindPlanCache); len(evs) != 0 {
+		t.Errorf("fixed components emitted %d plan_cache events", len(evs))
+	}
+	w.worldComm.setBroken()
+	if st := w.PlanCache().Stats(); st.Size != 0 {
+		t.Errorf("%d fixed-component plans survived setBroken", st.Size)
+	}
+}
+
+// TestUnrunnableScheduleIsRejectedNotHung: the acyclic-but-out-of-order
+// schedule the old validity rule let through must fail in newPlan, on
+// every member, instead of parking rank 0 until the watchdog.
+func TestUnrunnableScheduleIsRejectedNotHung(t *testing.T) {
+	w := faultWorld(t, 2, fault.Plan{})
+	s := sched.New(2)
+	b := s.AddBuffer(0, "a", 8)
+	s.AddOp(sched.Op{Rank: 0, Src: b, Dst: b, Bytes: 8})
+	s.AddOp(sched.Op{Rank: 0, Src: b, Dst: b, Bytes: 8})
+	s.Ops[0].Deps = []sched.OpID{1}
+	var mu sync.Mutex
+	var got []error
+	w.Run(func(p *Proc) error {
+		_, err := runSchedule(p.Comm(), s)
+		mu.Lock()
+		got = append(got, err)
+		mu.Unlock()
+		return nil
+	})
+	for _, err := range got {
+		if err == nil || IsHang(err) || !strings.Contains(err.Error(), "does not precede") {
+			t.Errorf("unrunnable schedule: got %v, want the validity error", err)
+		}
+	}
+}

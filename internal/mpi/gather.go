@@ -43,11 +43,13 @@ func (c *Comm) Gather(send, recv []byte, root int, comp Component) error {
 			if block == 0 {
 				return c.state.emptyPlan("gather", len(args)), nil
 			}
-			tree, err := c.gatherTree(args[0].root, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			s, err := core.CompileGather(tree, block)
+			s, err := c.fixedSchedule("gather", args[0].comp, args[0].root, block, 0, func() (*sched.Schedule, error) {
+				tree, err := c.gatherTree(args[0].root, args[0].comp)
+				if err != nil {
+					return nil, err
+				}
+				return core.CompileGather(tree, block)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +68,7 @@ func (c *Comm) Gather(send, recv []byte, root int, comp Component) error {
 	if err != nil {
 		return err
 	}
-	return c.runPlan(result.(*collPlan))
+	return c.runPlanVerified(result.(*collPlan), nil, nil)
 }
 
 // Scatter distributes the root's send buffer (Size()·len(recv) bytes, in
@@ -83,11 +85,13 @@ func (c *Comm) Scatter(send, recv []byte, root int, comp Component) error {
 			if block == 0 {
 				return c.state.emptyPlan("scatter", len(args)), nil
 			}
-			tree, err := c.gatherTree(args[0].root, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			s, err := core.CompileScatter(tree, block)
+			s, err := c.fixedSchedule("scatter", args[0].comp, args[0].root, block, 0, func() (*sched.Schedule, error) {
+				tree, err := c.gatherTree(args[0].root, args[0].comp)
+				if err != nil {
+					return nil, err
+				}
+				return core.CompileScatter(tree, block)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -106,7 +110,7 @@ func (c *Comm) Scatter(send, recv []byte, root int, comp Component) error {
 	if err != nil {
 		return err
 	}
-	return c.runPlan(result.(*collPlan))
+	return c.runPlanVerified(result.(*collPlan), nil, nil)
 }
 
 // checkGatherArgs validates the coordinated arguments; gather=true checks
@@ -176,22 +180,19 @@ func (c *Comm) Alltoall(send, recv []byte, comp Component) error {
 			if block == 0 {
 				return c.state.emptyPlan("alltoall", n), nil
 			}
-			var s *sched.Schedule
-			var err error
-			switch args[0].comp {
-			case KNEMColl:
-				if block < AlltoallHierarchicalLimit {
-					s, err = core.CompileAlltoallHierarchical(c.distanceMatrix(), block)
-				} else {
-					s, err = core.CompileAlltoallDirect(n, block)
+			s, err := c.fixedSchedule("alltoall", args[0].comp, 0, block, 0, func() (*sched.Schedule, error) {
+				switch args[0].comp {
+				case KNEMColl:
+					if block < AlltoallHierarchicalLimit {
+						return core.CompileAlltoallHierarchical(c.distanceMatrix(), block)
+					}
+					return core.CompileAlltoallDirect(n, block)
+				case Tuned:
+					return baseline.CompileAlltoallPairwise(n, block, baseline.SMKnemBTL())
+				default:
+					return baseline.CompileAlltoallPairwise(n, block, baseline.NemesisSM())
 				}
-			case Tuned:
-				s, err = baseline.CompileAlltoallPairwise(n, block, baseline.SMKnemBTL())
-			case MPICH2:
-				s, err = baseline.CompileAlltoallPairwise(n, block, baseline.NemesisSM())
-			default:
-				err = fmt.Errorf("mpi: unknown component %v", args[0].comp)
-			}
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -210,5 +211,5 @@ func (c *Comm) Alltoall(send, recv []byte, comp Component) error {
 	if err != nil {
 		return err
 	}
-	return c.runPlan(result.(*collPlan))
+	return c.runPlanVerified(result.(*collPlan), nil, nil)
 }

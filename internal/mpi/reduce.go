@@ -122,7 +122,7 @@ func (c *Comm) Reduce(send, recv []byte, root int, op ReduceOp, comp Component) 
 	if err != nil {
 		return err
 	}
-	return c.runReducePlan(result.(*collPlan), op)
+	return c.runPlanVerified(result.(*collPlan), op.Combine, nil)
 }
 
 // allreduceArgs is each member's contribution to an Allreduce.
@@ -190,78 +190,76 @@ func (c *Comm) Allreduce(send, recv []byte, op ReduceOp, comp Component) error {
 	if err != nil {
 		return err
 	}
-	return c.runReducePlan(result.(*collPlan), op)
+	return c.runPlanVerified(result.(*collPlan), op.Combine, nil)
 }
 
-func (c *Comm) buildReduce(size int64, root int, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		tree, err := c.state.distanceTree(root)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileReduce(tree, size, 0)
-	case Tuned:
-		s, err = baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.SMKnemBTL())
-	case MPICH2:
-		s, err = baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.NemesisSM())
-	case Adaptive:
+func (c *Comm) buildReduce(size int64, root int, comp Component) (*sched.Schedule, *adecision, error) {
+	if comp == Adaptive {
 		return c.adaptiveSchedule(tune.CollReduce, root, size, 0)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
 	}
-	return s, nil, err
-}
-
-func (c *Comm) buildAllreduce(size, align int64, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		ring, err := c.state.distanceRing()
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileAllreduce(ring, size, align)
-	case Tuned:
-		s, err = baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.SMKnemBTL())
-	case MPICH2:
-		s, err = baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.NemesisSM())
-	case Adaptive:
-		return c.adaptiveSchedule(tune.CollAllreduce, 0, size, align)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
-	}
-	return s, nil, err
-}
-
-// executeReduce runs this member's share of a plan that may contain
-// combining operations. Kernel-assisted reduces pull into a scratch
-// buffer first (KNEM moves bytes; the combine is a user-space pass),
-// mirroring how a real KNEM reduction works. Fault handling (injection,
-// failure-aware dependency waits, transient retry) matches execute.
-func (c *Comm) executeReduce(plan *collPlan, op ReduceOp) error {
-	var scratch []byte
-	return c.executeOps(plan, func(o *sched.Op, dst []byte, wr int) error {
-		switch {
-		case o.Kind == sched.OpReduce && o.Mode == sched.ModeKnem:
-			if int64(cap(scratch)) < o.Bytes {
-				scratch = make([]byte, o.Bytes)
+	s, err := c.fixedSchedule("reduce", comp, root, size, 0, func() (*sched.Schedule, error) {
+		n := c.Size()
+		switch comp {
+		case KNEMColl:
+			tree, err := c.state.distanceTree(root)
+			if err != nil {
+				return nil, err
 			}
-			tmp := scratch[:o.Bytes]
-			if err := c.knemPull(plan, wr, o, tmp); err != nil {
-				return err
-			}
-			op.Combine(dst, tmp)
-			return nil
-		case o.Kind == sched.OpReduce:
-			op.Combine(dst, plan.bufs[o.Src][o.SrcOff:o.SrcOff+o.Bytes])
-			return nil
-		case o.Mode == sched.ModeKnem:
-			return c.knemPull(plan, wr, o, dst)
+			return core.CompileReduce(tree, size, 0)
+		case Tuned:
+			return baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.SMKnemBTL())
 		default:
-			copy(dst, plan.bufs[o.Src][o.SrcOff:o.SrcOff+o.Bytes])
-			return nil
+			return baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.NemesisSM())
 		}
 	})
+	return s, nil, err
+}
+
+func (c *Comm) buildAllreduce(size, align int64, comp Component) (*sched.Schedule, *adecision, error) {
+	if comp == Adaptive {
+		return c.adaptiveSchedule(tune.CollAllreduce, 0, size, align)
+	}
+	s, err := c.fixedSchedule("allreduce", comp, 0, size, align, func() (*sched.Schedule, error) {
+		n := c.Size()
+		switch comp {
+		case KNEMColl:
+			ring, err := c.state.distanceRing()
+			if err != nil {
+				return nil, err
+			}
+			return core.CompileAllreduce(ring, size, align)
+		case Tuned:
+			return baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.SMKnemBTL())
+		default:
+			return baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.NemesisSM())
+		}
+	})
+	return s, nil, err
+}
+
+// move performs one op's data movement into dst: a receiver-driven single
+// copy through the device for kernel-assisted ops (with transient retry), a
+// plain copy otherwise. Kernel-assisted reduces pull into a scratch buffer
+// first (KNEM moves bytes; the combine is a user-space pass), mirroring how
+// a real KNEM reduction works.
+func (m *member) move(o *sched.Op, dst []byte) error {
+	src := m.plan.bufs[o.Src][o.SrcOff : o.SrcOff+o.Bytes]
+	switch {
+	case o.Kind == sched.OpReduce && o.Mode == sched.ModeKnem:
+		if int64(cap(m.scratch)) < o.Bytes {
+			m.scratch = make([]byte, o.Bytes)
+		}
+		tmp := m.scratch[:o.Bytes]
+		if err := m.c.knemPull(m.plan, m.wr, o, tmp); err != nil {
+			return err
+		}
+		m.combine(dst, tmp)
+	case o.Kind == sched.OpReduce:
+		m.combine(dst, src)
+	case o.Mode == sched.ModeKnem:
+		return m.c.knemPull(m.plan, m.wr, o, dst)
+	default:
+		copy(dst, src)
+	}
+	return nil
 }

@@ -128,7 +128,10 @@ type World struct {
 
 	// Failure detection: the set of dead world ranks, plus a broadcast
 	// channel closed (and replaced) on every change so blocked operations
-	// wake immediately — event-driven, never polled.
+	// wake immediately — event-driven, never polled. failed is copy-on-write:
+	// MarkFailed publishes a fresh map and never edits a published one, so
+	// waiters read the set without copying it, and since ranks are only ever
+	// added its length is the failure generation.
 	fmu    sync.Mutex
 	failed map[int]bool
 	failCh chan struct{}
@@ -497,7 +500,12 @@ func (w *World) MarkFailed(rank int) {
 	if w.failed[rank] {
 		return
 	}
-	w.failed[rank] = true
+	next := make(map[int]bool, len(w.failed)+1)
+	for r := range w.failed {
+		next[r] = true
+	}
+	next[rank] = true
+	w.failed = next
 	close(w.failCh)
 	w.failCh = make(chan struct{})
 	w.tracer.Failure(rank)
@@ -509,26 +517,59 @@ func (w *World) Failed() []int {
 	return sortedRanks(failed)
 }
 
-// failureWatch returns a snapshot of the failed set and a channel closed
-// on its next change. Waiters loop: check the snapshot, block on the
-// channel, re-check.
+// failureWatch returns the failed set — an immutable snapshot, never to be
+// modified by the caller — and a channel closed on its next change, from
+// one critical section. Waiters loop: check the snapshot, block on the
+// channel, re-check; len(snapshot) is the failure generation, so a waiter
+// woken for another reason can skip the re-check while it is unchanged.
 func (w *World) failureWatch() (map[int]bool, <-chan struct{}) {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
-	snap := make(map[int]bool, len(w.failed))
-	for r := range w.failed {
-		snap[r] = true
+	return w.failed, w.failCh
+}
+
+// blockKind says what kind of operation a rank is blocked in.
+type blockKind uint8
+
+const (
+	blockSend  blockKind = iota // a = dst, b = tag
+	blockRecv                   // a = src, b = tag
+	blockSync                   // comm, a = seq
+	blockAgree                  // comm, a = round
+	blockDep                    // a = op, b = dependency, c = world rank executing it
+)
+
+// blockDesc names one blocking operation as a small value: recording it
+// costs no formatting and no allocation. It is rendered only when a
+// watchdog fires (HangError.Op, BlockedDump).
+type blockDesc struct {
+	kind    blockKind
+	comm    int64
+	a, b, c int
+}
+
+func (d blockDesc) String() string {
+	switch d.kind {
+	case blockSend:
+		return fmt.Sprintf("send(dst=%d, tag=%d)", d.a, d.b)
+	case blockRecv:
+		return fmt.Sprintf("recv(src=%d, tag=%d)", d.a, d.b)
+	case blockSync:
+		return fmt.Sprintf("collective sync (comm %d, seq %d)", d.comm, d.a)
+	case blockAgree:
+		return fmt.Sprintf("agreement (comm %d, round %d)", d.comm, d.a)
+	default:
+		return fmt.Sprintf("collective op %d (waiting on op %d of rank %d)", d.a, d.b, d.c)
 	}
-	return snap, w.failCh
 }
 
 // blockEntry records one rank's current blocking operation.
 type blockEntry struct {
-	what  string
+	what  blockDesc
 	since time.Time
 }
 
-func (w *World) blockEnter(rank int, what string) {
+func (w *World) blockEnter(rank int, what blockDesc) {
 	w.bmu.Lock()
 	w.blocked[rank] = blockEntry{what: what, since: time.Now()}
 	w.bmu.Unlock()
@@ -663,8 +704,7 @@ func (p *Proc) Send(dst, tag int, data []byte) error {
 	if timeout <= 0 {
 		timeout = w.opDeadline
 	}
-	desc := fmt.Sprintf("send(dst=%d, tag=%d)", dst, tag)
-	w.blockEnter(p.rank, desc)
+	w.blockEnter(p.rank, blockDesc{kind: blockSend, a: dst, b: tag})
 	defer w.blockExit(p.rank)
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
@@ -708,7 +748,7 @@ func (p *Proc) Recv(src, tag int) ([]byte, error) {
 	ch := w.mail[src][p.rank]
 	blocked := false
 	var timeoutC <-chan time.Time
-	desc := fmt.Sprintf("recv(src=%d, tag=%d)", src, tag)
+	desc := blockDesc{kind: blockRecv, a: src, b: tag}
 	for {
 		var m message
 		select {
@@ -733,8 +773,8 @@ func (p *Proc) Recv(src, tag int) ([]byte, error) {
 			case <-failCh:
 				continue
 			case <-timeoutC:
-				w.tracer.Watchdog(p.rank, desc)
-				return nil, &HangError{Rank: p.rank, Op: desc, Deadline: w.opDeadline,
+				w.tracer.Watchdog(p.rank, desc.String())
+				return nil, &HangError{Rank: p.rank, Op: desc.String(), Deadline: w.opDeadline,
 					Dump: w.BlockedDump(), Suspicion: w.hangSuspicion(p.rank, []int{src})}
 			}
 		}

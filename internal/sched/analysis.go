@@ -5,38 +5,27 @@ import (
 	"strings"
 )
 
-// PendingOps returns the ids of operations not yet completed according to
-// done, in id order — the raw form of the watchdog's hang diagnostic.
-func (s *Schedule) PendingOps(done func(OpID) bool) []OpID {
-	var out []OpID
-	for i := range s.Ops {
-		if !done(OpID(i)) {
-			out = append(out, OpID(i))
-		}
-	}
-	return out
-}
-
 // PendingDump renders the diagnostic a watchdog emits instead of
 // deadlocking: every unfinished operation grouped by executing rank, with
 // the dependencies it is still waiting on. Runnable ops (all deps met)
 // are flagged, since they distinguish a stalled executor from a blocked
 // one.
 func (s *Schedule) PendingDump(done func(OpID) bool) string {
-	pending := s.PendingOps(done)
-	if len(pending) == 0 {
+	byRank := make([][]OpID, s.NumRanks)
+	pending := 0
+	for i := range s.Ops {
+		if r := s.Ops[i].Rank; !done(OpID(i)) {
+			byRank[r] = append(byRank[r], OpID(i))
+			pending++
+		}
+	}
+	if pending == 0 {
 		return "all ops finished"
 	}
-	byRank := make(map[int][]OpID)
-	for _, id := range pending {
-		r := s.Ops[id].Rank
-		byRank[r] = append(byRank[r], id)
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d/%d ops unfinished:", len(pending), len(s.Ops))
-	for r := 0; r < s.NumRanks; r++ {
-		ids, ok := byRank[r]
-		if !ok {
+	fmt.Fprintf(&b, "%d/%d ops unfinished:", pending, len(s.Ops))
+	for r, ids := range byRank {
+		if len(ids) == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "\n  rank %d:", r)

@@ -12,7 +12,10 @@
 // edges whose cross-rank notifications cost latency.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // BufID identifies a buffer within one Schedule.
 type BufID int
@@ -107,11 +110,14 @@ type Op struct {
 	Deps []OpID
 }
 
-// Schedule is a complete compiled collective.
+// Schedule is a complete compiled collective, immutable once compiled:
+// the plan cache shares one Schedule, and its memoised Index, across calls.
 type Schedule struct {
 	NumRanks int
 	Buffers  []BufSpec
 	Ops      []Op
+
+	index atomic.Pointer[Index] // see Index; cleared by AddBuffer/AddOp
 }
 
 // New creates an empty schedule for n ranks.
@@ -122,6 +128,7 @@ func New(n int) *Schedule {
 // AddBuffer declares a buffer and returns its id.
 func (s *Schedule) AddBuffer(rank int, name string, bytes int64) BufID {
 	s.Buffers = append(s.Buffers, BufSpec{Rank: rank, Name: name, Bytes: bytes})
+	s.index.Store(nil)
 	return BufID(len(s.Buffers) - 1)
 }
 
@@ -129,6 +136,7 @@ func (s *Schedule) AddBuffer(rank int, name string, bytes int64) BufID {
 func (s *Schedule) AddOp(op Op) OpID {
 	op.ID = OpID(len(s.Ops))
 	s.Ops = append(s.Ops, op)
+	s.index.Store(nil)
 	return op.ID
 }
 
@@ -166,15 +174,6 @@ func (s *Schedule) TotalCopiedBytes() int64 {
 	return total
 }
 
-// OpsByRank groups op ids by executing rank.
-func (s *Schedule) OpsByRank() [][]OpID {
-	out := make([][]OpID, s.NumRanks)
-	for _, op := range s.Ops {
-		out[op.Rank] = append(out[op.Rank], op.ID)
-	}
-	return out
-}
-
 // CrossRankDeps counts dependency edges whose endpoint ops run on
 // different ranks — each costs one notification. The paper's §IV-C
 // overhead analysis counts these synchronizations.
@@ -190,46 +189,11 @@ func (s *Schedule) CrossRankDeps() int {
 	return n
 }
 
-// TopoOrder returns op ids in a dependency-respecting order, or an error
-// if the graph has a cycle.
-func (s *Schedule) TopoOrder() ([]OpID, error) {
-	n := len(s.Ops)
-	indeg := make([]int, n)
-	out := make([][]int, n)
-	for i, op := range s.Ops {
-		for _, d := range op.Deps {
-			if int(d) < 0 || int(d) >= n {
-				return nil, fmt.Errorf("sched: op %d depends on invalid op %d", i, d)
-			}
-			indeg[i]++
-			out[d] = append(out[d], i)
-		}
-	}
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]OpID, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, OpID(u))
-		for _, v := range out[u] {
-			if indeg[v]--; indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("sched: dependency cycle (%d of %d ops orderable)", len(order), n)
-	}
-	return order, nil
-}
-
-// Validate checks structural invariants: buffer references in range,
-// offsets within buffer bounds, ranks valid, dependencies acyclic.
+// Validate checks structural invariants: ranks valid, buffer references
+// and offsets in bounds, and every dependency naming an EARLIER op. Ranks
+// execute their ops in id order, so that is exactly runnability (the lowest
+// unfinished op is always ready) — strictly stronger than acyclicity, in
+// O(ops + edges) with no allocation.
 func (s *Schedule) Validate() error {
 	if s.NumRanks <= 0 {
 		return fmt.Errorf("sched: NumRanks = %d", s.NumRanks)
@@ -242,7 +206,8 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("sched: buffer %d has negative size", i)
 		}
 	}
-	for i, op := range s.Ops {
+	for i := range s.Ops {
+		op := &s.Ops[i]
 		if op.ID != OpID(i) {
 			return fmt.Errorf("sched: op %d has id %d", i, op.ID)
 		}
@@ -252,22 +217,30 @@ func (s *Schedule) Validate() error {
 		if op.Bytes < 0 {
 			return fmt.Errorf("sched: op %d has negative size", i)
 		}
-		for _, ref := range []struct {
-			buf BufID
-			off int64
-			tag string
-		}{{op.Src, op.SrcOff, "src"}, {op.Dst, op.DstOff, "dst"}} {
-			if int(ref.buf) < 0 || int(ref.buf) >= len(s.Buffers) {
-				return fmt.Errorf("sched: op %d %s buffer %d out of range", i, ref.tag, ref.buf)
+		if err := s.checkRange(i, "src", op.Src, op.SrcOff, op.Bytes); err != nil {
+			return err
+		}
+		if err := s.checkRange(i, "dst", op.Dst, op.DstOff, op.Bytes); err != nil {
+			return err
+		}
+		for _, d := range op.Deps {
+			if int(d) < 0 || int(d) >= len(s.Ops) {
+				return fmt.Errorf("sched: op %d depends on invalid op %d", i, d)
 			}
-			if ref.off < 0 || ref.off+op.Bytes > s.Buffers[ref.buf].Bytes {
-				return fmt.Errorf("sched: op %d %s range [%d,%d) exceeds buffer %q size %d",
-					i, ref.tag, ref.off, ref.off+op.Bytes, s.Buffers[ref.buf].Name, s.Buffers[ref.buf].Bytes)
+			if int(d) >= i {
+				return fmt.Errorf("sched: op %d depends on op %d, which does not precede it (cycle or out of program order)", i, d)
 			}
 		}
 	}
-	if _, err := s.TopoOrder(); err != nil {
-		return err
+	return nil
+}
+
+func (s *Schedule) checkRange(op int, tag string, buf BufID, off, n int64) error {
+	if int(buf) < 0 || int(buf) >= len(s.Buffers) {
+		return fmt.Errorf("sched: op %d %s buffer %d out of range", op, tag, buf)
+	}
+	if b := &s.Buffers[buf]; off < 0 || off+n > b.Bytes {
+		return fmt.Errorf("sched: op %d %s range [%d,%d) exceeds buffer %q size %d", op, tag, off, off+n, b.Name, b.Bytes)
 	}
 	return nil
 }
@@ -276,25 +249,15 @@ func (s *Schedule) Validate() error {
 // the remainder folded into the last block (MPICH's scatter layout, also
 // used by ring reduce-scatter). Blocks may be empty when size < n.
 func BlockTable(size int64, n int) (offs, lens []int64) {
-	offs = make([]int64, n)
-	lens = make([]int64, n)
-	base := size / int64(n)
-	var off int64
-	for i := 0; i < n; i++ {
-		offs[i] = off
-		lens[i] = base
-		off += base
-	}
-	lens[n-1] += size - base*int64(n)
-	return offs, lens
+	return AlignedBlockTable(size, n, 1)
 }
 
 // AlignedBlockTable is BlockTable with block boundaries aligned to
-// multiples of align bytes, so element-wise reductions never split an
-// element across blocks; the last block absorbs the remainder.
+// multiples of align bytes (≤ 1: unaligned), so element-wise reductions
+// never split an element; the last block absorbs the remainder.
 func AlignedBlockTable(size int64, n int, align int64) (offs, lens []int64) {
-	if align <= 1 {
-		return BlockTable(size, n)
+	if align < 1 {
+		align = 1
 	}
 	offs = make([]int64, n)
 	lens = make([]int64, n)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -77,32 +78,106 @@ func TestValidateRejectsCycles(t *testing.T) {
 	}
 }
 
-func TestTopoOrderRespectsDeps(t *testing.T) {
-	s := New(3)
+// TestValidateRequiresProgramOrder: every rank runs its ops in id order, so
+// a dependency on a later op can never be met — even when the graph is
+// acyclic. The old acyclicity check let {op0@r0 deps [1], op1@r0} through
+// and the runtime hung on it until the watchdog.
+func TestValidateRequiresProgramOrder(t *testing.T) {
+	s := New(1)
+	b := s.AddBuffer(0, "a", 64)
+	id0 := s.AddOp(Op{Rank: 0, Src: b, Dst: b, Bytes: 0})
+	id1 := s.AddOp(Op{Rank: 0, Src: b, Dst: b, Bytes: 0})
+	s.Ops[id0].Deps = []OpID{id1} // acyclic, but unreachable in program order
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "does not precede") {
+		t.Errorf("forward dependency accepted or misreported: %v", err)
+	}
+	if _, err := s.Index(); err == nil {
+		t.Error("Index built for an unrunnable schedule")
+	}
+	s.Ops[id0].Deps = []OpID{id0}
+	if err := s.Validate(); err == nil {
+		t.Error("self-dependency accepted")
+	}
+	valid := pairSchedule()
+	if allocs := testing.AllocsPerRun(10, func() { _ = valid.Validate() }); allocs != 0 {
+		t.Errorf("Validate allocates %v times on a valid schedule", allocs)
+	}
+}
+
+// TestIndex checks the execution index on a hand-built schedule: ops by
+// rank in program order, cross-rank waiters deduplicated per rank and
+// excluding the executing rank, memoisation, and invalidation on edit.
+func TestIndex(t *testing.T) {
+	s := New(4) // rank 3 executes nothing
 	b := make([]BufID, 3)
 	for r := 0; r < 3; r++ {
 		b[r] = s.AddBuffer(r, "buf", 128)
 	}
-	// Chain 0 → 1 → 2 plus an independent op.
 	o0 := s.AddOp(Op{Rank: 0, Src: b[0], Dst: b[0], Bytes: 128})
-	o1 := s.AddOp(Op{Rank: 1, Src: b[0], Dst: b[1], Bytes: 128, Deps: []OpID{o0}})
-	o2 := s.AddOp(Op{Rank: 2, Src: b[1], Dst: b[2], Bytes: 128, Deps: []OpID{o1}})
-	o3 := s.AddOp(Op{Rank: 0, Src: b[0], Dst: b[0], Bytes: 64})
-	order, err := s.TopoOrder()
+	o1 := s.AddOp(Op{Rank: 1, Src: b[0], Dst: b[1], Bytes: 64, Deps: []OpID{o0}})
+	o2 := s.AddOp(Op{Rank: 1, Src: b[0], Dst: b[1], Bytes: 64, Deps: []OpID{o0, o1}}) // second edge r1→o0, same-rank edge on o1
+	o3 := s.AddOp(Op{Rank: 2, Src: b[1], Dst: b[2], Bytes: 128, Deps: []OpID{o1, o0}})
+	o4 := s.AddOp(Op{Rank: 0, Src: b[0], Dst: b[0], Bytes: 64, Deps: []OpID{o0}}) // same-rank only
+	ix, err := s.Index()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := make(map[OpID]int)
-	for i, id := range order {
-		pos[id] = i
+	if ix.Schedule() != s {
+		t.Error("index does not point back at its schedule")
 	}
-	if pos[o0] > pos[o1] || pos[o1] > pos[o2] {
-		t.Errorf("topo order violates chain: %v", order)
+	eq := func(what string, got []int32, want ...int32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
 	}
-	if len(order) != 4 {
-		t.Errorf("order length = %d", len(order))
+	eq("RankOps(0)", ix.RankOps(0), int32(o0), int32(o4))
+	eq("RankOps(1)", ix.RankOps(1), int32(o1), int32(o2))
+	eq("RankOps(2)", ix.RankOps(2), int32(o3))
+	eq("RankOps(3)", ix.RankOps(3))
+	eq("RankOps(out of range)", ix.RankOps(7))
+	eq("Waiters(o0)", ix.Waiters(o0), 1, 2)
+	eq("Waiters(o1)", ix.Waiters(o1), 2)
+	eq("Waiters(o2)", ix.Waiters(o2))
+	eq("Waiters(o3)", ix.Waiters(o3))
+	eq("Waiters(o4)", ix.Waiters(o4))
+	if again, _ := s.Index(); again != ix {
+		t.Error("Index is not memoised")
 	}
-	_ = o3
+	s.AddOp(Op{Rank: 3, Src: b[0], Dst: b[0], Bytes: 1, Deps: []OpID{o4}})
+	ix2, err := s.Index()
+	if err != nil || ix2 == ix {
+		t.Fatalf("AddOp did not invalidate the memoised index (err %v)", err)
+	}
+	eq("Waiters(o4) after AddOp", ix2.Waiters(o4), 3)
+}
+
+// TestIndexConcurrentFirstUse: many goroutines may race the first Index
+// call on a schedule fresh out of the plan cache.
+func TestIndexConcurrentFirstUse(t *testing.T) {
+	s := New(8)
+	buf := s.AddBuffer(0, "b", 8)
+	prev := s.AddOp(Op{Rank: 0, Src: buf, Dst: buf, Bytes: 8})
+	for i := 1; i < 200; i++ {
+		prev = s.AddOp(Op{Rank: i % 8, Src: buf, Dst: buf, Bytes: 8, Deps: []OpID{prev}})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ix, err := s.Index()
+			if err != nil || len(ix.Waiters(0)) != 1 || ix.Waiters(0)[0] != 1 {
+				t.Errorf("concurrent Index: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCrossRankDeps(t *testing.T) {
@@ -127,10 +202,6 @@ func TestFindBufferAndTotals(t *testing.T) {
 	}
 	if got := s.TotalCopiedBytes(); got != 1024 {
 		t.Errorf("TotalCopiedBytes = %d", got)
-	}
-	byRank := s.OpsByRank()
-	if len(byRank[0]) != 0 || len(byRank[1]) != 1 {
-		t.Errorf("OpsByRank = %v", byRank)
 	}
 }
 
@@ -283,9 +354,6 @@ func TestPendingDump(t *testing.T) {
 
 	// Nothing done: all three pending, op 0 runnable, the rest blocked.
 	none := func(OpID) bool { return false }
-	if got := s.PendingOps(none); len(got) != 3 {
-		t.Fatalf("PendingOps = %v", got)
-	}
 	dump := s.PendingDump(none)
 	for _, want := range []string{"3/3 ops unfinished", "rank 0:", "runnable", "waits on [1]"} {
 		if !strings.Contains(dump, want) {
