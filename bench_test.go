@@ -28,6 +28,16 @@ func reportBcast(b *testing.B, n int, size int64, sec float64) {
 	b.ReportMetric(sec*1e6, "sim-µs")
 }
 
+// mustModel builds the machine model the benchmark's simulations share.
+func mustModel(b *testing.B, bind *binding.Binding, params machine.Params) *machine.Model {
+	b.Helper()
+	m, err := machine.NewModel(bind, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 func reportAllgather(b *testing.B, n int, size int64, sec float64) {
 	b.Helper()
 	b.ReportMetric(imb.AllgatherBandwidth(n, size, sec), "MB/s")
@@ -44,12 +54,13 @@ func BenchmarkFig2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		model := mustModel(b, bind, params)
 		for _, size := range []int64{4 << 10, 256 << 10, 8 << 20} {
 			b.Run(fmt.Sprintf("%s/%s", bindName, imb.FormatSize(size)), func(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.MPICHBcastTime(bind, params, 0, size)
+					sec, err = figures.MPICHBcastTime(model, 0, size)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -70,12 +81,13 @@ func BenchmarkFig6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		model := mustModel(b, bind, params)
 		for _, size := range []int64{16 << 10, 1 << 20, 8 << 20} {
 			b.Run(fmt.Sprintf("tuned/%s/%s", bindName, imb.FormatSize(size)), func(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.TunedBcastTime(bind, params, 0, size)
+					sec, err = figures.TunedBcastTime(model, 0, size)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -86,7 +98,7 @@ func BenchmarkFig6(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.KNEMBcastTime(bind, params, 0, size, nil)
+					sec, err = figures.KNEMBcastTime(model, 0, size, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -106,12 +118,13 @@ func BenchmarkFig7(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		model := mustModel(b, bind, params)
 		for _, size := range []int64{4 << 10, 256 << 10, 2 << 20} {
 			b.Run(fmt.Sprintf("tuned/%s/%s", bindName, imb.FormatSize(size)), func(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.TunedAllgatherTime(bind, params, size)
+					sec, err = figures.TunedAllgatherTime(model, size)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -122,7 +135,7 @@ func BenchmarkFig7(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.KNEMAllgatherTime(bind, params, size)
+					sec, err = figures.KNEMAllgatherTime(model, size)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -142,6 +155,7 @@ func BenchmarkFig8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	model := mustModel(b, bind, params)
 	variants := []struct {
 		name   string
 		levels core.Levels
@@ -152,7 +166,7 @@ func BenchmarkFig8(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.KNEMBcastTime(bind, params, 0, size, v.levels)
+					sec, err = figures.KNEMBcastTime(model, 0, size, v.levels)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -205,12 +219,13 @@ func BenchmarkExtCluster(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	model := mustModel(b, scattered, params)
 	const size = 1 << 20
 	b.Run("distaware/scattered/1M", func(b *testing.B) {
 		var sec float64
 		for i := 0; i < b.N; i++ {
 			var err error
-			sec, err = figures.KNEMBcastTime(scattered, params, 0, size, nil)
+			sec, err = figures.KNEMBcastTime(model, 0, size, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

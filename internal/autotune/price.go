@@ -18,11 +18,18 @@ import (
 type Pricer struct {
 	model *Model
 	view  distance.View
+	plat  *des.Platform // engine r is resource r; shared by every pricing
 }
 
 // NewPricer builds a pricer for one topology.
 func NewPricer(m *Model, v distance.View) *Pricer {
-	return &Pricer{model: m, view: v}
+	plat := des.NewPlatform()
+	for r := 0; r < v.Size(); r++ {
+		// Capacity 1 "work-second per second": a demand of β seconds/byte
+		// then makes b bytes take β·b seconds, serialized per rank.
+		plat.AddIndexed("engine", r, 1.0)
+	}
+	return &Pricer{model: m, view: v, plat: plat}
 }
 
 // Price returns the simulated makespan in seconds of running coll with
@@ -35,8 +42,10 @@ func (p *Pricer) Price(coll tune.Collective, d tune.Decision, root int, bytes, a
 	if err != nil {
 		return 0, err
 	}
-	cm := newFitCost(p.model, p.view, s)
-	res, err := des.Simulate(s, cm)
+	if s.NumRanks != p.view.Size() {
+		return 0, fmt.Errorf("autotune: schedule has %d ranks, view %d", s.NumRanks, p.view.Size())
+	}
+	res, err := des.Simulate(s, &fitCost{model: p.model, view: p.view, plat: p.plat, s: s, uses: make([]des.Use, len(s.Ops))})
 	if err != nil {
 		return 0, err
 	}
@@ -51,22 +60,13 @@ func (p *Pricer) Price(coll tune.Collective, d tune.Decision, root int, bytes, a
 // runtime's dependency-wait overheads, so charging them again would
 // double-count.
 type fitCost struct {
-	model   *Model
-	view    distance.View
-	s       *sched.Schedule
-	plat    *des.Platform
-	engines []des.ResourceID
-}
-
-func newFitCost(m *Model, v distance.View, s *sched.Schedule) *fitCost {
-	plat := des.NewPlatform()
-	engines := make([]des.ResourceID, s.NumRanks)
-	for r := range engines {
-		// Capacity 1 "work-second per second": a demand of β seconds/byte
-		// then makes b bytes take β·b seconds, serialized per rank.
-		engines[r] = plat.AddResource(fmt.Sprintf("engine%d", r), 1.0)
-	}
-	return &fitCost{model: m, view: v, s: s, plat: plat, engines: engines}
+	model *Model
+	view  distance.View
+	plat  *des.Platform
+	s     *sched.Schedule
+	// uses[id] is op id's use set: a slot per op, not per rank, because a
+	// rank's send and receive chains can have flows running at once.
+	uses []des.Use
 }
 
 // edgeClass is the distance class of the op's transfer edge: the ranks
@@ -100,7 +100,8 @@ func (c *fitCost) Uses(op *sched.Op) []des.Use {
 	if f.SecPerByte <= 0 {
 		return nil
 	}
-	return []des.Use{{Resource: c.engines[op.Rank], Demand: f.SecPerByte}}
+	c.uses[op.ID] = des.Use{Resource: des.ResourceID(op.Rank), Demand: f.SecPerByte}
+	return c.uses[op.ID : op.ID+1 : op.ID+1]
 }
 
 func (c *fitCost) Observe(op *sched.Op) {}

@@ -298,3 +298,95 @@ func TestRandomFlowConservation(t *testing.T) {
 		}
 	}
 }
+
+// contendedSchedule builds nops flows over eight ranks, each loading two or
+// three of the platform's five resources (capacities and demands that are
+// not exactly representable, so summation order would show). A rank's ops
+// form a chain, and every third op also waits for another rank's.
+func contendedSchedule(nops int) (*sched.Schedule, *testModel) {
+	plat := NewPlatform()
+	for i := 0; i < 5; i++ {
+		plat.AddIndexed("r", i, 1e9/float64(3+i))
+	}
+	s := sched.New(8)
+	buf := s.AddBuffer(0, "b", 1<<30)
+	uses := make([][]Use, nops)
+	for i := 0; i < nops; i++ {
+		a, b, c := ResourceID(i%5), ResourceID((i*7+3)%5), ResourceID((i/5)%5)
+		uses[i] = []Use{{a, 1.1}}
+		if b != a {
+			uses[i] = append(uses[i], Use{b, 0.7})
+		}
+		if c != a && c != b {
+			uses[i] = append(uses[i], Use{c, 1.3})
+		}
+		var deps []sched.OpID
+		if i >= 8 {
+			deps = append(deps, sched.OpID(i-8))
+		}
+		if i%3 == 0 && i > 0 {
+			deps = append(deps, sched.OpID(i/2))
+		}
+		s.AddOp(sched.Op{Rank: i % 8, Src: buf, Dst: buf, Bytes: int64(1000 + 37*i), Deps: deps})
+	}
+	return s, &testModel{plat: plat, latency: 1e-7, notify: 3e-8, usesFn: func(op *sched.Op) []Use { return uses[op.ID] }}
+}
+
+func TestSimulateBitDeterministic(t *testing.T) {
+	s, m := contendedSchedule(300)
+	first, err := Simulate(s, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 50; run++ {
+		res, err := Simulate(s, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.OpFinish {
+			if math.Float64bits(res.OpStart[i]) != math.Float64bits(first.OpStart[i]) ||
+				math.Float64bits(res.OpFinish[i]) != math.Float64bits(first.OpFinish[i]) {
+				t.Fatalf("run %d: op %d ran [%.17g, %.17g], first run [%.17g, %.17g]", run, i,
+					res.OpStart[i], res.OpFinish[i], first.OpStart[i], first.OpFinish[i])
+			}
+		}
+		if math.Float64bits(res.Makespan) != math.Float64bits(first.Makespan) {
+			t.Fatalf("run %d: makespan %.17g, first run %.17g", run, res.Makespan, first.Makespan)
+		}
+	}
+}
+
+// TestSimulateAllocBudget: the simulator's own state is allocated once per
+// call; only the event heap grows with the schedule.
+func TestSimulateAllocBudget(t *testing.T) {
+	for _, nops := range []int{47, 2304} {
+		s, m := contendedSchedule(nops)
+		got := testing.AllocsPerRun(5, func() {
+			m.observed = m.observed[:0]
+			if _, err := Simulate(s, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if budget := 64 + 0.1*float64(nops); got > budget {
+			t.Errorf("%d ops: %.0f allocations per simulation, budget %.0f", nops, got, budget)
+		}
+	}
+}
+
+func TestUtilizationByResourceID(t *testing.T) {
+	plat := NewPlatform()
+	idle := plat.AddIndexed("uplink", 3, 1e9)
+	wire := plat.AddResource("wire", 1e9)
+	m := &testModel{plat: plat, usesFn: func(op *sched.Op) []Use { return []Use{{Resource: wire, Demand: 1}} }}
+	res, err := Simulate(singleOpSchedule(1<<20), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Utilization) != 2 || res.Utilization[idle] != 0 {
+		t.Fatalf("utilization = %v", res.Utilization)
+	}
+	near(t, res.Utilization[wire], 1, 1e-9, "wire utilization")
+	if got := res.Platform.Name(idle) + " " + res.Platform.Name(wire) + " " + res.BusiestResource; got != "uplink3 wire wire" {
+		t.Errorf("names = %q", got)
+	}
+}

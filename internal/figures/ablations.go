@@ -19,30 +19,23 @@ func AblationChunk(chunks []int64) (*Figure, error) {
 	}
 	const n, root = 48, 0
 	const msg = int64(8 << 20)
-	cont, cross, err := igBindings(n)
+	cont, cross, err := igModels(n)
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
 	fig := &Figure{ID: "chunk", Title: "Pipeline chunk-size ablation: 8MB KNEM broadcast on IG", Procs: n}
-	for _, b := range []*binding.Binding{cont, cross} {
-		b := b
-		m := distance.NewMatrix(b.Topology(), b.Cores())
-		tree, err := core.BuildBroadcastTree(m, root, core.TreeOptions{})
+	for _, m := range []*machine.Model{cont, cross} {
+		tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{})
 		if err != nil {
 			return nil, err
 		}
-		s, err := imb.Sweep("KNEMColl_"+b.Name, chunks,
+		s, err := imb.Sweep("KNEMColl_"+m.Binding().Name, chunks,
 			func(chunk int64) (float64, error) {
 				sched, err := core.CompileBroadcast(tree, msg, chunk)
 				if err != nil {
 					return 0, err
 				}
-				res, err := machine.Simulate(b, params, sched)
-				if err != nil {
-					return 0, err
-				}
-				return res.Makespan, nil
+				return makespan(m, sched)
 			},
 			func(_ int64, sec float64) float64 { return imb.BcastBandwidth(n, msg, sec) })
 		if err != nil {
@@ -68,7 +61,10 @@ func AblationRingOrdering(sizes []int64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
+	model, err := machine.NewModel(b, machine.IGParams())
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{ID: "ordering", Title: "Ring tie-break ablation: KNEM allgather on IG, random binding", Procs: n}
 	for _, ord := range []struct {
 		label string
@@ -86,11 +82,7 @@ func AblationRingOrdering(sizes []int64) (*Figure, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := machine.Simulate(b, params, sched)
-				if err != nil {
-					return 0, err
-				}
-				return res.Makespan, nil
+				return makespan(model, sched)
 			},
 			func(block int64, sec float64) float64 { return imb.AllgatherBandwidth(n, block, sec) })
 		if err != nil {

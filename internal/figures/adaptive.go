@@ -1,8 +1,6 @@
 package figures
 
 import (
-	"distcoll/internal/binding"
-	"distcoll/internal/distance"
 	"distcoll/internal/imb"
 	"distcoll/internal/machine"
 	"distcoll/internal/tune"
@@ -17,33 +15,23 @@ import (
 
 // AdaptiveBcastTime simulates the broadcast the selector picks for this
 // (binding, size) — the schedule the mpi Adaptive component would run.
-func AdaptiveBcastTime(sel *tune.Selector, b *binding.Binding, params machine.Params, root int, size int64) (float64, error) {
-	m := distance.NewMatrix(b.Topology(), b.Cores())
-	dec := sel.Select(tune.CollBcast, m, size)
-	s, err := tune.CompileFor(tune.CollBcast, dec, m, root, size, 0)
+func AdaptiveBcastTime(sel *tune.Selector, m *machine.Model, root int, size int64) (float64, error) {
+	v := view(m)
+	s, err := tune.CompileFor(tune.CollBcast, sel.Select(tune.CollBcast, v, size), v, root, size, 0)
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // AdaptiveAllgatherTime simulates the allgather the selector picks.
-func AdaptiveAllgatherTime(sel *tune.Selector, b *binding.Binding, params machine.Params, block int64) (float64, error) {
-	m := distance.NewMatrix(b.Topology(), b.Cores())
-	dec := sel.Select(tune.CollAllgather, m, block)
-	s, err := tune.CompileFor(tune.CollAllgather, dec, m, 0, block, 0)
+func AdaptiveAllgatherTime(sel *tune.Selector, m *machine.Model, block int64) (float64, error) {
+	v := view(m)
+	s, err := tune.CompileFor(tune.CollAllgather, sel.Select(tune.CollAllgather, v, block), v, 0, block, 0)
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // AdaptiveBcast extends Fig. 6 with the Adaptive component: broadcast on
@@ -53,11 +41,10 @@ func AdaptiveBcast(sizes []int64) (*Figure, error) {
 	if sizes == nil {
 		sizes = imb.StandardSizes()
 	}
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
 	sel := tune.DefaultSelector()
 	const n, root = 48, 0
 	fig := &Figure{ID: "adaptive-bcast", Title: "Broadcast on IG, 48 processes: tuned vs KNEM vs adaptive", Procs: n}
@@ -66,12 +53,12 @@ func AdaptiveBcast(sizes []int64) (*Figure, error) {
 		run   imb.Runner
 	}
 	for _, c := range []cfg{
-		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedBcastTime(cont, params, root, size) }},
-		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedBcastTime(cross, params, root, size) }},
-		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMBcastTime(cont, params, root, size, nil) }},
-		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMBcastTime(cross, params, root, size, nil) }},
-		{"Adaptive_contiguous", func(size int64) (float64, error) { return AdaptiveBcastTime(sel, cont, params, root, size) }},
-		{"Adaptive_crosssocket", func(size int64) (float64, error) { return AdaptiveBcastTime(sel, cross, params, root, size) }},
+		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedBcastTime(cont, root, size) }},
+		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedBcastTime(cross, root, size) }},
+		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMBcastTime(cont, root, size, nil) }},
+		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMBcastTime(cross, root, size, nil) }},
+		{"Adaptive_contiguous", func(size int64) (float64, error) { return AdaptiveBcastTime(sel, cont, root, size) }},
+		{"Adaptive_crosssocket", func(size int64) (float64, error) { return AdaptiveBcastTime(sel, cross, root, size) }},
 	} {
 		s, err := imb.Sweep(c.label, sizes, c.run,
 			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
@@ -88,11 +75,10 @@ func AdaptiveAllgather(sizes []int64) (*Figure, error) {
 	if sizes == nil {
 		sizes = imb.StandardSizes()
 	}
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
 	sel := tune.DefaultSelector()
 	const n = 48
 	fig := &Figure{ID: "adaptive-allgather", Title: "Allgather on IG, 48 processes: tuned vs KNEM vs adaptive", Procs: n}
@@ -101,12 +87,12 @@ func AdaptiveAllgather(sizes []int64) (*Figure, error) {
 		run   imb.Runner
 	}
 	for _, c := range []cfg{
-		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedAllgatherTime(cont, params, size) }},
-		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedAllgatherTime(cross, params, size) }},
-		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMAllgatherTime(cont, params, size) }},
-		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMAllgatherTime(cross, params, size) }},
-		{"Adaptive_contiguous", func(size int64) (float64, error) { return AdaptiveAllgatherTime(sel, cont, params, size) }},
-		{"Adaptive_crosssocket", func(size int64) (float64, error) { return AdaptiveAllgatherTime(sel, cross, params, size) }},
+		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedAllgatherTime(cont, size) }},
+		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedAllgatherTime(cross, size) }},
+		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMAllgatherTime(cont, size) }},
+		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMAllgatherTime(cross, size) }},
+		{"Adaptive_contiguous", func(size int64) (float64, error) { return AdaptiveAllgatherTime(sel, cont, size) }},
+		{"Adaptive_crosssocket", func(size int64) (float64, error) { return AdaptiveAllgatherTime(sel, cross, size) }},
 	} {
 		s, err := imb.Sweep(c.label, sizes, c.run,
 			func(size int64, sec float64) float64 { return imb.AllgatherBandwidth(n, size, sec) })

@@ -3,7 +3,6 @@ package figures
 import (
 	"testing"
 
-	"distcoll/internal/binding"
 	"distcoll/internal/machine"
 	"distcoll/internal/tune"
 )
@@ -29,26 +28,25 @@ func minF(a, b float64) float64 {
 // simulated broadcast matches or beats the better of tuned and the fixed
 // distance-aware component.
 func TestAdaptiveTracksUpperEnvelopeBcast(t *testing.T) {
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := machine.IGParams()
 	sel := tune.DefaultSelector()
 	for _, bc := range []struct {
 		name string
-		b    *binding.Binding
+		m    *machine.Model
 	}{{"contiguous", cont}, {"crosssocket", cross}} {
 		for _, size := range acceptSizes {
-			tuned, err := TunedBcastTime(bc.b, params, 0, size)
+			tuned, err := TunedBcastTime(bc.m, 0, size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			knem, err := KNEMBcastTime(bc.b, params, 0, size, nil)
+			knem, err := KNEMBcastTime(bc.m, 0, size, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adaptive, err := AdaptiveBcastTime(sel, bc.b, params, 0, size)
+			adaptive, err := AdaptiveBcastTime(sel, bc.m, 0, size)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,26 +61,25 @@ func TestAdaptiveTracksUpperEnvelopeBcast(t *testing.T) {
 // TestAdaptiveTracksUpperEnvelopeAllgather mirrors the broadcast test on
 // the Fig. 7 allgather sweep.
 func TestAdaptiveTracksUpperEnvelopeAllgather(t *testing.T) {
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := machine.IGParams()
 	sel := tune.DefaultSelector()
 	for _, bc := range []struct {
 		name string
-		b    *binding.Binding
+		m    *machine.Model
 	}{{"contiguous", cont}, {"crosssocket", cross}} {
 		for _, block := range acceptSizes {
-			tuned, err := TunedAllgatherTime(bc.b, params, block)
+			tuned, err := TunedAllgatherTime(bc.m, block)
 			if err != nil {
 				t.Fatal(err)
 			}
-			knem, err := KNEMAllgatherTime(bc.b, params, block)
+			knem, err := KNEMAllgatherTime(bc.m, block)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adaptive, err := AdaptiveAllgatherTime(sel, bc.b, params, block)
+			adaptive, err := AdaptiveAllgatherTime(sel, bc.m, block)
 			if err != nil {
 				t.Fatal(err)
 			}

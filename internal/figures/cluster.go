@@ -63,24 +63,23 @@ func ExtCluster(sizes []int64) (*Figure, error) {
 		return nil, err
 	}
 	fig := &Figure{ID: "cluster", Title: "Broadcast on a 4-node/2-switch cluster (48 processes): tuned vs distance-aware", Procs: n}
-	tuned := func(b *binding.Binding) imb.Runner {
+	ms, err := models(params, cont, scattered)
+	if err != nil {
+		return nil, err
+	}
+	tuned := func(m *machine.Model) imb.Runner {
 		return func(size int64) (float64, error) {
 			alg, seg := baseline.TunedBcastDecision(n, size)
 			s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
 			if err != nil {
 				return 0, err
 			}
-			res, err := machine.Simulate(b, params, s)
-			if err != nil {
-				return 0, err
-			}
-			return res.Makespan, nil
+			return makespan(m, s)
 		}
 	}
-	knem := func(b *binding.Binding) imb.Runner {
+	knem := func(m *machine.Model) imb.Runner {
 		return func(size int64) (float64, error) {
-			m := distance.NewMatrix(b.Topology(), b.Cores())
-			tree, err := core.BuildBroadcastTree(m, root, core.TreeOptions{})
+			tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{})
 			if err != nil {
 				return 0, err
 			}
@@ -91,11 +90,7 @@ func ExtCluster(sizes []int64) (*Figure, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := machine.Simulate(b, params, s)
-			if err != nil {
-				return 0, err
-			}
-			return res.Makespan, nil
+			return makespan(m, s)
 		}
 	}
 	type cfg struct {
@@ -103,10 +98,10 @@ func ExtCluster(sizes []int64) (*Figure, error) {
 		run   imb.Runner
 	}
 	for _, c := range []cfg{
-		{"tuned_contiguous", tuned(cont)},
-		{"tuned_scattered", tuned(scattered)},
-		{"distaware_contiguous", knem(cont)},
-		{"distaware_scattered", knem(scattered)},
+		{"tuned_contiguous", tuned(ms[0])},
+		{"tuned_scattered", tuned(ms[1])},
+		{"distaware_contiguous", knem(ms[0])},
+		{"distaware_scattered", knem(ms[1])},
 	} {
 		s, err := imb.Sweep(c.label, sizes, c.run,
 			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })

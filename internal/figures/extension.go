@@ -22,21 +22,19 @@ func ExtAllreduce(sizes []int64) (*Figure, error) {
 	if sizes == nil {
 		sizes = imb.StandardSizes()
 	}
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
 	const n = 48
 	fig := &Figure{ID: "allreduce", Title: "Allreduce on IG, 48 processes: tuned vs distance-aware (extension)", Procs: n}
 	type cfg struct {
 		label string
 		run   imb.Runner
 	}
-	knemRun := func(b *binding.Binding) imb.Runner {
+	knemRun := func(m *machine.Model) imb.Runner {
 		return func(size int64) (float64, error) {
-			m := distance.NewMatrix(b.Topology(), b.Cores())
-			ring, err := core.BuildAllgatherRing(m, core.RingOptions{})
+			ring, err := core.BuildAllgatherRing(view(m), core.RingOptions{})
 			if err != nil {
 				return 0, err
 			}
@@ -44,25 +42,17 @@ func ExtAllreduce(sizes []int64) (*Figure, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := machine.Simulate(b, params, s)
-			if err != nil {
-				return 0, err
-			}
-			return res.Makespan, nil
+			return makespan(m, s)
 		}
 	}
-	tunedRun := func(b *binding.Binding) imb.Runner {
+	tunedRun := func(m *machine.Model) imb.Runner {
 		return func(size int64) (float64, error) {
 			alg := baseline.TunedAllreduceDecision(n, size)
 			s, err := baseline.CompileAllreduce(alg, n, size, 8, baseline.SMKnemBTL())
 			if err != nil {
 				return 0, err
 			}
-			res, err := machine.Simulate(b, params, s)
-			if err != nil {
-				return 0, err
-			}
-			return res.Makespan, nil
+			return makespan(m, s)
 		}
 	}
 	for _, c := range []cfg{
@@ -104,7 +94,10 @@ func ExtAlltoall(sizes []int64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := machine.ClusterParams(machine.IGParams())
+	model, err := machine.NewModel(cross, machine.ClusterParams(machine.IGParams()))
+	if err != nil {
+		return nil, err
+	}
 	const n = 48
 	fig := &Figure{ID: "alltoall", Title: "Alltoall on a 4-node cluster, 48 processes, scattered binding: strategies", Procs: n}
 	mk := func(label string, build func(block int64) (*sched.Schedule, error)) error {
@@ -114,11 +107,7 @@ func ExtAlltoall(sizes []int64) (*Figure, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := machine.Simulate(cross, params, sch)
-				if err != nil {
-					return 0, err
-				}
-				return res.Makespan, nil
+				return makespan(model, sch)
 			},
 			func(block int64, sec float64) float64 {
 				return float64(n) * float64(n-1) * float64(block) / sec / imb.MB

@@ -27,10 +27,24 @@ type Figure struct {
 	Series []imb.Series
 }
 
+// makespan simulates s on m and returns its completion time in seconds.
+func makespan(m *machine.Model, s *sched.Schedule) (float64, error) {
+	res, err := m.Simulate(s)
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
+}
+
+// view is the distance matrix of the model's placement.
+func view(m *machine.Model) distance.Matrix {
+	b := m.Binding()
+	return distance.NewMatrix(b.Topology(), b.Cores())
+}
+
 // KNEMBcastTime simulates one distance-aware KNEM broadcast.
-func KNEMBcastTime(b *binding.Binding, params machine.Params, root int, size int64, levels core.Levels) (float64, error) {
-	m := distance.NewMatrix(b.Topology(), b.Cores())
-	tree, err := core.BuildBroadcastTree(m, root, core.TreeOptions{Levels: levels})
+func KNEMBcastTime(m *machine.Model, root int, size int64, levels core.Levels) (float64, error) {
+	tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{Levels: levels})
 	if err != nil {
 		return 0, err
 	}
@@ -38,46 +52,35 @@ func KNEMBcastTime(b *binding.Binding, params machine.Params, root int, size int
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // TunedBcastTime simulates Open MPI tuned's broadcast over the SM/KNEM BTL.
-func TunedBcastTime(b *binding.Binding, params machine.Params, root int, size int64) (float64, error) {
-	alg, seg := baseline.TunedBcastDecision(b.NumRanks(), size)
-	s, err := baseline.CompileBcast(alg, b.NumRanks(), root, size, seg, baseline.SMKnemBTL())
+func TunedBcastTime(m *machine.Model, root int, size int64) (float64, error) {
+	n := m.Binding().NumRanks()
+	alg, seg := baseline.TunedBcastDecision(n, size)
+	s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // MPICHBcastTime simulates MPICH2-1.4's broadcast over nemesis shared
 // memory (double copy).
-func MPICHBcastTime(b *binding.Binding, params machine.Params, root int, size int64) (float64, error) {
-	alg, seg := baseline.MPICHBcastDecision(b.NumRanks(), size)
-	s, err := baseline.CompileBcast(alg, b.NumRanks(), root, size, seg, baseline.NemesisSM())
+func MPICHBcastTime(m *machine.Model, root int, size int64) (float64, error) {
+	n := m.Binding().NumRanks()
+	alg, seg := baseline.MPICHBcastDecision(n, size)
+	s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.NemesisSM())
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // KNEMAllgatherTime simulates the distance-aware KNEM allgather.
-func KNEMAllgatherTime(b *binding.Binding, params machine.Params, block int64) (float64, error) {
-	m := distance.NewMatrix(b.Topology(), b.Cores())
-	ring, err := core.BuildAllgatherRing(m, core.RingOptions{})
+func KNEMAllgatherTime(m *machine.Model, block int64) (float64, error) {
+	ring, err := core.BuildAllgatherRing(view(m), core.RingOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -85,25 +88,18 @@ func KNEMAllgatherTime(b *binding.Binding, params machine.Params, block int64) (
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // TunedAllgatherTime simulates Open MPI tuned's allgather.
-func TunedAllgatherTime(b *binding.Binding, params machine.Params, block int64) (float64, error) {
-	alg := baseline.TunedAllgatherDecision(b.NumRanks(), block)
-	s, err := baseline.CompileAllgather(alg, b.NumRanks(), block, baseline.SMKnemBTL())
+func TunedAllgatherTime(m *machine.Model, block int64) (float64, error) {
+	n := m.Binding().NumRanks()
+	alg := baseline.TunedAllgatherDecision(n, block)
+	s, err := baseline.CompileAllgather(alg, n, block, baseline.SMKnemBTL())
 	if err != nil {
 		return 0, err
 	}
-	res, err := machine.Simulate(b, params, s)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
+	return makespan(m, s)
 }
 
 // Fig2 reproduces Figure 2: MPICH2-1.4 broadcast bandwidth on Zoot with 16
@@ -145,13 +141,16 @@ func Fig2(sizes []int64) (*Figure, error) {
 
 	fig := &Figure{ID: "2", Title: "MPICH2-1.4 Broadcast on Zoot, 16 processes, 4 bindings", Procs: n}
 	for _, b := range bindings {
-		b := b
 		label := map[string]string{"rr": "RR", "user": "user:0..15", "contiguous": "cpu", "cache": "cache"}[b.Name]
 		if label == "" {
 			label = b.Name
 		}
+		m, err := machine.NewModel(b, params)
+		if err != nil {
+			return nil, err
+		}
 		s, err := imb.Sweep(label, sizes,
-			func(size int64) (float64, error) { return MPICHBcastTime(b, params, root, size) },
+			func(size int64) (float64, error) { return MPICHBcastTime(m, root, size) },
 			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
 		if err != nil {
 			return nil, err
@@ -161,18 +160,36 @@ func Fig2(sizes []int64) (*Figure, error) {
 	return fig, nil
 }
 
-// igBindings returns the contiguous and cross-socket bindings of §V-A.
-func igBindings(n int) (*binding.Binding, *binding.Binding, error) {
+// models builds the machine model of each binding, once per figure: every
+// point of a sweep runs on the same immutable model.
+func models(params machine.Params, bindings ...*binding.Binding) ([]*machine.Model, error) {
+	ms := make([]*machine.Model, len(bindings))
+	for i, b := range bindings {
+		var err error
+		if ms[i], err = machine.NewModel(b, params); err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
+}
+
+// igModels returns IG under the contiguous and cross-socket bindings of
+// §V-A.
+func igModels(n int) (cont, cross *machine.Model, err error) {
 	ig := hwtopo.NewIG()
-	cont, err := binding.Contiguous(ig, n)
+	cb, err := binding.Contiguous(ig, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	cross, err := binding.CrossSocket(ig, n)
+	xb, err := binding.CrossSocket(ig, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	return cont, cross, nil
+	ms, err := models(machine.IGParams(), cb, xb)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ms[0], ms[1], nil
 }
 
 // Fig6 reproduces Figure 6: broadcast bandwidth on IG with 48 processes —
@@ -182,11 +199,10 @@ func Fig6(sizes []int64) (*Figure, error) {
 	if sizes == nil {
 		sizes = imb.StandardSizes()
 	}
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
 	const n, root = 48, 0
 	fig := &Figure{ID: "6", Title: "Broadcast on IG, 48 processes: tuned vs KNEM collective", Procs: n}
 	type cfg struct {
@@ -194,10 +210,10 @@ func Fig6(sizes []int64) (*Figure, error) {
 		run   imb.Runner
 	}
 	for _, c := range []cfg{
-		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedBcastTime(cont, params, root, size) }},
-		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedBcastTime(cross, params, root, size) }},
-		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMBcastTime(cont, params, root, size, nil) }},
-		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMBcastTime(cross, params, root, size, nil) }},
+		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedBcastTime(cont, root, size) }},
+		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedBcastTime(cross, root, size) }},
+		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMBcastTime(cont, root, size, nil) }},
+		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMBcastTime(cross, root, size, nil) }},
 	} {
 		s, err := imb.Sweep(c.label, sizes, c.run,
 			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
@@ -215,11 +231,10 @@ func Fig7(sizes []int64) (*Figure, error) {
 	if sizes == nil {
 		sizes = imb.StandardSizes()
 	}
-	cont, cross, err := igBindings(48)
+	cont, cross, err := igModels(48)
 	if err != nil {
 		return nil, err
 	}
-	params := machine.IGParams()
 	const n = 48
 	fig := &Figure{ID: "7", Title: "Allgather on IG, 48 processes: tuned vs KNEM collective", Procs: n}
 	type cfg struct {
@@ -227,10 +242,10 @@ func Fig7(sizes []int64) (*Figure, error) {
 		run   imb.Runner
 	}
 	for _, c := range []cfg{
-		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedAllgatherTime(cont, params, size) }},
-		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedAllgatherTime(cross, params, size) }},
-		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMAllgatherTime(cont, params, size) }},
-		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMAllgatherTime(cross, params, size) }},
+		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedAllgatherTime(cont, size) }},
+		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedAllgatherTime(cross, size) }},
+		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMAllgatherTime(cont, size) }},
+		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMAllgatherTime(cross, size) }},
 	} {
 		s, err := imb.Sweep(c.label, sizes, c.run,
 			func(size int64, sec float64) float64 { return imb.AllgatherBandwidth(n, size, sec) })
@@ -262,21 +277,24 @@ func Fig8(sizes []int64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
+	ms, err := models(params, cont, cross)
+	if err != nil {
+		return nil, err
+	}
 	fig := &Figure{ID: "8", Title: "KNEM Broadcast on Zoot, 16 processes: 4-set hierarchy vs linear", Procs: n}
 	type cfg struct {
 		label  string
-		b      *binding.Binding
+		m      *machine.Model
 		levels core.Levels
 	}
 	for _, c := range []cfg{
-		{"4sets_contiguous", cont, core.CollapseBelow(2)},
-		{"4sets_crosssocket", cross, core.CollapseBelow(2)},
-		{"linear_contiguous", cont, core.FlatLevels},
-		{"linear_crosssocket", cross, core.FlatLevels},
+		{"4sets_contiguous", ms[0], core.CollapseBelow(2)},
+		{"4sets_crosssocket", ms[1], core.CollapseBelow(2)},
+		{"linear_contiguous", ms[0], core.FlatLevels},
+		{"linear_crosssocket", ms[1], core.FlatLevels},
 	} {
-		c := c
 		s, err := imb.Sweep(c.label, sizes,
-			func(size int64) (float64, error) { return KNEMBcastTime(c.b, params, root, size, c.levels) },
+			func(size int64) (float64, error) { return KNEMBcastTime(c.m, root, size, c.levels) },
 			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
 		if err != nil {
 			return nil, err

@@ -24,7 +24,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"distcoll/internal/binding"
 	"distcoll/internal/des"
@@ -153,77 +152,57 @@ type segKey struct {
 	len int64
 }
 
-// Session implements des.CostModel for one schedule execution on one
-// machine + binding. Sessions are single-use: cache-residency state
-// accumulates over a run.
-type Session struct {
-	params Params
-	plat   *des.Platform
-	s      *sched.Schedule
-	bind   *binding.Binding
-
-	// Per-rank placement lookups.
-	coreObj    []*hwtopo.Object
-	nodeIdx    []int // memory domain per rank (index into mcRes)
-	sockIdx    []int
-	boardIdx   []int
-	machineIdx []int
-	switchIdx  []int
-	rackIdx    []int
-	umaRank    []bool // rank's controller is a machine-level northbridge
-
-	// Resources.
-	mcRes     []des.ResourceID // per memory domain
-	uplinkRes []des.ResourceID // per socket
-	bridgeRes []des.ResourceID // per machine; -1 if single-board
-	nicRes    []des.ResourceID // per machine; empty on single-node
-	switchRes []des.ResourceID // per switch
-	trunkRes  []des.ResourceID // per rack; empty if at most one switch
-	spineRes  des.ResourceID   // -1 if at most one rack
-	engineRes []des.ResourceID // per rank
-	cacheRes  map[*hwtopo.Object]des.ResourceID
-
-	// Cache residency: segment → cores that recently touched it.
-	touched map[segKey][]*hwtopo.Object
-
-	notify [][]float64 // precomputed per rank pair
+// place is where one rank sits: its core, the machine and board above it,
+// and the resources its traffic loads (-1 where the topology has none).
+type place struct {
+	core           *hwtopo.Object
+	machine, board int
+	uma            bool           // the controller is a machine-level northbridge
+	engine         des.ResourceID // the core's copy engine
+	mc             des.ResourceID // memory controller of the rank's first-touch domain
+	uplink, bridge des.ResourceID // socket FSB / HT port; inter-board interlink
+	nic, sw, trunk des.ResourceID // network adapter, switch, rack trunk
 }
 
-// NewSession builds the cost model for executing s with ranks placed by
-// bind on bind's topology.
-func NewSession(bind *binding.Binding, params Params, s *sched.Schedule) (*Session, error) {
-	if s.NumRanks != bind.NumRanks() {
-		return nil, fmt.Errorf("machine: schedule has %d ranks, binding %d", s.NumRanks, bind.NumRanks())
-	}
-	topo := bind.Topology()
-	sess := &Session{
-		params:   params,
-		plat:     des.NewPlatform(),
-		s:        s,
-		bind:     bind,
-		spineRes: -1,
-		cacheRes: make(map[*hwtopo.Object]des.ResourceID),
-		touched:  make(map[segKey][]*hwtopo.Object),
-	}
+// Model is the part of the cost model that depends only on (binding,
+// params): the platform and every rank's placement. It is immutable once
+// built, so one Model serves any number of concurrent Sessions — a
+// calibration sweep builds it once.
+type Model struct {
+	params    Params
+	bind      *binding.Binding
+	plat      *des.Platform
+	ranks     []place
+	spine     des.ResourceID // -1 if at most one rack
+	cacheBase des.ResourceID // resource of cache #0, the rest follow by Index; -1 without the cache model
+	network   bool           // multi-node: inter-node ops pay NetworkOpLatency
+}
 
-	// Memory domains: one per memory-controller owner (NUMA nodes on IG,
-	// one machine-level northbridge per Zoot node).
-	domainOf := make(map[*hwtopo.Object]int)
+// cacheKinds are the resource-name prefixes of the shared caches by level.
+var cacheKinds = [...]string{"L0#", "L1#", "L2#", "L3#", "L4#"}
+
+// NewModel builds the cost model of bind's topology with ranks placed by
+// bind.
+func NewModel(bind *binding.Binding, params Params) (*Model, error) {
+	topo := bind.Topology()
+	plat := des.NewPlatform()
+	m := &Model{params: params, bind: bind, plat: plat, spine: -1, cacheBase: -1}
+
 	machines := topo.ObjectsOfKind(hwtopo.KindMachine)
 	switches := topo.ObjectsOfKind(hwtopo.KindSwitch)
-	machineByObj := make(map[*hwtopo.Object]int, len(machines))
-	for i, mo := range machines {
-		machineByObj[mo] = i
+	// Resources of one kind get consecutive ids, so the first id locates
+	// the rest by object index.
+	addAll := func(kind string, n int, bw float64) des.ResourceID {
+		for i := 0; i < n; i++ {
+			plat.AddIndexed(kind, i, bw)
+		}
+		return des.ResourceID(plat.NumResources() - n)
 	}
-	sockets := topo.ObjectsOfKind(hwtopo.KindSocket)
-	sess.uplinkRes = make([]des.ResourceID, len(sockets))
-	for i := range sess.uplinkRes {
-		sess.uplinkRes[i] = sess.plat.AddResource(fmt.Sprintf("uplink%d", i), params.UplinkBandwidth)
-	}
+	uplink0 := addAll("uplink", len(topo.ObjectsOfKind(hwtopo.KindSocket)), params.UplinkBandwidth)
 	// One inter-board bridge per machine that has multiple boards.
-	sess.bridgeRes = make([]des.ResourceID, len(machines))
+	bridges := make([]des.ResourceID, len(machines))
 	for i, mo := range machines {
-		sess.bridgeRes[i] = -1
+		bridges[i] = -1
 		nBoards := 0
 		for _, c := range mo.Children {
 			if c.Kind == hwtopo.KindBoard {
@@ -234,118 +213,153 @@ func NewSession(bind *binding.Binding, params Params, s *sched.Schedule) (*Sessi
 			if params.BridgeBandwidth <= 0 {
 				return nil, fmt.Errorf("machine: multi-board topology %q needs BridgeBandwidth", topo.Name)
 			}
-			sess.bridgeRes[i] = sess.plat.AddResource(fmt.Sprintf("bridge%d", i), params.BridgeBandwidth)
+			bridges[i] = plat.AddIndexed("bridge", i, params.BridgeBandwidth)
 		}
 	}
 	// Network resources for clusters.
+	nic0, switch0, trunk0 := des.ResourceID(-1), des.ResourceID(-1), des.ResourceID(-1)
 	if len(machines) > 1 {
 		if params.NICBandwidth <= 0 || params.SwitchBandwidth <= 0 {
 			return nil, fmt.Errorf("machine: cluster topology %q needs NICBandwidth and SwitchBandwidth", topo.Name)
 		}
-		sess.nicRes = make([]des.ResourceID, len(machines))
-		for i := range sess.nicRes {
-			sess.nicRes[i] = sess.plat.AddResource(fmt.Sprintf("nic%d", i), params.NICBandwidth)
+		if len(switches) == 0 {
+			return nil, fmt.Errorf("machine: cluster topology %q has no switch", topo.Name)
 		}
-		sess.switchRes = make([]des.ResourceID, len(switches))
-		for i := range sess.switchRes {
-			sess.switchRes[i] = sess.plat.AddResource(fmt.Sprintf("switch%d", i), params.SwitchBandwidth)
-		}
+		m.network = true
+		nic0 = addAll("nic", len(machines), params.NICBandwidth)
+		switch0 = addAll("switch", len(switches), params.SwitchBandwidth)
 		if len(switches) > 1 {
 			if params.TrunkBandwidth <= 0 {
 				return nil, fmt.Errorf("machine: multi-switch topology %q needs TrunkBandwidth", topo.Name)
 			}
 			// One trunk per rack; topologies without rack objects are a
 			// single implicit rack sharing one trunk (the pre-rack model).
-			nRacks := len(topo.ObjectsOfKind(hwtopo.KindRack))
-			if nRacks == 0 {
-				nRacks = 1
-			}
-			sess.trunkRes = make([]des.ResourceID, nRacks)
-			for i := range sess.trunkRes {
-				sess.trunkRes[i] = sess.plat.AddResource(fmt.Sprintf("trunk%d", i), params.TrunkBandwidth)
-			}
+			nRacks := max(1, len(topo.ObjectsOfKind(hwtopo.KindRack)))
+			trunk0 = addAll("trunk", nRacks, params.TrunkBandwidth)
 			if nRacks > 1 {
 				if params.SpineBandwidth <= 0 {
 					return nil, fmt.Errorf("machine: multi-rack topology %q needs SpineBandwidth", topo.Name)
 				}
-				sess.spineRes = sess.plat.AddResource("spine", params.SpineBandwidth)
+				m.spine = plat.AddResource("spine", params.SpineBandwidth)
 			}
 		}
 	}
 
-	n := bind.NumRanks()
-	sess.coreObj = make([]*hwtopo.Object, n)
-	sess.nodeIdx = make([]int, n)
-	sess.sockIdx = make([]int, n)
-	sess.boardIdx = make([]int, n)
-	sess.machineIdx = make([]int, n)
-	sess.switchIdx = make([]int, n)
-	sess.rackIdx = make([]int, n)
-	sess.umaRank = make([]bool, n)
-	sess.engineRes = make([]des.ResourceID, n)
-	for r := 0; r < n; r++ {
+	// Memory domains: one per memory-controller owner (NUMA nodes on IG,
+	// one machine-level northbridge per Zoot node), numbered as ranks
+	// first reach them.
+	domains := make(map[*hwtopo.Object]des.ResourceID)
+	m.ranks = make([]place, bind.NumRanks())
+	for r := range m.ranks {
 		core := bind.CoreObject(r)
-		sess.coreObj[r] = core
 		owner := hwtopo.MemoryControllerOf(core)
 		if owner == nil {
 			return nil, fmt.Errorf("machine: core %v has no memory controller", core)
 		}
-		dom, ok := domainOf[owner]
+		mc, ok := domains[owner]
 		if !ok {
-			dom = len(domainOf)
-			domainOf[owner] = dom
-			sess.mcRes = append(sess.mcRes, sess.plat.AddResource(fmt.Sprintf("mc%d", dom), params.MCBandwidth))
+			mc = plat.AddIndexed("mc", len(domains), params.MCBandwidth)
+			domains[owner] = mc
 		}
-		sess.nodeIdx[r] = dom
-		sess.umaRank[r] = owner.Kind != hwtopo.KindNUMANode
-		sess.sockIdx[r] = core.AncestorOfKind(hwtopo.KindSocket).Index
+		p := place{core: core, uma: owner.Kind != hwtopo.KindNUMANode, mc: mc,
+			uplink: uplink0 + des.ResourceID(core.AncestorOfKind(hwtopo.KindSocket).Index),
+			bridge: -1, nic: -1, sw: -1, trunk: -1}
 		if b := core.AncestorOfKind(hwtopo.KindBoard); b != nil {
-			sess.boardIdx[r] = b.Index
+			p.board = b.Index
 		}
 		if mo := hwtopo.MachineOf(core); mo != nil {
-			sess.machineIdx[r] = machineByObj[mo]
+			p.machine = mo.Index
+			p.bridge = bridges[mo.Index]
 		}
-		if sw := hwtopo.SwitchOf(core); sw != nil {
-			sess.switchIdx[r] = sw.Index
+		if nic0 >= 0 {
+			p.nic = nic0 + des.ResourceID(p.machine)
+			p.sw = switch0
+			if sw := hwtopo.SwitchOf(core); sw != nil {
+				p.sw += des.ResourceID(sw.Index)
+			}
 		}
-		if rk := hwtopo.RackOf(core); rk != nil {
-			sess.rackIdx[r] = rk.Index
+		if trunk0 >= 0 {
+			p.trunk = trunk0
+			if rk := hwtopo.RackOf(core); rk != nil {
+				p.trunk += des.ResourceID(rk.Index)
+			}
 		}
-		sess.engineRes[r] = sess.plat.AddResource(fmt.Sprintf("core%d", core.Index), params.CoreCopyBW)
+		p.engine = plat.AddIndexed("core", core.Index, params.CoreCopyBW)
+		m.ranks[r] = p
 	}
 	if params.CacheModel {
+		m.cacheBase = des.ResourceID(plat.NumResources())
 		for _, c := range topo.ObjectsOfKind(hwtopo.KindCache) {
-			sess.cacheRes[c] = sess.plat.AddResource(fmt.Sprintf("L%d#%d", c.CacheLevel, c.Index), params.CacheBandwidth)
+			if c.CacheLevel >= 0 && c.CacheLevel < len(cacheKinds) {
+				plat.AddIndexed(cacheKinds[c.CacheLevel], c.Index, params.CacheBandwidth)
+			} else {
+				plat.AddIndexed(fmt.Sprintf("L%d#", c.CacheLevel), c.Index, params.CacheBandwidth)
+			}
 		}
 	}
-
-	sess.notify = make([][]float64, n)
-	for a := 0; a < n; a++ {
-		sess.notify[a] = make([]float64, n)
-		for b := 0; b < n; b++ {
-			d := distance.BetweenCores(sess.coreObj[a], sess.coreObj[b])
-			sess.notify[a][b] = params.NotifyBase + params.NotifyPerDistance*float64(d)
-		}
-	}
-	return sess, nil
+	return m, nil
 }
 
-func countCores(o *hwtopo.Object) int {
-	if o.Kind == hwtopo.KindCore {
-		return 1
+// Binding returns the placement the model was built for.
+func (m *Model) Binding() *binding.Binding { return m.bind }
+
+// NewSession returns the cost model of one execution of s on m.
+func (m *Model) NewSession(s *sched.Schedule) (*Session, error) {
+	if s.NumRanks != len(m.ranks) {
+		return nil, fmt.Errorf("machine: schedule has %d ranks, binding %d", s.NumRanks, len(m.ranks))
 	}
-	total := 0
-	for _, c := range o.Children {
-		total += countCores(c)
+	return &Session{model: m, s: s, demand: make([]float64, m.plat.NumResources()), ids: make([]des.ResourceID, 0, 16)}, nil
+}
+
+// Simulate runs s on the modelled machine.
+func (m *Model) Simulate(s *sched.Schedule) (*des.Result, error) {
+	sess, err := m.NewSession(s)
+	if err != nil {
+		return nil, err
 	}
-	return total
+	return des.Simulate(s, sess)
+}
+
+// Session implements des.CostModel for one schedule execution on a Model.
+// Sessions are single-use: cache-residency state accumulates over a run,
+// and the use sets handed to the simulator live in the session's arena.
+type Session struct {
+	model *Model
+	s     *sched.Schedule
+
+	// Uses scratch: the demand of the op being priced by resource id (all
+	// zero between calls) and the resources it loads, ascending.
+	demand []float64
+	ids    []des.ResourceID
+	arena  []des.Use // unused tail of the current chunk
+
+	// Cache residency: segment → cores that recently touched it.
+	touched map[segKey]touchers
+}
+
+const maxTouchers = 4
+
+type touchers struct {
+	n     int
+	cores [maxTouchers]*hwtopo.Object // oldest first
+}
+
+// NewSession builds the cost model for executing s with ranks placed by
+// bind on bind's topology.
+func NewSession(bind *binding.Binding, params Params, s *sched.Schedule) (*Session, error) {
+	m, err := NewModel(bind, params)
+	if err != nil {
+		return nil, err
+	}
+	return m.NewSession(s)
 }
 
 // Platform implements des.CostModel.
-func (m *Session) Platform() *des.Platform { return m.plat }
+func (ss *Session) Platform() *des.Platform { return ss.model.plat }
 
 // StartLatency implements des.CostModel.
-func (m *Session) StartLatency(op *sched.Op) float64 {
+func (ss *Session) StartLatency(op *sched.Op) float64 {
+	m := ss.model
 	var base float64
 	switch op.Mode {
 	case sched.ModeLocal:
@@ -361,10 +375,9 @@ func (m *Session) StartLatency(op *sched.Op) float64 {
 	default:
 		base = m.params.LocalLatency
 	}
-	if len(m.nicRes) > 0 && op.Bytes > 0 {
-		src := m.s.Buffers[op.Src].Rank
-		dst := m.s.Buffers[op.Dst].Rank
-		if m.machineIdx[src] != m.machineIdx[op.Rank] || m.machineIdx[dst] != m.machineIdx[op.Rank] {
+	if m.network && op.Bytes > 0 {
+		exec := m.ranks[op.Rank].machine
+		if m.ranks[ss.s.Buffers[op.Src].Rank].machine != exec || m.ranks[ss.s.Buffers[op.Dst].Rank].machine != exec {
 			base += m.params.NetworkOpLatency
 		}
 	}
@@ -372,27 +385,31 @@ func (m *Session) StartLatency(op *sched.Op) float64 {
 }
 
 // NotifyLatency implements des.CostModel.
-func (m *Session) NotifyLatency(from, to int) float64 { return m.notify[from][to] }
+func (ss *Session) NotifyLatency(from, to int) float64 {
+	m := ss.model
+	d := distance.BetweenCores(m.ranks[from].core, m.ranks[to].core)
+	return m.params.NotifyBase + m.params.NotifyPerDistance*float64(d)
+}
 
-// Uses implements des.CostModel: the resource demands of one copy.
-func (m *Session) Uses(op *sched.Op) []des.Use {
+// Uses implements des.CostModel: the resource demands of one copy, in
+// ascending resource id.
+func (ss *Session) Uses(op *sched.Op) []des.Use {
 	if op.Bytes <= 0 {
 		return nil
 	}
-	exec := op.Rank
-	srcRank := m.s.Buffers[op.Src].Rank
-	dstRank := m.s.Buffers[op.Dst].Rank
+	m := ss.model
+	exec := &m.ranks[op.Rank]
+	src := &m.ranks[ss.s.Buffers[op.Src].Rank]
+	dst := &m.ranks[ss.s.Buffers[op.Dst].Rank]
 
-	demand := make(map[des.ResourceID]float64)
-	demand[m.engineRes[exec]] += 1
-
+	ss.add(exec.engine, 1)
 	// Read leg: from the source buffer's memory (or a cache on a hit)
 	// into the executing core.
-	if cache, ok := m.cacheHit(op, exec); ok {
-		demand[cache] += 1
+	if cache, ok := ss.cacheHit(op, exec); ok {
+		ss.add(cache, 1)
 	} else {
-		demand[m.mcRes[m.nodeIdx[srcRank]]] += 1
-		m.addPath(demand, exec, srcRank, 1)
+		ss.add(src.mc, 1)
+		ss.addPath(exec, src, 1)
 	}
 	// Write leg: from the executing core into the destination memory.
 	// A cached write still costs two memory transactions per byte
@@ -404,60 +421,70 @@ func (m *Session) Uses(op *sched.Op) []des.Use {
 	if op.Kind == sched.OpReduce {
 		writeWeight = 3.0
 	}
-	demand[m.mcRes[m.nodeIdx[dstRank]]] += writeWeight
-	m.addPath(demand, exec, dstRank, writeWeight)
+	ss.add(dst.mc, writeWeight)
+	ss.addPath(exec, dst, writeWeight)
 
-	uses := make([]des.Use, 0, len(demand))
-	for rid, d := range demand {
-		uses = append(uses, des.Use{Resource: rid, Demand: d})
+	if len(ss.arena) < len(ss.ids) {
+		ss.arena = make([]des.Use, max(len(ss.ids), min(4*len(ss.s.Ops), 2048)))
 	}
-	// Stable order: map iteration would feed the simulator's fair-share
-	// summations in a different order each run, and offline calibration
-	// (internal/tune) needs bit-identical makespans to keep regenerated
-	// decision tables byte-stable.
-	sort.Slice(uses, func(i, j int) bool { return uses[i].Resource < uses[j].Resource })
+	uses := ss.arena[:len(ss.ids):len(ss.ids)]
+	ss.arena = ss.arena[len(ss.ids):]
+	for i, r := range ss.ids {
+		uses[i] = des.Use{Resource: r, Demand: ss.demand[r]}
+		ss.demand[r] = 0
+	}
+	ss.ids = ss.ids[:0]
 	return uses
 }
 
-// addPath accumulates the link demands between the executing rank's core
-// and the memory domain of the buffer owner `memRank`, weighted by the
-// leg's per-byte transaction count.
-func (m *Session) addPath(demand map[des.ResourceID]float64, exec, memRank int, weight float64) {
-	if m.machineIdx[exec] != m.machineIdx[memRank] {
+// add charges weight to resource r for the op being priced.
+func (ss *Session) add(r des.ResourceID, weight float64) {
+	if ss.demand[r] == 0 {
+		i := len(ss.ids)
+		ss.ids = append(ss.ids, r)
+		for ; i > 0 && ss.ids[i-1] > r; i-- {
+			ss.ids[i] = ss.ids[i-1]
+		}
+		ss.ids[i] = r
+	}
+	ss.demand[r] += weight
+}
+
+// addPath charges the links between the executing rank's core and the
+// memory domain of the buffer owner mem, weighted by the leg's per-byte
+// transaction count.
+func (ss *Session) addPath(exec, mem *place, weight float64) {
+	if exec.machine != mem.machine {
 		// Inter-node: the transfer crosses both network adapters and the
 		// switching fabric (NIC bandwidth dominates the on-node links).
-		demand[m.nicRes[m.machineIdx[exec]]] += weight
-		demand[m.nicRes[m.machineIdx[memRank]]] += weight
-		if m.switchIdx[exec] == m.switchIdx[memRank] {
-			demand[m.switchRes[m.switchIdx[exec]]] += weight
-		} else {
-			demand[m.switchRes[m.switchIdx[exec]]] += weight
-			demand[m.switchRes[m.switchIdx[memRank]]] += weight
-			if m.rackIdx[exec] == m.rackIdx[memRank] {
-				demand[m.trunkRes[m.rackIdx[exec]]] += weight
-			} else {
+		ss.add(exec.nic, weight)
+		ss.add(mem.nic, weight)
+		ss.add(exec.sw, weight)
+		if exec.sw != mem.sw {
+			ss.add(mem.sw, weight)
+			ss.add(exec.trunk, weight)
+			if exec.trunk != mem.trunk {
 				// Cross-rack: up one rack's trunk, across the spine, down
 				// the other rack's trunk.
-				demand[m.trunkRes[m.rackIdx[exec]]] += weight
-				demand[m.trunkRes[m.rackIdx[memRank]]] += weight
-				demand[m.spineRes] += weight
+				ss.add(mem.trunk, weight)
+				ss.add(ss.model.spine, weight)
 			}
 		}
 		return
 	}
-	if m.umaRank[exec] {
+	if exec.uma {
 		// UMA northbridge: every access flows over the executing socket's
 		// FSB.
-		demand[m.uplinkRes[m.sockIdx[exec]]] += weight
+		ss.add(exec.uplink, weight)
 		return
 	}
-	if m.nodeIdx[exec] == m.nodeIdx[memRank] {
+	if exec.mc == mem.mc {
 		return // local access, on-die controller
 	}
-	demand[m.uplinkRes[m.sockIdx[exec]]] += weight
-	demand[m.uplinkRes[m.sockIdx[memRank]]] += weight
-	if br := m.bridgeRes[m.machineIdx[exec]]; br >= 0 && m.boardIdx[exec] != m.boardIdx[memRank] {
-		demand[br] += weight
+	ss.add(exec.uplink, weight)
+	ss.add(mem.uplink, weight)
+	if exec.bridge >= 0 && exec.board != mem.board {
+		ss.add(exec.bridge, weight)
 	}
 }
 
@@ -472,18 +499,15 @@ func (m *Session) addPath(demand map[des.ResourceID]float64, exec, memRank int, 
 // cache residency. This is what annihilates the read-side benefit of the
 // hierarchical tree in the paper's Fig. 8 discussion while leaving the
 // user-space copy-in/copy-out path (Fig. 2) fully cache-sensitive.
-func (m *Session) cacheHit(op *sched.Op, exec int) (des.ResourceID, bool) {
-	if !m.params.CacheModel || op.Mode == sched.ModeKnem {
+func (ss *Session) cacheHit(op *sched.Op, exec *place) (des.ResourceID, bool) {
+	if ss.model.cacheBase < 0 || op.Mode == sched.ModeKnem {
 		return 0, false
 	}
-	key := segKey{buf: op.Src, off: op.SrcOff, len: op.Bytes}
-	execCore := m.coreObj[exec]
-	for _, toucher := range m.touched[key] {
-		for c := hwtopo.SharedCache(execCore, toucher); c != nil && c.IsCache(); c = c.Parent {
+	t := ss.touched[segKey{buf: op.Src, off: op.SrcOff, len: op.Bytes}]
+	for _, toucher := range t.cores[:t.n] {
+		for c := hwtopo.SharedCache(exec.core, toucher); c != nil && c.IsCache(); c = c.Parent {
 			if op.Bytes*2 <= c.SizeBytes {
-				if rid, ok := m.cacheRes[c]; ok {
-					return rid, true
-				}
+				return ss.model.cacheBase + des.ResourceID(c.Index), true
 			}
 		}
 	}
@@ -492,36 +516,39 @@ func (m *Session) cacheHit(op *sched.Op, exec int) (des.ResourceID, bool) {
 
 // Observe implements des.CostModel: cache bookkeeping after an op. A
 // write invalidates other cached copies of the destination segment and
-// leaves it in the writer's caches; a read adds the reader as a holder.
-func (m *Session) Observe(op *sched.Op) {
-	if !m.params.CacheModel || op.Bytes <= 0 || op.Mode == sched.ModeKnem {
+// leaves it in the writer's caches; a read adds the reader as a holder
+// (the oldest of maxTouchers makes room).
+func (ss *Session) Observe(op *sched.Op) {
+	if ss.model.cacheBase < 0 || op.Bytes <= 0 || op.Mode == sched.ModeKnem {
 		return
 	}
-	core := m.coreObj[op.Rank]
-	m.touched[segKey{buf: op.Dst, off: op.DstOff, len: op.Bytes}] = []*hwtopo.Object{core}
-	m.touch(segKey{buf: op.Src, off: op.SrcOff, len: op.Bytes}, core)
-}
-
-const maxTouchers = 4
-
-func (m *Session) touch(key segKey, core *hwtopo.Object) {
-	cur := m.touched[key]
-	for _, c := range cur {
+	if ss.touched == nil {
+		ss.touched = make(map[segKey]touchers)
+	}
+	core := ss.model.ranks[op.Rank].core
+	ss.touched[segKey{buf: op.Dst, off: op.DstOff, len: op.Bytes}] = touchers{n: 1, cores: [maxTouchers]*hwtopo.Object{core}}
+	src := segKey{buf: op.Src, off: op.SrcOff, len: op.Bytes}
+	t := ss.touched[src]
+	for _, c := range t.cores[:t.n] {
 		if c == core {
 			return
 		}
 	}
-	if len(cur) >= maxTouchers {
-		cur = cur[1:]
+	if t.n == maxTouchers {
+		t.n = copy(t.cores[:], t.cores[1:])
 	}
-	m.touched[key] = append(cur, core)
+	t.cores[t.n] = core
+	t.n++
+	ss.touched[src] = t
 }
 
-// Simulate is a convenience wrapper: build a session and run the schedule.
+// Simulate is a convenience wrapper: build the model and run the schedule.
+// Callers simulating many schedules on one (binding, params) build the
+// Model once instead.
 func Simulate(bind *binding.Binding, params Params, s *sched.Schedule) (*des.Result, error) {
-	sess, err := NewSession(bind, params, s)
+	m, err := NewModel(bind, params)
 	if err != nil {
 		return nil, err
 	}
-	return des.Simulate(s, sess)
+	return m.Simulate(s)
 }

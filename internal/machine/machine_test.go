@@ -238,14 +238,14 @@ func TestWriteInvalidatesCachedSegment(t *testing.T) {
 		if op.ID == op2 {
 			// Before the overwrite, rank 1 re-reading hits.
 			probe := sched.Op{Rank: 1, Mode: sched.ModeShm, Src: bufs[0], Dst: bufs[1], Bytes: bytes}
-			if _, hit := sess.cacheHit(&probe, 1); !hit {
+			if _, hit := sess.cacheHit(&probe, &sess.model.ranks[1]); !hit {
 				t.Fatal("expected cache hit before overwrite")
 			}
 		}
 		sess.Observe(op)
 	}
 	probe := sched.Op{Rank: 1, Mode: sched.ModeShm, Src: bufs[0], Dst: bufs[1], Bytes: bytes}
-	if _, hit := sess.cacheHit(&probe, 1); hit {
+	if _, hit := sess.cacheHit(&probe, &sess.model.ranks[1]); hit {
 		t.Fatal("cache hit survived an overwrite by another socket")
 	}
 	_ = op1

@@ -309,10 +309,12 @@ func (c *Comm) repairCheaper(repair, full *sched.Schedule) bool {
 			cores[i] = w.bind.CoreOf(wr)
 		}
 		if bind, berr := binding.New(w.Topology(), "recovery", cores); berr == nil {
-			rres, rerr := machine.Simulate(bind, params, repair)
-			fres, ferr := machine.Simulate(bind, params, full)
-			if rerr == nil && ferr == nil {
-				return rres.Makespan < fres.Makespan
+			if model, merr := machine.NewModel(bind, params); merr == nil {
+				rres, rerr := model.Simulate(repair)
+				fres, ferr := model.Simulate(full)
+				if rerr == nil && ferr == nil {
+					return rres.Makespan < fres.Makespan
+				}
 			}
 		}
 	}

@@ -175,9 +175,9 @@ func HotResources(res *des.Result, top int) []string {
 		name string
 		util float64
 	}
-	var all []ru
-	for name, u := range res.Utilization {
-		all = append(all, ru{name, u})
+	all := make([]ru, len(res.Utilization))
+	for id, u := range res.Utilization {
+		all[id] = ru{res.Platform.Name(des.ResourceID(id)), u}
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].util != all[b].util {

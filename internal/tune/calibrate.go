@@ -236,6 +236,10 @@ func calibrateOne(coll Collective, b *binding.Binding, m distance.Matrix, params
 // GOMAXPROCS-bounded worker pool; results land by index, keeping the
 // sweep's output independent of scheduling order.
 func simulateGrid(coll Collective, cands []Decision, b *binding.Binding, m distance.Matrix, params machine.Params, sizes []int64) ([][]float64, error) {
+	model, err := machine.NewModel(b, params) // immutable: shared by the workers
+	if err != nil {
+		return nil, err
+	}
 	grid := make([][]float64, len(sizes))
 	for i := range grid {
 		grid[i] = make([]float64, len(cands))
@@ -257,7 +261,7 @@ func simulateGrid(coll Collective, cands []Decision, b *binding.Binding, m dista
 				s, err := CompileFor(coll, d, m, 0, size, reduceAlign)
 				if err == nil {
 					var res *des.Result
-					if res, err = machine.Simulate(b, params, s); err == nil {
+					if res, err = model.Simulate(s); err == nil {
 						grid[j.si][j.ci] = res.Makespan
 						continue
 					}
