@@ -23,8 +23,10 @@ import (
 // CompileReduce compiles a distance-aware reduction to the tree root.
 // Buffers per rank: "send" (the contribution) and "acc" (the accumulator;
 // the root's holds the final result). chunkBytes ≤ 0 selects the default
-// pipeline policy.
-func CompileReduce(t *Tree, size int64, chunkBytes int64) (*sched.Schedule, error) {
+// pipeline policy. Chunk boundaries are aligned to align bytes (the
+// reduction operator's element size; ≤1 means byte-wise): the operator
+// combines chunk by chunk, so no element may straddle two chunks.
+func CompileReduce(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -33,6 +35,9 @@ func CompileReduce(t *Tree, size int64, chunkBytes int64) (*sched.Schedule, erro
 	}
 	if chunkBytes <= 0 {
 		chunkBytes = BroadcastChunk(size, t.Depth())
+	}
+	if align > 1 {
+		chunkBytes -= chunkBytes % align // 0 (one chunk) when smaller than an element
 	}
 	n := t.Size()
 	s := sched.New(n)

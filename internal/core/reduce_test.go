@@ -61,13 +61,15 @@ func runReduceSchedule(t *testing.T, s *sched.Schedule, n int, size int64, combi
 func TestCompileReduceCorrectness(t *testing.T) {
 	ig := hwtopo.NewIG()
 	for _, tc := range []struct {
-		bind string
-		root int
-		size int64
+		bind  string
+		root  int
+		size  int64
+		align int64
 	}{
-		{"contiguous", 0, 4096},
-		{"crosssocket", 7, 1 << 20}, // pipelined
-		{"random", 23, 100001},      // odd size
+		{"contiguous", 0, 4096, 0},
+		{"crosssocket", 7, 1 << 20, 0}, // pipelined
+		{"random", 23, 100001, 0},      // odd size
+		{"crosssocket", 0, 262208, 8},  // size/16 = 16,388 is not a multiple of the element
 	} {
 		b, err := binding.ByName(ig, tc.bind, 48, 9)
 		if err != nil {
@@ -78,9 +80,14 @@ func TestCompileReduceCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := CompileReduce(tree, tc.size, 0)
+		s, err := CompileReduce(tree, tc.size, 0, tc.align)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, op := range s.Ops {
+			if tc.align > 1 && (op.SrcOff%tc.align != 0 || op.Bytes%tc.align != 0) {
+				t.Fatalf("%s size=%d: op %d [%d,+%d) splits a %d-byte element", tc.bind, tc.size, op.ID, op.SrcOff, op.Bytes, tc.align)
+			}
 		}
 		bufs := runReduceSchedule(t, s, 48, tc.size, sumCombine)
 		want := expectedReduction(48, tc.size, sumCombine)
@@ -101,7 +108,7 @@ func TestCompileReduceStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := CompileReduce(tree, 4096, 0)
+	s, err := CompileReduce(tree, 4096, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestCompileReduceStructure(t *testing.T) {
 	if !s.HasReduce() {
 		t.Error("HasReduce = false")
 	}
-	if _, err := CompileReduce(tree, 0, 0); err == nil {
+	if _, err := CompileReduce(tree, 0, 0, 0); err == nil {
 		t.Error("zero size accepted")
 	}
 }
@@ -218,7 +225,7 @@ func TestRunRejectsReduceWithoutCombiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := CompileReduce(tree, 1024, 0)
+	s, err := CompileReduce(tree, 1024, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,61 +4,32 @@ import (
 	"fmt"
 
 	"distcoll/internal/core"
+	"distcoll/internal/distance"
 	"distcoll/internal/health"
 	"distcoll/internal/plancache"
 	"distcoll/internal/sched"
 	"distcoll/internal/tune"
 )
 
-// This file is the Adaptive component (DESIGN.md §8): the glue between the
-// runtime's communicators, the tune decision engine, and the compiled-plan
-// cache. Per collective call, the last-arriving member (the one running
-// the coordinate build function, so exactly once per collective) asks the
-// world's selector for the best {component, tree shape, chunk} at this
-// (topology, message size), then fetches the compiled schedule from the
-// world's plan cache — compiling through tune.CompileFor only on a miss.
+// This file is the schedule-selection half of the one call path (DESIGN.md
+// §8): the glue between the runtime's communicators, the tune decision
+// engine, and the compiled-plan cache. Per collective call, the
+// last-arriving member (the one running Comm.buildPlan, so exactly once
+// per collective) resolves the component to a schedule — for Adaptive by
+// asking the world's selector for the best {component, tree shape, chunk}
+// at this (topology, message size) — and fetches it from the world's plan
+// cache, compiling only on a miss.
 
-// adecision carries the selector's choice out of adaptiveSchedule to the
-// plan builder: the plan_cache trace event is emitted only once the plan
-// id exists (after newPlan), so a later op_end with the same plan id
-// carries the measured cost of exactly this decision — the correlation
-// the online autotuner feeds on.
+// adecision carries the selector's choice out of schedule to the plan
+// builder: the plan_cache trace event is emitted only once the plan id
+// exists (after newPlan), so a later op_end with the same plan id carries
+// the measured cost of exactly this decision — the correlation the online
+// autotuner feeds on.
 type adecision struct {
 	coll  tune.Collective
 	bytes int64
 	dec   tune.Decision
 	hit   bool
-}
-
-// adaptiveSchedule resolves one collective call through the selector and
-// plan cache. bytes is the full message (bcast/reduce/allreduce) or the
-// per-rank block (allgather); align the reduction element size.
-func (c *Comm) adaptiveSchedule(coll tune.Collective, root int, bytes, align int64) (*sched.Schedule, *adecision, error) {
-	st := c.state
-	w := st.world
-
-	st.mu.Lock()
-	v := st.viewLocked()
-	topo := st.topoHashLocked()
-	st.mu.Unlock()
-
-	dec := w.selector.Select(coll, v, bytes)
-	key := plancache.Key{
-		Topo:    topo,
-		Tenant:  w.tenant,
-		Coll:    string(coll),
-		Root:    root,
-		Size:    bytes,
-		Align:   align,
-		Variant: dec.CacheKey(),
-	}
-	s, hit, err := w.plans.Get(key, func() (*sched.Schedule, error) {
-		return tune.CompileFor(coll, dec, v, root, bytes, align)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, &adecision{coll: coll, bytes: bytes, dec: dec, hit: hit}, nil
 }
 
 // fixedVariants are the plan-cache Variant strings of the fixed components.
@@ -68,30 +39,58 @@ func (c *Comm) adaptiveSchedule(coll tune.Collective, root int, bytes, align int
 // tune.Decision.CacheKey.
 var fixedVariants = [...]string{KNEMColl: "fixed/knemcoll", Tuned: "fixed/tuned", MPICH2: "fixed/mpich2"}
 
-// fixedSchedule fetches a fixed component's schedule through the world's
-// plan cache: the same key space and the same invalidation (break, Shrink,
-// Free, health revision, partition epoch) as the Adaptive component's
-// plans, compiling only on a miss. It emits no plan_cache trace event —
-// that event records a selector decision, and a fixed component makes
-// none.
-func (c *Comm) fixedSchedule(coll string, comp Component, root int, bytes, align int64, compile func() (*sched.Schedule, error)) (*sched.Schedule, error) {
-	if comp < 0 || int(comp) >= len(fixedVariants) {
-		return nil, fmt.Errorf("mpi: unknown component %v", comp)
+// schedule resolves one collective call to its compiled schedule through
+// the world's plan cache — one key space and one invalidation (break,
+// Shrink, Free, health revision, partition epoch) for every component.
+// unit is the full message or the per-rank block, as the descriptor
+// defines it; align the reduction element size. The *adecision is non-nil
+// only when the selector decided (Adaptive on a collective it knows): a
+// fixed component makes no decision and emits no plan_cache event.
+func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int64) (*sched.Schedule, *adecision, error) {
+	adaptive := comp == Adaptive && d.tuned != ""
+	if !adaptive && (comp < 0 || int(comp) >= len(fixedVariants)) {
+		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
 	}
 	st := c.state
+	w := st.world
 	st.mu.Lock()
 	topo := st.topoHashLocked()
+	var v distance.View // fetched where it is read: by the selector, else on a cache miss only
+	if adaptive {
+		v = st.viewLocked()
+	}
 	st.mu.Unlock()
-	s, _, err := st.world.plans.Get(plancache.Key{
-		Topo:    topo,
-		Tenant:  st.world.tenant,
-		Coll:    coll,
-		Root:    root,
-		Size:    bytes,
-		Align:   align,
-		Variant: fixedVariants[comp],
-	}, compile)
-	return s, err
+
+	// dec is what tune.CompileFor compiles: the selector's choice, or a
+	// fixed Tuned/MPICH2 on a collective tune knows. Left zero, the
+	// descriptor's own compiler runs (fixed KNEMColl over the communicator's
+	// cached tree or ring; every component of an untuned collective).
+	var dec tune.Decision
+	key := plancache.Key{Topo: topo, Tenant: w.tenant, Coll: d.name, Root: root, Size: unit, Align: align}
+	if adaptive {
+		dec = w.selector.Select(d.tuned, v, unit)
+		key.Variant = dec.CacheKey()
+	} else {
+		key.Variant = fixedVariants[comp]
+		if d.tuned != "" && comp != KNEMColl {
+			dec.Component = comp.String()
+		}
+	}
+	s, hit, err := w.plans.Get(key, func() (*sched.Schedule, error) {
+		if dec.Component == "" {
+			return d.compile(c, comp, root, unit, align)
+		}
+		if v == nil {
+			st.mu.Lock()
+			v = st.viewLocked()
+			st.mu.Unlock()
+		}
+		return tune.CompileFor(d.tuned, dec, v, root, unit, align)
+	})
+	if err != nil || !adaptive {
+		return s, nil, err
+	}
+	return s, &adecision{coll: d.tuned, bytes: unit, dec: dec, hit: hit}, nil
 }
 
 // topoHashLocked returns the cached fingerprint of the communicator's

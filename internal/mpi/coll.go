@@ -5,17 +5,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distcoll/internal/baseline"
-	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/exec"
 	"distcoll/internal/fault"
 	"distcoll/internal/integrity"
 	"distcoll/internal/knem"
 	"distcoll/internal/partition"
-	"distcoll/internal/recovery"
 	"distcoll/internal/sched"
-	"distcoll/internal/tune"
 )
 
 // Component selects the collective implementation, mirroring Open MPI's
@@ -73,22 +69,20 @@ type collPlan struct {
 	members int
 	leavers atomic.Int32
 
-	// End-to-end digests (set only when integrity verification is on):
-	// the broadcast origin's payload digest, piggybacked to every member
-	// through the shared plan exactly like the payload itself travels the
-	// tree, and the allgather contributors' per-segment digests carried
-	// around the ring. Written once by the plan builder, read-only after.
-	digest    uint32
-	hasDigest bool
-	digests   []uint32
+	// End-to-end digests under the descriptor's digest rule (set only when
+	// integrity verification is on): the broadcast origin's payload digest,
+	// piggybacked to every member through the shared plan exactly like the
+	// payload itself travels the tree, or the allgather contributors'
+	// per-segment digests carried around the ring. Written once by the plan
+	// builder, read-only after.
+	digests []uint32
 
-	// onDone[commRank], when non-nil, observes every op that member
-	// performed successfully — after the (possibly integrity-verified)
-	// copy, before the completion signal. It feeds the progress ledgers
-	// behind incremental recovery: what is marked here is exactly what a
-	// later delta repair may serve to other survivors. Written once by the
-	// plan builder, read-only after.
-	onDone []func(o *sched.Op)
+	// exact says a member with a progress ledger marks every op it performed
+	// successfully — after the (possibly integrity-verified) copy, before
+	// the completion signal: what is marked there is exactly what a later
+	// delta repair may serve to other survivors. Written once by the plan
+	// builder, read-only after.
+	exact bool
 }
 
 // notePlanCache emits the Adaptive component's plan_cache event for this
@@ -169,337 +163,6 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 	return plan, nil
 }
 
-// bcastArgs is each member's contribution to a broadcast. led is the
-// member's progress ledger (nil outside the resilient wrappers): the plan
-// builder wires it into the plan's completion hooks so every landed chunk
-// is recorded for a possible later delta repair.
-type bcastArgs struct {
-	buf  []byte
-	root int
-	comp Component
-	led  *recovery.ChunkLedger
-}
-
-// Bcast broadcasts the root's buffer to every member. All members must
-// pass equal-length buffers, the same root and the same component.
-func (c *Comm) Bcast(buf []byte, root int, comp Component) error {
-	return c.bcastLedger(buf, root, comp, nil)
-}
-
-// bcastLedger is Bcast with an optional progress ledger (the resilient
-// wrapper's). Per-op chunk marks are only attached for the distance-aware
-// component, whose schedule copies straight between the caller "data"
-// buffers at true payload offsets; the baseline components stage through
-// bounce buffers, so for them (and for any component when integrity is
-// on) the whole buffer is marked held only after the end-to-end digest
-// verifies. A failed digest clears the ledger instead — nothing in the
-// buffer can be trusted.
-func (c *Comm) bcastLedger(buf []byte, root int, comp Component, led *recovery.ChunkLedger) error {
-	_, result, err := c.coordinate(bcastArgs{buf: buf, root: root, comp: comp, led: led},
-		func(vals []any) (any, error) {
-			args := make([]bcastArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(bcastArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: bcast coordination corrupted")
-				}
-				args[i] = a
-				if a.root != args[0].root || a.comp != args[0].comp || len(a.buf) != len(args[0].buf) {
-					return nil, fmt.Errorf("mpi: bcast arguments mismatch across ranks")
-				}
-			}
-			size := int64(len(args[0].buf))
-			if size == 0 {
-				return c.state.emptyPlan("bcast", len(args)), nil
-			}
-			s, ad, err := c.buildBcast(size, args[0].root, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				if name == "data" {
-					return args[rank].buf
-				}
-				return nil
-			}
-			plan, err := c.state.newPlan("bcast", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			if c.state.world.e2eEnabled() {
-				plan.digest = integrity.Digest(args[args[0].root].buf)
-				plan.hasDigest = true
-			}
-			if args[0].comp == KNEMColl {
-				attachBcastLedgers(plan, args)
-			}
-			return plan, nil
-		})
-	if err != nil {
-		return err
-	}
-	plan := result.(*collPlan)
-	return c.runPlanVerified(plan, nil, func() error {
-		return c.ledgerBcastVerify(plan, buf, root, led)
-	})
-}
-
-// ledgerBcastVerify is the post-execution digest check plus its ledger
-// consequences: a verified buffer is fully held (whatever component or
-// path delivered it), a failed one is fully untrusted.
-func (c *Comm) ledgerBcastVerify(plan *collPlan, buf []byte, root int, led *recovery.ChunkLedger) error {
-	err := c.verifyBcastDigest(plan, buf, root)
-	if led == nil {
-		return err
-	}
-	if err != nil {
-		led.Reset()
-	} else if plan.hasDigest {
-		led.MarkAll()
-	}
-	return err
-}
-
-// attachBcastLedgers wires each member's progress ledger into the plan's
-// completion hooks: every pull into the "data" buffer marks its payload
-// span held. Offsets in the distance-aware broadcast schedule are true
-// payload offsets, so the mark is exact; with integrity on, the hook runs
-// only after the per-hop checksum verified, so only verified chunks count
-// as held.
-func attachBcastLedgers(plan *collPlan, args []bcastArgs) {
-	s := plan.s
-	for i := range args {
-		led := args[i].led
-		if led == nil {
-			continue
-		}
-		if plan.onDone == nil {
-			plan.onDone = make([]func(*sched.Op), len(args))
-		}
-		plan.onDone[i] = func(o *sched.Op) {
-			if s.Buffers[o.Dst].Name == "data" {
-				led.MarkHeld(o.DstOff, o.Bytes)
-			}
-		}
-	}
-}
-
-// verifyBcastDigest is the end-to-end integrity check of a broadcast: the
-// origin's payload digest (piggybacked down the tree via the shared plan)
-// must match the delivered buffer on every receiver. It catches whatever
-// the per-hop checksums could not attribute to a single edge.
-func (c *Comm) verifyBcastDigest(plan *collPlan, buf []byte, root int) error {
-	w := c.state.world
-	if w.integ == nil || !plan.hasDigest || c.rank == root {
-		return nil
-	}
-	got := integrity.Digest(buf)
-	if got == plan.digest {
-		return nil
-	}
-	w.integ.E2EFailure()
-	me, origin := c.state.group[c.rank], c.state.group[root]
-	w.tracer.Integrity(plan.op, plan.id, me, origin, -1, -1, plan.digest, got)
-	return &CorruptionError{Src: origin, Dst: me, Chunk: -1, EndToEnd: true}
-}
-
-// allgatherArgs is each member's contribution to an allgather. led is the
-// member's segment ledger (nil outside the resilient wrappers).
-type allgatherArgs struct {
-	send, recv []byte
-	comp       Component
-	led        *recovery.SegLedger
-}
-
-// Allgather gathers every member's send buffer into every member's recv
-// buffer in communicator-rank order. recv must be Size()·len(send) bytes.
-func (c *Comm) Allgather(send, recv []byte, comp Component) error {
-	return c.allgatherLedger(send, recv, comp, nil)
-}
-
-// allgatherLedger is Allgather with an optional segment ledger, under the
-// same rules as bcastLedger: exact per-segment marks for the
-// distance-aware component (whose ring schedule lands whole blocks at
-// their final recv offsets), whole-result marks after a verified
-// end-to-end digest pass, a full clear after a failed one.
-func (c *Comm) allgatherLedger(send, recv []byte, comp Component, led *recovery.SegLedger) error {
-	_, result, err := c.coordinate(allgatherArgs{send: send, recv: recv, comp: comp, led: led},
-		func(vals []any) (any, error) {
-			args := make([]allgatherArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(allgatherArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: allgather coordination corrupted")
-				}
-				args[i] = a
-				if a.comp != args[0].comp || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: allgather arguments mismatch across ranks")
-				}
-				if len(a.recv) != len(vals)*len(a.send) {
-					return nil, fmt.Errorf("mpi: allgather recv buffer is %d bytes, want %d",
-						len(a.recv), len(vals)*len(a.send))
-				}
-			}
-			block := int64(len(args[0].send))
-			if block == 0 {
-				return c.state.emptyPlan("allgather", len(args)), nil
-			}
-			s, ad, err := c.buildAllgather(block, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				switch name {
-				case "send":
-					return args[rank].send
-				case "recv":
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan("allgather", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			if c.state.world.e2eEnabled() {
-				plan.digests = make([]uint32, len(args))
-				for i := range args {
-					plan.digests[i] = integrity.Digest(args[i].send)
-				}
-			}
-			if args[0].comp == KNEMColl {
-				attachAllgatherLedgers(plan, args, c.state.group, block)
-			}
-			return plan, nil
-		})
-	if err != nil {
-		return err
-	}
-	plan := result.(*collPlan)
-	return c.runPlanVerified(plan, nil, func() error {
-		return c.ledgerAllgatherVerify(plan, recv, len(send), led)
-	})
-}
-
-// ledgerAllgatherVerify is the allgather digest check plus its ledger
-// consequences (see ledgerBcastVerify).
-func (c *Comm) ledgerAllgatherVerify(plan *collPlan, recv []byte, block int, led *recovery.SegLedger) error {
-	err := c.verifyAllgatherDigests(plan, recv, block)
-	if led == nil {
-		return err
-	}
-	if err != nil {
-		led.Reset()
-	} else if plan.digests != nil {
-		led.MarkHeldAll(c.state.group)
-	}
-	return err
-}
-
-// attachAllgatherLedgers wires each member's segment ledger into the
-// plan's completion hooks: a whole block landing at a block-aligned recv
-// offset marks that origin's segment held. Origins are recorded as WORLD
-// ranks (group translates the layout index), so the marks survive
-// communicator shrinks.
-func attachAllgatherLedgers(plan *collPlan, args []allgatherArgs, group []int, block int64) {
-	s := plan.s
-	owners := append([]int(nil), group...)
-	for i := range args {
-		led := args[i].led
-		if led == nil {
-			continue
-		}
-		if plan.onDone == nil {
-			plan.onDone = make([]func(*sched.Op), len(args))
-		}
-		plan.onDone[i] = func(o *sched.Op) {
-			if s.Buffers[o.Dst].Name != "recv" || o.Bytes != block || o.DstOff%block != 0 {
-				return
-			}
-			if idx := int(o.DstOff / block); idx >= 0 && idx < len(owners) {
-				led.MarkHeld(owners[idx])
-			}
-		}
-	}
-}
-
-// verifyAllgatherDigests is the end-to-end integrity check of an
-// allgather: every gathered segment must match its contributor's digest
-// (carried around the ring via the shared plan).
-func (c *Comm) verifyAllgatherDigests(plan *collPlan, recv []byte, block int) error {
-	w := c.state.world
-	if w.integ == nil || plan.digests == nil || block == 0 {
-		return nil
-	}
-	me := c.state.group[c.rank]
-	for r := range plan.digests {
-		got := integrity.Digest(recv[r*block : (r+1)*block])
-		if got == plan.digests[r] {
-			continue
-		}
-		w.integ.E2EFailure()
-		origin := c.state.group[r]
-		w.tracer.Integrity(plan.op, plan.id, me, origin, r, -1, plan.digests[r], got)
-		return &CorruptionError{Src: origin, Dst: me, Chunk: r, EndToEnd: true}
-	}
-	return nil
-}
-
-// buildBcast compiles the broadcast schedule for this communicator's
-// members: the distance-aware component consults the runtime placement of
-// exactly the member processes, so the topology adapts to communicator
-// composition (the paper's dynamic-communicator argument). The *adecision
-// result is non-nil only for the Adaptive component: the selector's
-// choice, which the plan builder ties to the plan id in the trace.
-func (c *Comm) buildBcast(size int64, root int, comp Component) (*sched.Schedule, *adecision, error) {
-	if comp == Adaptive {
-		return c.adaptiveSchedule(tune.CollBcast, root, size, 0)
-	}
-	s, err := c.fixedSchedule("bcast", comp, root, size, 0, func() (*sched.Schedule, error) {
-		n := c.Size()
-		switch comp {
-		case KNEMColl:
-			tree, err := c.state.distanceTree(root)
-			if err != nil {
-				return nil, err
-			}
-			return core.CompileBroadcast(tree, size, 0)
-		case Tuned:
-			alg, seg := baseline.TunedBcastDecision(n, size)
-			return baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
-		default:
-			alg, seg := baseline.MPICHBcastDecision(n, size)
-			return baseline.CompileBcast(alg, n, root, size, seg, baseline.NemesisSM())
-		}
-	})
-	return s, nil, err
-}
-
-func (c *Comm) buildAllgather(block int64, comp Component) (*sched.Schedule, *adecision, error) {
-	if comp == Adaptive {
-		return c.adaptiveSchedule(tune.CollAllgather, 0, block, 0)
-	}
-	s, err := c.fixedSchedule("allgather", comp, 0, block, 0, func() (*sched.Schedule, error) {
-		n := c.Size()
-		switch comp {
-		case KNEMColl:
-			ring, err := c.state.distanceRing()
-			if err != nil {
-				return nil, err
-			}
-			return core.CompileAllgather(ring, block)
-		case Tuned:
-			return baseline.CompileAllgather(baseline.TunedAllgatherDecision(n, block), n, block, baseline.SMKnemBTL())
-		default:
-			return baseline.CompileAllgather(baseline.TunedAllgatherDecision(n, block), n, block, baseline.NemesisSM())
-		}
-	})
-	return s, nil, err
-}
-
 // distanceMatrix returns the member-to-member process distances from the
 // runtime binding (cached for the communicator's lifetime).
 func (c *Comm) distanceMatrix() distance.Matrix {
@@ -508,30 +171,77 @@ func (c *Comm) distanceMatrix() distance.Matrix {
 	return c.state.matrixLocked()
 }
 
-// runPlanVerified executes this member's share — combine is the reduction
-// operator, nil on copy-only plans — and synchronizes completion. A member
-// that crashed must NOT join the completion barrier: it is dead, and its
-// absence is precisely what tells the survivors to fail over. verify (may
-// be nil) is the end-to-end digest check; it runs after this member's share
-// but before the rendezvous, and its verdict is deposited INTO it: the
-// completion barrier doubles as an agreement on the outcome, so either
-// every member observes the digest failure or none does — otherwise the one
-// rank that detected corruption would retry while the others moved on.
-func (c *Comm) runPlanVerified(plan *collPlan, combine func(dst, src []byte), verify func() error) error {
+// runPlan executes this member's share of the plan with its arguments a
+// and synchronizes completion. A member that crashed must NOT join the
+// completion barrier: it is dead, and its absence is precisely what tells
+// the survivors to fail over. The end-to-end digest check runs after this
+// member's share but before the rendezvous, and its verdict is deposited
+// INTO it: the completion barrier doubles as an agreement on the outcome,
+// so either every member observes the digest failure or none does —
+// otherwise the one rank that detected corruption would retry while the
+// others moved on.
+func (c *Comm) runPlan(plan *collPlan, a *collArgs) error {
 	finishBracket := c.opBracket(plan)
-	err := c.execute(plan, combine)
+	err := c.execute(plan, a)
 	if fault.IsCrashed(err) {
 		finishBracket(err)
 		return err
 	}
-	if err == nil && verify != nil {
-		err = verify()
+	if err == nil {
+		err = c.verify(plan, a)
 	}
 	if ferr := c.finish(plan, err); err == nil {
 		err = ferr
 	}
 	finishBracket(err)
 	return err
+}
+
+// verify is the end-to-end integrity check of a finished plan plus its
+// ledger consequences. Under the root rule the origin's payload digest must
+// match the delivered buffer on every receiver; under the segment rule
+// every gathered segment must match its contributor's. It catches whatever
+// the per-hop checksums could not attribute to a single edge. A verified
+// result is fully held (whatever component or path delivered it), a failed
+// one fully untrusted — nothing in the buffer can be relied on.
+func (c *Comm) verify(plan *collPlan, a *collArgs) error {
+	err := c.verifyDigests(plan, a)
+	if a.led == nil {
+		return err
+	}
+	if err != nil {
+		a.led.Reset()
+	} else if plan.digests != nil {
+		a.led.markAll(c.state.group)
+	}
+	return err
+}
+
+func (c *Comm) verifyDigests(plan *collPlan, a *collArgs) error {
+	w := c.state.world
+	if w.integ == nil || plan.digests == nil {
+		return nil
+	}
+	rootRule := a.d.digest == digestRoot
+	if rootRule && c.rank == a.root {
+		return nil // the root's buffer is the payload
+	}
+	group := c.state.group
+	seg := len(a.recv) / len(plan.digests)
+	for k, want := range plan.digests {
+		origin, chunk := k, k
+		if rootRule {
+			origin, chunk = a.root, -1
+		}
+		got := integrity.Digest(a.recv[k*seg : (k+1)*seg])
+		if got == want {
+			continue
+		}
+		w.integ.E2EFailure()
+		w.tracer.Integrity(plan.op, plan.id, group[c.rank], group[origin], chunk, -1, want, got)
+		return &CorruptionError{Src: group[origin], Dst: group[c.rank], Chunk: chunk, EndToEnd: true}
+	}
+	return nil
 }
 
 // opBracket emits the OpBegin event for this member and returns the
@@ -551,13 +261,13 @@ func (c *Comm) opBracket(plan *collPlan) func(error) {
 
 // execute runs this member's share of the plan through exec's one executor
 // with the runtime's hooks; the last member to leave reaps the plan.
-func (c *Comm) execute(plan *collPlan, combine func(dst, src []byte)) error {
+func (c *Comm) execute(plan *collPlan, a *collArgs) error {
 	defer func() {
 		if int(plan.leavers.Add(1)) == plan.members {
 			plan.reap()
 		}
 	}()
-	m := &member{c: c, plan: plan, wr: c.state.group[c.rank], combine: combine}
+	m := &member{c: c, plan: plan, wr: c.state.group[c.rank], a: a}
 	// Copy events carry the distance class of the edge they crossed, read
 	// from the base view: O(1) dense or clustered, so tracing never
 	// materializes a cluster-scale communicator's O(n²) matrix.
@@ -573,10 +283,10 @@ func (c *Comm) execute(plan *collPlan, combine func(dst, src []byte)) error {
 type member struct {
 	c       *Comm
 	plan    *collPlan
-	wr      int                   // the member's world rank
-	combine func(dst, src []byte) // reduction operator; nil on copy-only plans
-	scratch []byte                // landing buffer of kernel-assisted reduces (member.move)
-	dist    distance.View         // set only while tracing; covers every schedule rank (newPlan)
+	wr      int           // the member's world rank
+	a       *collArgs     // its arguments: the reduction operator, the progress ledger
+	scratch []byte        // landing buffer of kernel-assisted reduces (member.move)
+	dist    distance.View // set only while tracing; covers every schedule rank (newPlan)
 }
 
 // BeforeOp consults the injector. A crash is published to the world (waking
@@ -595,7 +305,7 @@ func (m *member) BeforeOp(*sched.Op) error {
 }
 
 // Perform moves one op's bytes (member.move), then traces the copy and
-// reports it to the member's completion hook — all before the executor
+// marks it in the member's progress ledger — all before the executor
 // publishes the op as complete.
 func (m *member) Perform(o *sched.Op) error {
 	if o.Bytes == 0 {
@@ -615,10 +325,8 @@ func (m *member) Perform(o *sched.Op) error {
 		tr.Copy(plan.op, plan.id, m.c.rank, src, dstRank, int(o.ID), o.Chunk,
 			o.Bytes, m.dist.At(src, dstRank), o.Mode.String(), time.Since(t0))
 	}
-	if plan.onDone != nil {
-		if f := plan.onDone[m.c.rank]; f != nil {
-			f(o)
-		}
+	if plan.exact && m.a.led != nil {
+		m.a.led.mark(plan.s, o, m.c.state.group)
 	}
 	return nil
 }

@@ -1,0 +1,415 @@
+package mpi
+
+import (
+	"context"
+	"fmt"
+
+	"distcoll/internal/baseline"
+	"distcoll/internal/core"
+	"distcoll/internal/integrity"
+	"distcoll/internal/sched"
+	"distcoll/internal/tune"
+)
+
+// collective describes one collective operation as data (DESIGN.md §17).
+// Every exported collective is one entry of the collectives table plus a
+// wrapper that fills a collArgs; the argument check, schedule selection
+// and caching, plan construction, end-to-end digests, ledger marks, the
+// outcome vote and the recovery ladder are shared code driven by the
+// entry (Comm.run → Comm.buildPlan → Comm.runPlan, Comm.resilient).
+type collective struct {
+	name   string          // op name in traces, errors and plan-cache keys
+	tuned  tune.Collective // the selector's name for it; "" when the selector does not decide it
+	rooted bool            // takes a root, which must be a member
+
+	// roles maps the schedule's buffer names to caller buffers and states
+	// each one's required length. The first role is bound on every rank;
+	// rank 0's length of it fixes the unit the schedule is compiled for
+	// (the full message, or the per-rank block when the role is perRank).
+	roles []role
+
+	// compile builds the schedule over the communicator's cached tree or
+	// ring. For a tuned collective it is the KNEMColl compiler only — the
+	// Tuned and MPICH2 schedules come from tune.CompileFor; the others keep
+	// every fixed component behind it.
+	compile compileFn
+
+	// digest is the end-to-end digest rule applied when integrity
+	// verification is on.
+	digest digestRule
+
+	// repair merges the survivors' ledgers after a shrink and compiles the
+	// delta repair schedule over what is missing (nil when nothing is held
+	// or the repair does not compile), also counting the missing pieces. A
+	// descriptor without one has no ledger: recovery restarts.
+	repair func(c *Comm, vals []any, unit int64) (s *sched.Schedule, missing int)
+
+	// afterShrink re-seats the caller's arguments on the successor
+	// communicator between two rounds of the resilient ladder.
+	afterShrink func(a *collArgs, old, cur []int) error
+}
+
+type compileFn func(c *Comm, comp Component, root int, unit, align int64) (*sched.Schedule, error)
+
+// role binds one named schedule buffer to a caller buffer.
+type role struct {
+	name    string // the schedule's buffer name
+	recv    bool   // the caller's recv buffer (else send)
+	atRoot  bool   // bound, and its length checked, at the root only; auxiliary elsewhere
+	perRank bool   // Size()·unit bytes (else unit)
+}
+
+// digestRule says what a plan's end-to-end digests cover.
+type digestRule int
+
+const (
+	digestNone     digestRule = iota
+	digestRoot                // one digest: the root's payload, checked on every receiver
+	digestSegments            // one per contributor: its send block, checked in every recv
+)
+
+// Indices into collectives.
+const (
+	opBcast = iota
+	opAllgather
+	opReduce
+	opAllreduce
+	opGather
+	opScatter
+	opAlltoall
+)
+
+// collectives is the descriptor table. Adding a collective is one entry
+// here, its compile function, and an exported wrapper.
+var collectives = [...]collective{
+	opBcast: {
+		name: "bcast", tuned: tune.CollBcast, rooted: true,
+		roles: []role{{name: "data", recv: true}},
+		compile: onTree(func(t *core.Tree, size, _ int64) (*sched.Schedule, error) {
+			return core.CompileBroadcast(t, size, 0)
+		}),
+		digest: digestRoot, repair: bcastRepair, afterShrink: relocateRoot,
+	},
+	opAllgather: {
+		name: "allgather", tuned: tune.CollAllgather,
+		roles: []role{{name: "send"}, {name: "recv", recv: true, perRank: true}},
+		compile: onRing(func(r *core.Ring, block, _ int64) (*sched.Schedule, error) {
+			return core.CompileAllgather(r, block)
+		}),
+		digest: digestSegments, repair: allgatherRepair, afterShrink: compactRecv,
+	},
+	opReduce: {
+		name: "reduce", tuned: tune.CollReduce, rooted: true,
+		roles: []role{{name: "send"}, {name: "acc", recv: true, atRoot: true}},
+		compile: onTree(func(t *core.Tree, size, align int64) (*sched.Schedule, error) {
+			return core.CompileReduce(t, size, 0, align)
+		}),
+	},
+	opAllreduce: {
+		name: "allreduce", tuned: tune.CollAllreduce,
+		roles:   []role{{name: "send"}, {name: "recv", recv: true}},
+		compile: onRing(core.CompileAllreduce),
+	},
+	opGather: {
+		name: "gather", rooted: true,
+		roles: []role{{name: "send"}, {name: "recv", recv: true, atRoot: true, perRank: true}},
+		compile: onTree(func(t *core.Tree, block, _ int64) (*sched.Schedule, error) {
+			return core.CompileGather(t, block)
+		}),
+	},
+	opScatter: {
+		name: "scatter", rooted: true,
+		roles: []role{{name: "recv", recv: true}, {name: "send", atRoot: true, perRank: true}},
+		compile: onTree(func(t *core.Tree, block, _ int64) (*sched.Schedule, error) {
+			return core.CompileScatter(t, block)
+		}),
+	},
+	opAlltoall: {
+		name:    "alltoall",
+		roles:   []role{{name: "send", perRank: true}, {name: "recv", recv: true, perRank: true}},
+		compile: compileAlltoall,
+	},
+}
+
+// onTree adapts a tree compiler: the distance-aware tree for KNEMColl, the
+// rank-based binomial tree for the baselines (gather and scatter run every
+// component through the same subtree-staging compiler, so the comparison
+// isolates topology).
+func onTree(compile func(t *core.Tree, unit, align int64) (*sched.Schedule, error)) compileFn {
+	return func(c *Comm, comp Component, root int, unit, align int64) (*sched.Schedule, error) {
+		var tree *core.Tree
+		var err error
+		if comp == KNEMColl {
+			tree, err = c.state.distanceTree(root)
+		} else {
+			tree, err = baseline.BinomialTree(c.Size(), root)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return compile(tree, unit, align)
+	}
+}
+
+// onRing adapts a compiler over the communicator's distance-aware ring.
+func onRing(compile func(r *core.Ring, unit, align int64) (*sched.Schedule, error)) compileFn {
+	return func(c *Comm, _ Component, _ int, unit, align int64) (*sched.Schedule, error) {
+		ring, err := c.state.distanceRing()
+		if err != nil {
+			return nil, err
+		}
+		return compile(ring, unit, align)
+	}
+}
+
+// AlltoallHierarchicalLimit: below this block size the distance-aware
+// component aggregates inter-node traffic at machine leaders (one network
+// message per node pair); above it the direct single-copy schedule wins —
+// alltoall volume is irreducible, staging only adds copies and leaders
+// become hot spots. Calibrated from the alltoall extension experiment.
+const AlltoallHierarchicalLimit = 512
+
+func compileAlltoall(c *Comm, comp Component, _ int, block, _ int64) (*sched.Schedule, error) {
+	n := c.Size()
+	switch comp {
+	case KNEMColl:
+		if block < AlltoallHierarchicalLimit {
+			return core.CompileAlltoallHierarchical(c.distanceMatrix(), block)
+		}
+		return core.CompileAlltoallDirect(n, block)
+	case Tuned:
+		return baseline.CompileAlltoallPairwise(n, block, baseline.SMKnemBTL())
+	default:
+		return baseline.CompileAlltoallPairwise(n, block, baseline.NemesisSM())
+	}
+}
+
+// collArgs is one member's contribution to a collective: the value it
+// deposits at the plan-building rendezvous, where the last arriver reads
+// every member's in place, and what the member then runs its share of the
+// plan with. Immutable once deposited.
+type collArgs struct {
+	d          *collective
+	send, recv []byte
+	root       int // communicator rank; 0 when the collective is not rooted
+	comp       Component
+	op         ReduceOp // the reduction operator; zero on copy-only collectives
+	// led is the member's progress ledger and recovering marks the attempt
+	// that follows a shrink; both are set only by the resilient ladder.
+	led        ledger
+	recovering bool
+}
+
+func (a *collArgs) buf(r *role) []byte {
+	if r.recv {
+		return a.recv
+	}
+	return a.send
+}
+
+// bound returns the caller buffer behind a schedule buffer name on one
+// member: nil for a name the collective does not bind there, which the
+// plan then allocates as an auxiliary buffer.
+func (d *collective) bound(a *collArgs, name string, isRoot bool) []byte {
+	for i := range d.roles {
+		if r := &d.roles[i]; r.name == name && (isRoot || !r.atRoot) {
+			return a.buf(r)
+		}
+	}
+	return nil
+}
+
+// check is the one argument check: every member called the same collective
+// with the same root, component and operator; a rooted collective's root is
+// a member (before the zero-size shortcut); every role's buffer has the
+// length the unit implies, on every rank it is bound on; a reduction's
+// buffers hold whole elements. It returns the unit size.
+func (d *collective) check(vals []any) (int64, error) {
+	n := int64(len(vals))
+	var a0 *collArgs
+	for _, v := range vals {
+		a, ok := v.(*collArgs)
+		if !ok || a.d != d {
+			return 0, fmt.Errorf("mpi: %s coordination corrupted", d.name)
+		}
+		if a0 == nil {
+			a0 = a
+		}
+		if a.root != a0.root || a.comp != a0.comp || a.op.Name != a0.op.Name || a.recovering != a0.recovering {
+			return 0, d.mismatch()
+		}
+	}
+	if d.rooted && (a0.root < 0 || int64(a0.root) >= n) {
+		return 0, fmt.Errorf("mpi: %s root %d out of range", d.name, a0.root)
+	}
+	unit := int64(len(a0.buf(&d.roles[0])))
+	if d.roles[0].perRank {
+		if unit%n != 0 {
+			return 0, fmt.Errorf("mpi: %s buffer of %d bytes is not a multiple of %d ranks", d.name, unit, n)
+		}
+		unit /= n
+	}
+	if elem := a0.op.ElemSize; elem > 1 && unit%elem != 0 {
+		return 0, fmt.Errorf("mpi: %s buffer of %d bytes is not a multiple of element size %d", d.name, unit, elem)
+	}
+	for i, v := range vals {
+		a := v.(*collArgs)
+		for ri := range d.roles {
+			r := &d.roles[ri]
+			if r.atRoot && i != a0.root {
+				continue
+			}
+			want := unit
+			if r.perRank {
+				want *= n
+			}
+			got := int64(len(a.buf(r)))
+			if got == want {
+				continue
+			}
+			if ri == 0 {
+				return 0, d.mismatch()
+			}
+			which := "recv"
+			if !r.recv {
+				which = "send"
+			}
+			if r.atRoot {
+				which = "root " + which
+			}
+			return 0, fmt.Errorf("mpi: %s %s buffer is %d bytes, want %d", d.name, which, got, want)
+		}
+	}
+	return unit, nil
+}
+
+func (d *collective) mismatch() error {
+	return fmt.Errorf("mpi: %s arguments mismatch across ranks", d.name)
+}
+
+// digests computes the end-to-end digests a plan carries, from the clean
+// source buffers before any byte moves.
+func (d *collective) digests(vals []any, root int) []uint32 {
+	switch d.digest {
+	case digestRoot:
+		return []uint32{integrity.Digest(vals[root].(*collArgs).recv)}
+	case digestSegments:
+		out := make([]uint32, len(vals))
+		for i, v := range vals {
+			out[i] = integrity.Digest(v.(*collArgs).send)
+		}
+		return out
+	}
+	return nil
+}
+
+// run is the one call path of every collective: deposit the arguments,
+// let the last arriver build the shared plan, execute this member's share
+// and vote on the outcome.
+func (c *Comm) run(ctx context.Context, a collArgs) error {
+	_, result, err := c.coordinateCtx(ctx, &a, c.buildPlan)
+	if err != nil {
+		return err
+	}
+	return c.runPlan(result.(*collPlan), &a)
+}
+
+// buildPlan is the plan-building rendezvous, run exactly once per
+// collective by the last-arriving member over every member's collArgs:
+// check the arguments, pick the schedule (selector or fixed component,
+// through the plan cache) — after a shrink, the cheaper of that and a delta
+// repair over the merged ledgers — and bind the caller buffers to it.
+func (c *Comm) buildPlan(vals []any) (any, error) {
+	d := vals[c.rank].(*collArgs).d // the builder's own deposit
+	unit, err := d.check(vals)
+	if err != nil {
+		return nil, err
+	}
+	if unit == 0 {
+		return c.state.emptyPlan(d.name, len(vals)), nil
+	}
+	a0 := vals[0].(*collArgs)
+	root := a0.root
+	full, ad, err := c.schedule(d, a0.comp, root, unit, a0.op.ElemSize)
+	if err != nil {
+		return nil, err
+	}
+	s, op, mode, missing := full, d.name, "", 0
+	if a0.recovering {
+		s, mode, missing = c.chooseRecovery(d, vals, full, unit)
+		if mode == recoverRepair {
+			op += ".repair"
+		}
+	}
+	plan, err := c.state.newPlan(op, s, func(rank int, name string) []byte {
+		return d.bound(vals[rank].(*collArgs), name, rank == root)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if a0.recovering {
+		moved, fullBytes := s.TotalCopiedBytes(), full.TotalCopiedBytes()
+		c.state.world.tracer.Recovery(d.name, mode, missing, moved, fullBytes, fullBytes-moved)
+	} else {
+		plan.notePlanCache(ad)
+	}
+	if c.state.world.e2eEnabled() {
+		plan.digests = d.digests(vals, root)
+	}
+	// Per-op ledger marks are exact only where the schedule copies straight
+	// between caller buffers at true payload offsets: the distance-aware
+	// component and every repair schedule. The baselines stage through
+	// bounce buffers, so for them the whole result is marked held only
+	// after the end-to-end digests verify (Comm.verify).
+	plan.exact = a0.comp == KNEMColl || mode == recoverRepair
+	return plan, nil
+}
+
+// Bcast broadcasts the root's buffer to every member. All members must
+// pass equal-length buffers, the same root and the same component.
+func (c *Comm) Bcast(buf []byte, root int, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opBcast], recv: buf, root: root, comp: comp})
+}
+
+// Allgather gathers every member's send buffer into every member's recv
+// buffer in communicator-rank order. recv must be Size()·len(send) bytes.
+func (c *Comm) Allgather(send, recv []byte, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opAllgather], send: send, recv: recv, comp: comp})
+}
+
+// Reduce combines every member's send buffer with op; the result lands in
+// the root's recv buffer (nil elsewhere). This is the paper's §VI
+// future-work extension: the distance-aware component reduces up the
+// Algorithm-1 tree, so partial results cross each slow link exactly once.
+// Buffer lengths must be a multiple of the operator's element size.
+func (c *Comm) Reduce(send, recv []byte, root int, op ReduceOp, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opReduce], send: send, recv: recv, root: root, comp: comp, op: op})
+}
+
+// Allreduce combines every member's send buffer with op and delivers the
+// result to every member's recv buffer. Buffer lengths must be a multiple
+// of the operator's element size.
+func (c *Comm) Allreduce(send, recv []byte, op ReduceOp, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opAllreduce], send: send, recv: recv, comp: comp, op: op})
+}
+
+// Gather collects every member's send block into the root's recv buffer
+// (Size()·len(send) bytes) in communicator-rank order; recv is ignored on
+// other ranks.
+func (c *Comm) Gather(send, recv []byte, root int, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opGather], send: send, recv: recv, root: root, comp: comp})
+}
+
+// Scatter distributes the root's send buffer (Size()·len(recv) bytes, in
+// communicator-rank order) so every member's recv buffer holds its block;
+// send is ignored on other ranks.
+func (c *Comm) Scatter(send, recv []byte, root int, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opScatter], send: send, recv: recv, root: root, comp: comp})
+}
+
+// Alltoall exchanges one block with every member: send and recv are
+// Size()·block bytes; recv[a·block:] ends up holding rank a's block for
+// the caller.
+func (c *Comm) Alltoall(send, recv []byte, comp Component) error {
+	return c.run(context.Background(), collArgs{d: &collectives[opAlltoall], send: send, recv: recv, comp: comp})
+}

@@ -183,15 +183,16 @@ func TestEndToEndDigestVerification(t *testing.T) {
 		}
 		c := p.Comm()
 		want := pattern(0, 256)
-		plan := &collPlan{op: "bcast", id: 99, hasDigest: true, digest: integrity.Digest(want)}
+		plan := &collPlan{op: "bcast", id: 99, digests: []uint32{integrity.Digest(want)}}
+		bcast := &collectives[opBcast]
 
 		clean := append([]byte(nil), want...)
-		if err := c.verifyBcastDigest(plan, clean, 0); err != nil {
+		if err := c.verifyDigests(plan, &collArgs{d: bcast, recv: clean}); err != nil {
 			t.Errorf("clean buffer failed digest verification: %v", err)
 		}
 		tampered := append([]byte(nil), want...)
 		tampered[17] ^= 0xFF
-		err := c.verifyBcastDigest(plan, tampered, 0)
+		err := c.verifyDigests(plan, &collArgs{d: bcast, recv: tampered})
 		var ce *CorruptionError
 		if !errors.As(err, &ce) || !ce.EndToEnd {
 			t.Errorf("tampered buffer gave %v, want end-to-end CorruptionError", err)
@@ -200,11 +201,12 @@ func TestEndToEndDigestVerification(t *testing.T) {
 		agPlan := &collPlan{op: "allgather", id: 100,
 			digests: []uint32{integrity.Digest(pattern(0, 64)), integrity.Digest(pattern(1, 64))}}
 		recv := append(pattern(0, 64), pattern(1, 64)...)
-		if err := c.verifyAllgatherDigests(agPlan, recv, 64); err != nil {
+		ag := &collArgs{d: &collectives[opAllgather], recv: recv}
+		if err := c.verifyDigests(agPlan, ag); err != nil {
 			t.Errorf("clean allgather failed digest verification: %v", err)
 		}
 		recv[70] ^= 0xFF
-		err = c.verifyAllgatherDigests(agPlan, recv, 64)
+		err = c.verifyDigests(agPlan, ag)
 		if !errors.As(err, &ce) || !ce.EndToEnd || ce.Src != 1 {
 			t.Errorf("tampered segment gave %v, want end-to-end CorruptionError from rank 1", err)
 		}

@@ -350,7 +350,13 @@ func TestCompactRecvPreservesHeldSegments(t *testing.T) {
 	led.MarkHeld(0)
 	led.MarkHeld(2)
 	led.MarkHeld(3)
-	compactRecv(recv, block, oldGroup, newGroup, led)
+	a := &collArgs{send: make([]byte, block), recv: recv, led: segLedger{led}}
+	if err := compactRecv(a, oldGroup, newGroup); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.recv) != len(newGroup)*block {
+		t.Errorf("recv is %d bytes after compaction, want %d", len(a.recv), len(newGroup)*block)
+	}
 	if !bytes.Equal(recv[0:4], []byte{0, 0, 0, 0}) {
 		t.Errorf("origin 0 block moved: %v", recv[0:4])
 	}

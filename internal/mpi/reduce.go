@@ -2,13 +2,9 @@ package mpi
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
-	"distcoll/internal/baseline"
-	"distcoll/internal/core"
 	"distcoll/internal/sched"
-	"distcoll/internal/tune"
 )
 
 // ReduceOp is a reduction operator over byte vectors. Operators must be
@@ -59,184 +55,6 @@ var (
 	}}
 )
 
-// reduceArgs is each member's contribution to a Reduce.
-type reduceArgs struct {
-	send, recv []byte
-	root       int
-	op         string
-	comp       Component
-}
-
-// Reduce combines every member's send buffer with op; the result lands in
-// the root's recv buffer (nil elsewhere). This is the paper's §VI
-// future-work extension: the distance-aware component reduces up the
-// Algorithm-1 tree, so partial results cross each slow link exactly once.
-func (c *Comm) Reduce(send, recv []byte, root int, op ReduceOp, comp Component) error {
-	_, result, err := c.coordinate(reduceArgs{send: send, recv: recv, root: root, op: op.Name, comp: comp},
-		func(vals []any) (any, error) {
-			args := make([]reduceArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(reduceArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: reduce coordination corrupted")
-				}
-				args[i] = a
-				if a.root != args[0].root || a.comp != args[0].comp ||
-					a.op != args[0].op || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: reduce arguments mismatch across ranks")
-				}
-			}
-			rt := args[0].root
-			if rt < 0 || rt >= len(args) {
-				return nil, fmt.Errorf("mpi: reduce root %d out of range", rt)
-			}
-			if len(args[rt].recv) != len(args[rt].send) {
-				return nil, fmt.Errorf("mpi: reduce root recv buffer is %d bytes, want %d",
-					len(args[rt].recv), len(args[rt].send))
-			}
-			size := int64(len(args[0].send))
-			if size == 0 {
-				return c.state.emptyPlan("reduce", len(args)), nil
-			}
-			s, ad, err := c.buildReduce(size, rt, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				switch {
-				case name == "send":
-					return args[rank].send
-				case name == "acc" && rank == rt:
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan("reduce", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			return plan, nil
-		})
-	if err != nil {
-		return err
-	}
-	return c.runPlanVerified(result.(*collPlan), op.Combine, nil)
-}
-
-// allreduceArgs is each member's contribution to an Allreduce.
-type allreduceArgs struct {
-	send, recv []byte
-	op         string
-	elem       int64
-	comp       Component
-}
-
-// Allreduce combines every member's send buffer with op and delivers the
-// result to every member's recv buffer. Buffer lengths must be a multiple
-// of the operator's element size.
-func (c *Comm) Allreduce(send, recv []byte, op ReduceOp, comp Component) error {
-	elem := op.ElemSize
-	if elem < 1 {
-		elem = 1
-	}
-	_, result, err := c.coordinate(allreduceArgs{send: send, recv: recv, op: op.Name, elem: elem, comp: comp},
-		func(vals []any) (any, error) {
-			args := make([]allreduceArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(allreduceArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: allreduce coordination corrupted")
-				}
-				args[i] = a
-				if a.comp != args[0].comp || a.op != args[0].op || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: allreduce arguments mismatch across ranks")
-				}
-				if a.elem > 0 && int64(len(a.send))%a.elem != 0 {
-					return nil, fmt.Errorf("mpi: allreduce buffer of %d bytes is not a multiple of element size %d",
-						len(a.send), a.elem)
-				}
-				if len(a.recv) != len(a.send) {
-					return nil, fmt.Errorf("mpi: allreduce recv buffer is %d bytes, want %d",
-						len(a.recv), len(a.send))
-				}
-			}
-			size := int64(len(args[0].send))
-			if size == 0 {
-				return c.state.emptyPlan("allreduce", len(args)), nil
-			}
-			s, ad, err := c.buildAllreduce(size, args[0].elem, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				switch name {
-				case "send":
-					return args[rank].send
-				case "recv":
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan("allreduce", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			return plan, nil
-		})
-	if err != nil {
-		return err
-	}
-	return c.runPlanVerified(result.(*collPlan), op.Combine, nil)
-}
-
-func (c *Comm) buildReduce(size int64, root int, comp Component) (*sched.Schedule, *adecision, error) {
-	if comp == Adaptive {
-		return c.adaptiveSchedule(tune.CollReduce, root, size, 0)
-	}
-	s, err := c.fixedSchedule("reduce", comp, root, size, 0, func() (*sched.Schedule, error) {
-		n := c.Size()
-		switch comp {
-		case KNEMColl:
-			tree, err := c.state.distanceTree(root)
-			if err != nil {
-				return nil, err
-			}
-			return core.CompileReduce(tree, size, 0)
-		case Tuned:
-			return baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.SMKnemBTL())
-		default:
-			return baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.NemesisSM())
-		}
-	})
-	return s, nil, err
-}
-
-func (c *Comm) buildAllreduce(size, align int64, comp Component) (*sched.Schedule, *adecision, error) {
-	if comp == Adaptive {
-		return c.adaptiveSchedule(tune.CollAllreduce, 0, size, align)
-	}
-	s, err := c.fixedSchedule("allreduce", comp, 0, size, align, func() (*sched.Schedule, error) {
-		n := c.Size()
-		switch comp {
-		case KNEMColl:
-			ring, err := c.state.distanceRing()
-			if err != nil {
-				return nil, err
-			}
-			return core.CompileAllreduce(ring, size, align)
-		case Tuned:
-			return baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.SMKnemBTL())
-		default:
-			return baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.NemesisSM())
-		}
-	})
-	return s, nil, err
-}
-
 // move performs one op's data movement into dst: a receiver-driven single
 // copy through the device for kernel-assisted ops (with transient retry), a
 // plain copy otherwise. Kernel-assisted reduces pull into a scratch buffer
@@ -253,9 +71,9 @@ func (m *member) move(o *sched.Op, dst []byte) error {
 		if err := m.c.knemPull(m.plan, m.wr, o, tmp); err != nil {
 			return err
 		}
-		m.combine(dst, tmp)
+		m.a.op.Combine(dst, tmp)
 	case o.Kind == sched.OpReduce:
-		m.combine(dst, src)
+		m.a.op.Combine(dst, src)
 	case o.Mode == sched.ModeKnem:
 		return m.c.knemPull(m.plan, m.wr, o, dst)
 	default:

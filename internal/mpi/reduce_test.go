@@ -146,6 +146,21 @@ func TestReduceValidation(t *testing.T) {
 		if err := p.Comm().Reduce(make([]byte, 64), recv, 0, OpBXOR, KNEMColl); err == nil {
 			return fmt.Errorf("undersized root recv accepted")
 		}
+		// Buffers hold whole elements, for Reduce as for Allreduce.
+		if err := p.Comm().Reduce(make([]byte, 12), make([]byte, 12), 0, OpSumInt64, KNEMColl); err == nil {
+			return fmt.Errorf("reduce: 12-byte buffer accepted for an 8-byte operator")
+		}
+		if err := p.Comm().Allreduce(make([]byte, 12), make([]byte, 12), OpSumInt64, KNEMColl); err == nil {
+			return fmt.Errorf("allreduce: 12-byte buffer accepted for an 8-byte operator")
+		}
+		// The root is checked before the zero-size shortcut, on every
+		// rooted collective.
+		if err := p.Comm().Bcast(nil, -3, KNEMColl); err == nil {
+			return fmt.Errorf("zero-byte bcast accepted root -3")
+		}
+		if err := p.Comm().Gather(nil, nil, 4, Tuned); err == nil {
+			return fmt.Errorf("zero-byte gather accepted root 4 of 4")
+		}
 		// Mismatched operator names across ranks.
 		op := OpBXOR
 		if p.Rank() == 2 {

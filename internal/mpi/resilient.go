@@ -150,6 +150,60 @@ func (b *retryBudget) spend(ctx context.Context, op string, cause error) error {
 	}
 }
 
+// resilient is the one escalation ladder, run by every member with its own
+// arguments a: run the collective; retry in place on a uniform digest
+// mismatch; on member failures shrink, re-seat the arguments through the
+// descriptor's after-shrink hook, and run the recovery attempt — delta
+// repair where the descriptor keeps a ledger, a restart otherwise. ctx
+// bounds the recovery machinery: the agreement round inside Shrink and the
+// recovery rendezvous, the two phases that block on every survivor showing
+// up and so can wedge indefinitely when one never does, return a HangError
+// once it expires. The first-run data path keeps the world watchdog as its
+// hang bound. Returns the communicator that finally completed the
+// operation and the (possibly shrunken) recv buffer.
+func (c *Comm) resilient(ctx context.Context, a collArgs) (*Comm, []byte, error) {
+	cur := c
+	budget := newRetryBudget(uint64(c.state.id)<<32 | uint64(c.rank))
+	for try := 0; ; try++ {
+		runCtx := context.Background()
+		if a.recovering {
+			runCtx = ctx
+		}
+		err := cur.run(runCtx, a)
+		a.recovering = false
+		if err == nil {
+			return cur, a.recv, nil
+		}
+		// Partition rung: partition-shaped evidence forces a quorum
+		// decision before the ladder escalates. A minority caller's
+		// PartitionError is terminal; a majority caller continues down
+		// the ladder and shrinks around the fenced minority.
+		if perr := cur.partitionRung(err); perr != nil {
+			return cur, nil, perr
+		}
+		if fault.IsCrashed(err) || !recoverable(cur, err) || try >= maxRecoveries(c)+MaxInPlaceRetries {
+			return cur, nil, err
+		}
+		if retryInPlace(cur, err) {
+			if berr := budget.spend(ctx, a.d.name, err); berr != nil {
+				return cur, nil, berr
+			}
+			if cur.rank == 0 {
+				cur.state.world.tracer.Recovery(a.d.name, recoverRetry, 0, 0, 0, 0)
+			}
+			continue
+		}
+		next, serr := cur.ShrinkContext(ctx)
+		if serr != nil {
+			return cur, nil, serr
+		}
+		if herr := a.d.afterShrink(&a, cur.state.group, next.state.group); herr != nil {
+			return next, nil, herr
+		}
+		cur, a.recovering = next, true
+	}
+}
+
 // BcastResilient broadcasts like Bcast but survives member failures: when
 // the collective fails because ranks died, every survivor shrinks to the
 // same successor communicator (whose distance-aware tree is rebuilt over
@@ -166,70 +220,17 @@ func (c *Comm) BcastResilient(buf []byte, root int, comp Component) (*Comm, erro
 }
 
 // BcastResilientContext is BcastResilient with a caller-supplied
-// deadline on the recovery machinery: the agreement round inside Shrink
-// and the delta-repair rendezvous — the two phases that block on
-// every survivor showing up and so can wedge indefinitely when one
-// never does — return a HangError once ctx expires. The first-run data
-// path keeps the world watchdog as its hang bound.
+// deadline on the recovery machinery (see Comm.resilient).
 func (c *Comm) BcastResilientContext(ctx context.Context, buf []byte, root int, comp Component) (*Comm, error) {
 	if root < 0 || root >= c.Size() {
 		return c, fmt.Errorf("mpi: bcast root %d out of range", root)
 	}
-	rootWorld := c.state.group[root]
 	led := recovery.NewChunkLedger(int64(len(buf)))
 	if c.rank == root {
 		led.MarkAll() // the root's caller buffer is the payload
 	}
-	cur := c
-	budget := newRetryBudget(uint64(c.state.id)<<32 | uint64(c.rank))
-	shrunk := false
-	for try := 0; ; try++ {
-		r := -1
-		for i, wr := range cur.state.group {
-			if wr == rootWorld {
-				r = i
-				break
-			}
-		}
-		if r < 0 {
-			return cur, fmt.Errorf("mpi: broadcast root (world rank %d) failed; cannot recover", rootWorld)
-		}
-		var err error
-		if shrunk {
-			_, err = cur.bcastDelta(ctx, buf, r, comp, led)
-			shrunk = false
-		} else {
-			err = cur.bcastLedger(buf, r, comp, led)
-		}
-		if err == nil {
-			return cur, nil
-		}
-		// Partition rung: partition-shaped evidence forces a quorum
-		// decision before the ladder escalates. A minority caller's
-		// PartitionError is terminal; a majority caller continues down
-		// the ladder and shrinks around the fenced minority.
-		if perr := cur.partitionRung(err); perr != nil {
-			return cur, perr
-		}
-		if fault.IsCrashed(err) || !recoverable(cur, err) || try >= maxRecoveries(c)+MaxInPlaceRetries {
-			return cur, err
-		}
-		if retryInPlace(cur, err) {
-			if berr := budget.spend(ctx, "bcast", err); berr != nil {
-				return cur, berr
-			}
-			if cur.rank == 0 {
-				cur.state.world.tracer.Recovery("bcast", recoverRetry, 0, 0, 0, 0)
-			}
-			continue
-		}
-		next, serr := cur.ShrinkContext(ctx)
-		if serr != nil {
-			return cur, serr
-		}
-		cur = next
-		shrunk = true
-	}
+	cur, _, err := c.resilient(ctx, collArgs{d: &collectives[opBcast], recv: buf, root: root, comp: comp, led: chunkLedger{led}})
+	return cur, err
 }
 
 // AllgatherResilient gathers like Allgather but survives member failures.
@@ -251,46 +252,6 @@ func (c *Comm) AllgatherResilientContext(ctx context.Context, send, recv []byte,
 	if len(recv) != c.Size()*len(send) {
 		return c, nil, fmt.Errorf("mpi: allgather recv buffer is %d bytes, want %d", len(recv), c.Size()*len(send))
 	}
-	led := recovery.NewSegLedger()
-	cur := c
-	budget := newRetryBudget(uint64(c.state.id)<<32 | uint64(c.rank))
-	shrunk := false
-	lastGroup := append([]int(nil), c.state.group...)
-	for try := 0; ; try++ {
-		out := recv[:cur.Size()*len(send)]
-		var err error
-		if shrunk {
-			_, err = cur.allgatherDelta(ctx, send, out, comp, led)
-			shrunk = false
-		} else {
-			err = cur.allgatherLedger(send, out, comp, led)
-		}
-		if err == nil {
-			return cur, out, nil
-		}
-		// Partition rung, as in BcastResilientContext.
-		if perr := cur.partitionRung(err); perr != nil {
-			return cur, nil, perr
-		}
-		if fault.IsCrashed(err) || !recoverable(cur, err) || try >= maxRecoveries(c)+MaxInPlaceRetries {
-			return cur, nil, err
-		}
-		if retryInPlace(cur, err) {
-			if berr := budget.spend(ctx, "allgather", err); berr != nil {
-				return cur, nil, berr
-			}
-			if cur.rank == 0 {
-				cur.state.world.tracer.Recovery("allgather", recoverRetry, 0, 0, 0, 0)
-			}
-			continue
-		}
-		next, serr := cur.ShrinkContext(ctx)
-		if serr != nil {
-			return cur, nil, serr
-		}
-		cur = next
-		compactRecv(recv, int64(len(send)), lastGroup, cur.state.group, led)
-		lastGroup = append([]int(nil), cur.state.group...)
-		shrunk = true
-	}
+	return c.resilient(ctx, collArgs{d: &collectives[opAllgather], send: send, recv: recv, comp: comp,
+		led: segLedger{recovery.NewSegLedger()}})
 }

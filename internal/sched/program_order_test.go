@@ -75,7 +75,7 @@ func TestEveryCompilerEmitsProgramOrder(t *testing.T) {
 				for _, chunk := range []int64{0, 4096} {
 					s, err := core.CompileBroadcast(tree, size, chunk)
 					check("core bcast "+rtag, s, err)
-					s, err = core.CompileReduce(tree, size, chunk)
+					s, err = core.CompileReduce(tree, size, chunk, 0)
 					check("core reduce "+rtag, s, err)
 				}
 				if size <= 4096 { // gather/scatter stage n·block bytes per rank

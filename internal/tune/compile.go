@@ -23,8 +23,8 @@ import (
 // selected at sizes where the dense path is affordable.
 //
 // bytes is the full message for bcast/reduce/allreduce and the per-rank
-// block for allgather; align is the reduction element size (allreduce
-// only; ≤1 means byte-wise).
+// block for allgather; align is the reduction element size (reduce and
+// allreduce; ≤1 means byte-wise).
 func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, align int64) (*sched.Schedule, error) {
 	n := v.Size()
 	switch coll {
@@ -63,7 +63,7 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 			if err != nil {
 				return nil, err
 			}
-			return core.CompileReduce(tree, bytes, d.Chunk)
+			return core.CompileReduce(tree, bytes, d.Chunk, align)
 		case ComponentTuned:
 			return baseline.CompileReduce(n, root, bytes, baseline.TunedReduceDecision(n, bytes), baseline.SMKnemBTL())
 		case ComponentMPICH:

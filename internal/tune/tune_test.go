@@ -8,6 +8,7 @@ import (
 	"distcoll/internal/binding"
 	"distcoll/internal/distance"
 	"distcoll/internal/hwtopo"
+	"distcoll/internal/sched"
 )
 
 func matrixFor(t *testing.T, machineName, bindName string, n int) distance.Matrix {
@@ -352,11 +353,18 @@ func TestCompileForAllDecisions(t *testing.T) {
 			{Component: ComponentKNEM},
 			{Component: ComponentKNEM, Linear: true},
 			{Component: ComponentKNEM, Chunk: 4096},
+			{Component: ComponentKNEM, Chunk: 4100}, // not a multiple of the element
 		} {
 			s, err := CompileFor(coll, d, m, 0, 16384, 8)
 			if err != nil {
 				t.Errorf("CompileFor(%s, %s): %v", coll, d, err)
 				continue
+			}
+			for _, op := range s.Ops {
+				if op.Kind == sched.OpReduce && (op.SrcOff%8 != 0 || op.Bytes%8 != 0) {
+					t.Errorf("CompileFor(%s, %s): reduce op %d [%d,+%d) splits an 8-byte element", coll, d, op.ID, op.SrcOff, op.Bytes)
+					break
+				}
 			}
 			if err := s.Validate(); err != nil {
 				t.Errorf("CompileFor(%s, %s) schedule invalid: %v", coll, d, err)
