@@ -121,11 +121,10 @@ type qstate struct {
 // measurement has the final word — a misfitted model costs exploration
 // rounds, never a converged-to-wrong-answer.
 type Tuner struct {
-	cfg       Config
-	overlay   *tune.Overlay
-	view      distance.View
-	fp        tune.Fingerprint
-	clustered bool
+	cfg     Config
+	overlay *tune.Overlay
+	view    distance.View
+	fp      tune.Fingerprint
 
 	mu           sync.Mutex
 	collector    *Collector
@@ -148,13 +147,11 @@ type Tuner struct {
 // static selector the overlay wraps (nil for fallback-only); decisions
 // flow out through Overlay().
 func NewTuner(base *tune.Selector, v distance.View, cfg Config) *Tuner {
-	fp := tune.FingerprintOf(v)
 	return &Tuner{
 		cfg:       cfg.withDefaults(),
 		overlay:   tune.NewOverlay(base),
 		view:      v,
-		fp:        fp,
-		clustered: fp.MaxDist > distance.MaxIntraNode,
+		fp:        tune.FingerprintOf(v),
 		collector: NewCollector(cfg.withDefaults().Window),
 		pending:   make(map[int64]pendingPlan),
 		cells:     make(map[qcell]*qstate),
@@ -366,7 +363,7 @@ func (t *Tuner) decideCell(pricer *Pricer, s cellSnap) (Revision, bool) {
 		measured bool
 	}
 	var list []pc
-	for _, cand := range tune.Candidates(coll, t.clustered) {
+	for _, cand := range tune.Candidates(coll, false) {
 		if med, ok := s.med[cand.String()]; ok {
 			list = append(list, pc{d: cand, price: med, measured: true})
 			continue

@@ -68,7 +68,10 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	view := distance.NewMatrix(topo, bind.Cores())
+	view, err := distance.NewClustered(topo, bind.Cores()) // what a world on this binding compiles over
+	if err != nil {
+		return nil, err
+	}
 
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("%s%d-replay", machine, np)
@@ -128,7 +131,6 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 	model := collector.Fit()
 	pricer := NewPricer(model, view)
 	fp := tune.FingerprintOf(view)
-	clustered := fp.MaxDist > distance.MaxIntraNode
 	overlay := tune.NewOverlay(nil)
 
 	colls := make([]tune.Collective, 0, len(collSeen))
@@ -148,7 +150,7 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 			mc := measured[qcell{coll: coll, bucket: Bucket(size)}]
 			var best tune.Decision
 			bestPrice, found := 0.0, false
-			for _, cand := range tune.Candidates(coll, clustered) {
+			for _, cand := range tune.Candidates(coll, false) {
 				var price float64
 				if mc != nil && len(mc.secs[cand.String()]) > 0 {
 					price = median(mc.secs[cand.String()])

@@ -216,10 +216,10 @@ func LeaderPool(sc Scenario) []int {
 		return nil
 	}
 	cv, err := distance.NewClustered(topo, b.Cores())
-	if err != nil || len(cv.Machines()) <= 1 {
+	if err != nil || !cv.MultiMachine() {
 		return nil
 	}
-	tree, err := core.BuildBroadcastTreeHier(cv, 0, core.TreeOptions{})
+	tree, err := core.TreeFor(cv, 0) // the tree the world communicator builds
 	if err != nil {
 		return nil
 	}
@@ -605,7 +605,11 @@ func checkTraces(res *Result, sc Scenario, topo *hwtopo.Topology, b *binding.Bin
 	if len(res.Failed) > 0 || res.Attempts != 1 || res.Completed == 0 {
 		return
 	}
-	m := distance.NewMatrix(topo, b.Cores())
+	m, err := distance.NewClustered(topo, b.Cores())
+	if err != nil {
+		res.violate("invariant", -1, "%v", err)
+		return
+	}
 	copies := trace.FilterOp(events, trace.KindCopy, sc.Collective)
 	switch sc.Collective {
 	case "bcast":

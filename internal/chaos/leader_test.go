@@ -94,13 +94,14 @@ func TestLeaderReelectionAfterShrink(t *testing.T) {
 	victim := pool[0]
 	victimMachine := cv.MachineIndex(victim)
 
-	var survivors []int
+	var survivors, survivorCores []int
 	for r := 0; r < sc.Ranks; r++ {
 		if r != victim {
 			survivors = append(survivors, r)
+			survivorCores = append(survivorCores, b.Cores()[r])
 		}
 	}
-	sub, err := cv.Restrict(survivors)
+	sub, err := distance.NewClustered(topo, survivorCores) // the shrunken communicator's view
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func CompileAlltoallDirect(n int, block int64) (*sched.Schedule, error) {
 // — the finest level is used only if the caller insists (it is also what
 // the correctness tests exercise intra-node). Returns nil when no useful
 // grouping exists.
-func alltoallClusters(m distance.Matrix) [][]int {
+func alltoallClusters(m distance.View) [][]int {
 	n := m.Size()
 	minD, maxD := 0, 0
 	for i := 0; i < n; i++ {
@@ -101,7 +101,7 @@ func alltoallClusters(m distance.Matrix) [][]int {
 		// in the alltoall extension experiment). Use the direct schedule.
 		return nil
 	}
-	clusters := m.Clusters(distance.MaxIntraNode) // group by machine
+	clusters := distance.Clusters(m, distance.MaxIntraNode) // group by machine
 	if len(clusters) <= 1 || len(clusters) == n {
 		return nil
 	}
@@ -111,7 +111,7 @@ func alltoallClusters(m distance.Matrix) [][]int {
 // CompileAlltoallHierarchical compiles the leader-aggregated alltoall.
 // Falls back to the direct schedule when the placement offers no useful
 // clustering.
-func CompileAlltoallHierarchical(m distance.Matrix, block int64) (*sched.Schedule, error) {
+func CompileAlltoallHierarchical(m distance.View, block int64) (*sched.Schedule, error) {
 	n := m.Size()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty communicator")

@@ -12,7 +12,7 @@
 //     fan-out ≤ 2 constraint that clusters physical neighbors and closes
 //     the resulting Hamiltonian path into a ring.
 //
-// Both consume a distance.Matrix, so they adapt automatically to the
+// Both consume a distance.View, so they adapt automatically to the
 // communicator membership, the process placement and the hardware — the
 // three ingredients whose mismatch the paper diagnoses.
 package core
@@ -61,7 +61,7 @@ func CollapseBelow(d int) Levels {
 
 // allEdges enumerates the complete graph over n ranks with transformed
 // weights.
-func allEdges(m distance.Matrix, levels Levels) []Edge {
+func allEdges(m distance.View, levels Levels) []Edge {
 	if levels == nil {
 		levels = IdentityLevels
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"distcoll/internal/distance"
@@ -111,38 +110,10 @@ func transformedMatrix(m distance.Matrix, levels Levels) distance.Matrix {
 // without sorting edges: stars around leaf-cluster leaders, each cluster's
 // entry vertex hung under the champion entry of the enclosing cluster (the
 // root's cluster when present, else the deepest), the root leading every
-// cluster that contains it.
+// cluster that contains it. It is the cluster walk of
+// BuildBroadcastTreeHier over the transformed dense matrix.
 func BuildBroadcastTreeFast(m distance.Matrix, root int, opts TreeOptions) (*Tree, error) {
-	n := m.Size()
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty communicator")
-	}
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("core: root %d out of range [0,%d)", root, n)
-	}
-	tm := transformedMatrix(m, opts.Levels)
-	t := &Tree{
-		Root:         root,
-		Parent:       make([]int, n),
-		Children:     make([][]int, n),
-		ParentWeight: make([]int, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-	}
-	if n == 1 {
-		return t, nil
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	node := buildClusterTree(tm, all, distinctLevels(tm, nil))
-	attachTree(t, tm, node, root)
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("core: fast tree construction invalid: %w", err)
-	}
-	return t, nil
+	return BuildBroadcastTreeHier(transformedMatrix(m, opts.Levels), root, TreeOptions{})
 }
 
 // leaderOf returns the designated leader of a member set: the root if
@@ -220,38 +191,10 @@ func attachTree(t *Tree, m distance.View, node *clusterNode, root int) (entry, d
 // leader order, and the whole sequence closed into a ring. It guarantees
 // the same level structure as Algorithm 2 (each cluster occupies one
 // contiguous arc, so slow-link crossings are minimal), though the
-// member-level orientation may differ from the greedy's.
+// member-level orientation may differ from the greedy's. It is the layout
+// of BuildAllgatherRingHier over the transformed dense matrix.
 func BuildAllgatherRingFast(m distance.Matrix, opts RingOptions) (*Ring, error) {
-	n := m.Size()
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty communicator")
-	}
-	r := &Ring{
-		Right:       make([]int, n),
-		Left:        make([]int, n),
-		RightWeight: make([]int, n),
-	}
-	if n == 1 {
-		r.Right[0], r.Left[0] = 0, 0
-		return r, nil
-	}
-	tm := transformedMatrix(m, opts.Levels)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	node := buildClusterTree(tm, all, distinctLevels(tm, nil))
-	seq := layoutRing(node)
-	for i, v := range seq {
-		next := seq[(i+1)%n]
-		r.Right[v] = next
-		r.Left[next] = v
-		r.RightWeight[v] = tm.At(v, next)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("core: fast ring construction invalid: %w", err)
-	}
-	return r, nil
+	return BuildAllgatherRingHier(transformedMatrix(m, opts.Levels), RingOptions{})
 }
 
 // layoutRing flattens the cluster tree: leaves in ascending order,

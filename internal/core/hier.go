@@ -81,8 +81,20 @@ func netClusterNode(cv *distance.Clustered, members []int, tier int) *clusterNod
 
 // groupMembers partitions members by key, preserving member order inside
 // groups (members arrive ascending, so each group is ascending and
-// groups are ordered by their smallest member).
+// groups are ordered by their smallest member). A tier that does not split
+// the set — every network tier, on one machine — yields nil without
+// allocating.
 func groupMembers(members []int, cv *distance.Clustered, key func(*distance.Clustered, int) int) [][]int {
+	split := false
+	for _, r := range members[1:] {
+		if key(cv, r) != key(cv, members[0]) {
+			split = true
+			break
+		}
+	}
+	if !split {
+		return nil
+	}
 	idx := make(map[int]int, 4)
 	var groups [][]int
 	for _, r := range members {
@@ -149,7 +161,7 @@ func BuildBroadcastTreeHier(v distance.View, root int, opts TreeOptions) (*Tree,
 	}
 	attachTree(t, v, hierClusterTree(v), root)
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("core: hierarchical tree construction invalid: %w", err)
+		return nil, fmt.Errorf("core: cluster-walk tree construction invalid: %w", err)
 	}
 	return t, nil
 }
@@ -184,7 +196,7 @@ func BuildAllgatherRingHier(v distance.View, opts RingOptions) (*Ring, error) {
 		r.RightWeight[v2] = v.At(v2, next)
 	}
 	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("core: hierarchical ring construction invalid: %w", err)
+		return nil, fmt.Errorf("core: cluster-layout ring construction invalid: %w", err)
 	}
 	return r, nil
 }
@@ -195,8 +207,7 @@ func BuildAllgatherRingHier(v distance.View, opts RingOptions) (*Ring, error) {
 // than one machine. These are the processes whose death forces a
 // re-election (the chaos leader-crash cells target them).
 func TreeLeaders(t *Tree, cv *distance.Clustered) []int {
-	machines := cv.Machines()
-	if len(machines) <= 1 {
+	if !cv.MultiMachine() {
 		return nil
 	}
 	var leaders []int

@@ -19,7 +19,7 @@ import (
 // as a distance-aware tree rather than serializing on one holder.
 
 // CompileBcastRepair compiles the broadcast delta repair schedule over a
-// survivor communicator. m is the survivors' distance matrix, size the
+// survivor communicator. m is the survivors' distance view, size the
 // payload, and holds[r] the byte spans rank r verifiably holds (the
 // merged ledger rows). At least one rank must hold every chunk — in a
 // broadcast the surviving root always does. chunkBytes ≤ 0 selects the
@@ -31,10 +31,10 @@ import (
 // (rank, chunk) pull; ops of one rank are chained so its copy engine is
 // serialized, and a pull of a chunk acquired earlier in the plan depends
 // on the acquiring op.
-func CompileBcastRepair(m distance.Matrix, size, chunkBytes int64, holds []*recovery.IntervalSet) (*sched.Schedule, error) {
+func CompileBcastRepair(m distance.View, size, chunkBytes int64, holds []*recovery.IntervalSet) (*sched.Schedule, error) {
 	n := m.Size()
 	if len(holds) != n {
-		return nil, fmt.Errorf("core: repair holds for %d ranks, matrix has %d", len(holds), n)
+		return nil, fmt.Errorf("core: repair holds for %d ranks, view has %d", len(holds), n)
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("core: repair size %d", size)
@@ -129,10 +129,10 @@ func CompileBcastRepair(m distance.Matrix, size, chunkBytes int64, holds []*reco
 //
 // Buffers are named "send"/"recv" like CompileAllgather's; the Chunk field
 // of each op carries the origin's communicator rank for trace attribution.
-func CompileAllgatherRepair(m distance.Matrix, block int64, holds [][]bool) (*sched.Schedule, error) {
+func CompileAllgatherRepair(m distance.View, block int64, holds [][]bool) (*sched.Schedule, error) {
 	n := m.Size()
 	if len(holds) != n {
-		return nil, fmt.Errorf("core: repair holds for %d ranks, matrix has %d", len(holds), n)
+		return nil, fmt.Errorf("core: repair holds for %d ranks, view has %d", len(holds), n)
 	}
 	for v := range holds {
 		if len(holds[v]) != n {

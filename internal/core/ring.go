@@ -33,11 +33,11 @@ type RingOptions struct {
 	RecordTrace bool
 }
 
-// BuildAllgatherRing runs Algorithm 2 on the distance matrix: a greedy
+// BuildAllgatherRing runs Algorithm 2 on the distance view: a greedy
 // Kruskal-style pass with a fan-out < 2 constraint builds a Hamiltonian
 // path whose physical neighbor processes are clustered together; the two
 // path endpoints are then joined to close the ring.
-func BuildAllgatherRing(m distance.Matrix, opts RingOptions) (*Ring, error) {
+func BuildAllgatherRing(m distance.View, opts RingOptions) (*Ring, error) {
 	n := m.Size()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty communicator")

@@ -38,7 +38,7 @@ type TreeOptions struct {
 	RecordTrace bool
 }
 
-// BuildBroadcastTree runs Algorithm 1 on the distance matrix: a Kruskal
+// BuildBroadcastTree runs Algorithm 1 on the distance view: a Kruskal
 // minimum spanning tree with the root-aware edge ordering, rooted at root.
 //
 // Equal-weight edges are processed as one level. The components a level's
@@ -53,7 +53,7 @@ type TreeOptions struct {
 // trees. On a non-ultrametric matrix a member whose re-anchored edge is
 // off-weight falls back to an accepted Kruskal edge of the level, keeping
 // the weight minimal; depth is then best-effort.
-func BuildBroadcastTree(m distance.Matrix, root int, opts TreeOptions) (*Tree, error) {
+func BuildBroadcastTree(m distance.View, root int, opts TreeOptions) (*Tree, error) {
 	n := m.Size()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty communicator")

@@ -7,25 +7,50 @@ import (
 	"distcoll/internal/hwtopo"
 )
 
-// FuzzClusteredView decodes a payload into a cluster shape plus a
-// placement and checks the sparse view's metric invariants against the
-// dense oracle: symmetry, zero diagonal, the strong triangle inequality
+// FuzzClusteredView decodes a payload into a cluster shape, a node shape
+// plus a placement and checks the sparse view's metric invariants against
+// the dense oracle: symmetry, zero diagonal, the strong triangle inequality
 // (the ultrametric law every hierarchical machine metric obeys), and
-// entry-for-entry equality with distance.NewMatrix over the same
-// placement.
+// entry-for-entry equality with distance.NewMatrix — the hwtopo
+// predicates — over the same placement. The node shape varies every tier
+// the view keeps a coordinate for: boards, sockets, dies under a socket,
+// one controller per socket or one per machine, shared and private caches.
 func FuzzClusteredView(f *testing.F) {
-	// racks, switches, nodes, cores-per-die, then placement selector bytes.
+	// racks, switches, nodes, node shape (low 2 bits cores-per-die, then one
+	// bit per departure from IG-lite), then placement selector bytes.
 	f.Add([]byte{0, 2, 2, 3, 0x55, 0xaa})
 	f.Add([]byte{2, 2, 2, 2, 0xff, 0x0f, 0xf0})
 	f.Add([]byte{3, 1, 3, 4, 0x01, 0x80, 0x7e, 0x3c})
 	f.Add([]byte{1, 1, 1, 2, 0xff})
+	f.Add([]byte{0, 1, 2, 0x35, 0xff, 0xff, 0xff, 0xff})       // two boards, two dies, one controller (Zoot-like)
+	f.Add([]byte{1, 2, 1, 0xc9, 0xb7, 0xff, 0x6d})             // one socket, no caches at all
+	f.Add([]byte{0, 2, 3, 0x52, 0xff, 0x0f, 0xff, 0xf0, 0xff}) // two dies, private caches only
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			t.Skip()
 		}
 		node := hwtopo.IGLiteSpec()
 		node.Name = "fuzznode"
-		node.CoresPerDie = 1 + int(data[3]%4)
+		shape := data[3]
+		node.CoresPerDie = 1 + int(shape%4)
+		if shape&0x04 != 0 {
+			node.Boards = 2
+		}
+		if shape&0x08 != 0 {
+			node.SocketsPerBoard = 1
+		}
+		if shape&0x10 != 0 {
+			node.DiesPerSocket = 2
+		}
+		if shape&0x20 != 0 {
+			node.NUMAPerSocket = false
+		}
+		if shape&0x40 != 0 {
+			node.SharedCacheSize = 0
+		}
+		if shape&0x80 != 0 {
+			node.PrivateL1, node.PrivateL2 = 0, 0
+		}
 		spec := hwtopo.ClusterSpec{
 			Name:           "fuzzcluster",
 			Racks:          int(data[0] % 4),
@@ -98,20 +123,21 @@ func FuzzClusteredView(f *testing.F) {
 				}
 			}
 		}
-		// Restrict to every other rank and recheck dense agreement: the
-		// shrink path must preserve the metric.
-		var half []int
+		// Every other rank's cores, as a view of their own — how a shrunken
+		// communicator derives its view — must preserve the metric.
+		var half, halfCores []int
 		for i := 0; i < n; i += 2 {
 			half = append(half, i)
+			halfCores = append(halfCores, cores[i])
 		}
-		sub, err := cv.Restrict(half)
+		sub, err := distance.NewClustered(topo, halfCores)
 		if err != nil {
-			t.Fatalf("restrict: %v", err)
+			t.Fatalf("survivor view: %v", err)
 		}
 		for i := range half {
 			for j := range half {
 				if got, want := sub.At(i, j), cv.At(half[i], half[j]); got != want {
-					t.Fatalf("restricted At(%d,%d)=%d, parent %d", i, j, got, want)
+					t.Fatalf("survivors' At(%d,%d)=%d, parent %d", i, j, got, want)
 				}
 			}
 		}

@@ -52,12 +52,15 @@ const (
 	Max = CrossRack
 )
 
-// BetweenCores returns the distance between two cores of one topology.
+// BetweenCores returns the distance between two cores of one topology,
+// from the hwtopo predicates: the reference Clustered.At is checked
+// against. Cores with no Machine ancestor share one implicit machine (and
+// cores with no Board ancestor one implicit board per machine).
 func BetweenCores(a, b *hwtopo.Object) int {
 	if a == b {
 		return SameCore
 	}
-	if !hwtopo.SameMachine(a, b) {
+	if hwtopo.MachineOf(a) != hwtopo.MachineOf(b) {
 		if hwtopo.SameSwitch(a, b) {
 			return SameSwitch
 		}
@@ -78,7 +81,7 @@ func BetweenCores(a, b *hwtopo.Object) int {
 		return CrossSocketSameMC
 	case sameSocket && !sameMC:
 		return SameSocketCrossMC
-	case hwtopo.SameBoard(a, b):
+	case a.AncestorOfKind(hwtopo.KindBoard) == b.AncestorOfKind(hwtopo.KindBoard):
 		return SameBoard
 	default:
 		return CrossBoard
@@ -140,8 +143,11 @@ func (m Matrix) MaxValue() int {
 // most d, in increasing order of the smallest rank in each set. Because the
 // metric is hierarchical (distance ≤ d is an equivalence for the values
 // produced by BetweenCores), a simple union of close pairs is exact.
-func (m Matrix) Clusters(d int) [][]int {
-	n := len(m)
+func (m Matrix) Clusters(d int) [][]int { return Clusters(m, d) }
+
+// Clusters is Matrix.Clusters over any view.
+func Clusters(v View, d int) [][]int {
+	n := v.Size()
 	group := make([]int, n)
 	for i := range group {
 		group[i] = -1
@@ -155,7 +161,7 @@ func (m Matrix) Clusters(d int) [][]int {
 		set := []int{i}
 		group[i] = id
 		for j := i + 1; j < n; j++ {
-			if group[j] < 0 && m[i][j] <= d {
+			if group[j] < 0 && v.At(i, j) <= d {
 				group[j] = id
 				set = append(set, j)
 			}

@@ -90,6 +90,11 @@ func (e *TransientError) Error() string {
 // IsTransient reports whether err is (or wraps) an injected transient
 // failure, i.e. whether retrying can succeed.
 func IsTransient(err error) bool {
+	if err == nil {
+		// Before the target is declared: errors.As makes it escape, and the
+		// nil case is every successful collective call of every rank.
+		return false
+	}
 	var te *TransientError
 	return errors.As(err, &te)
 }
@@ -107,6 +112,9 @@ func (e *CrashError) Error() string {
 
 // IsCrashed reports whether err is (or wraps) a rank crash.
 func IsCrashed(err error) bool {
+	if err == nil {
+		return false
+	}
 	var ce *CrashError
 	return errors.As(err, &ce)
 }
@@ -127,6 +135,9 @@ func (e *SeverError) Error() string {
 
 // IsSevered reports whether err is (or wraps) a severed-link failure.
 func IsSevered(err error) bool {
+	if err == nil {
+		return false
+	}
 	var se *SeverError
 	return errors.As(err, &se)
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -216,5 +217,26 @@ func TestConcurrentInjectorUse(t *testing.T) {
 	wg.Wait()
 	if !in.Crashed(5) {
 		t.Fatal("rank 5 should have crashed after 100 ops")
+	}
+}
+
+// TestClassifiersFreeOnNil: the runtime classifies the error of every
+// collective call of every rank, and on the warm path that error is nil —
+// the classifiers must not pay errors.As's escaping target for it. They
+// still classify wrapped errors.
+func TestClassifiersFreeOnNil(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() {
+		if IsCrashed(nil) || IsTransient(nil) || IsSevered(nil) {
+			t.Fatal("nil classified as a fault")
+		}
+	}); got != 0 {
+		t.Errorf("classifying a nil error allocates %.0f times, want 0", got)
+	}
+	crash := fmt.Errorf("rank 3: %w", &CrashError{Rank: 3})
+	if !IsCrashed(crash) || IsTransient(crash) || IsSevered(crash) {
+		t.Error("wrapped CrashError misclassified")
+	}
+	if !IsTransient(fmt.Errorf("copy: %w", &TransientError{})) || !IsSevered(fmt.Errorf("copy: %w", &SeverError{})) {
+		t.Error("wrapped TransientError / SeverError not recognised")
 	}
 }

@@ -27,7 +27,6 @@
 package integrity
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -44,13 +43,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // src and dst are world ranks so the value is stable across communicator
 // shrinks; chunk is the pipeline chunk / ring step index (-1 when the
 // schedule has no chunking).
+//
+// The header is folded in with the table directly, byte by byte: as a
+// slice handed to crc32.Update it escaped, one heap allocation per sum and
+// two sums per verified pull.
 func Sum(src, dst, chunk int, payload []byte) uint32 {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(int32(src)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(dst)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(chunk)))
-	s := crc32.Update(0, castagnoli, hdr[:])
-	return crc32.Update(s, castagnoli, payload)
+	s := ^uint32(0)
+	for _, word := range [3]uint32{uint32(int32(src)), uint32(int32(dst)), uint32(int32(chunk))} {
+		for i := 0; i < 4; i++ {
+			s = castagnoli[byte(s)^byte(word)] ^ s>>8
+			word >>= 8
+		}
+	}
+	return crc32.Update(^s, castagnoli, payload)
 }
 
 // Digest is the end-to-end payload digest (plain CRC32-Castagnoli, no

@@ -94,22 +94,18 @@ func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int
 }
 
 // topoHashLocked returns the cached fingerprint of the communicator's
-// distance topology, computing it on first use. Clustered communicators
-// hash the (topology name, per-rank core) placement in O(n) — the cores
-// fully determine every pairwise distance — so cluster-scale plan-cache
-// keys never need the dense matrix. When a demotion snapshot touches
-// this communicator, its hash is folded in, so every health revision
-// maps to a distinct plan-cache key space and a stale plan can never be
-// served for a re-routed topology. Callers hold st.mu.
+// distance topology, computing it on first use in O(n + Σ k²) over
+// per-machine group sizes k (plancache.TopoHashClustered: a function of
+// the distance relation, so placement-congruent communicators share
+// plans). When a demotion snapshot touches this communicator, its hash is
+// folded in, so every health revision maps to a distinct plan-cache key
+// space and a stale plan can never be served for a re-routed topology.
+// Callers hold st.mu.
 func (st *commState) topoHashLocked() uint64 {
 	snap := st.healthLocked() // a new revision clears topoHashed
 	epoch := st.epochLocked() // so does an advanced partition epoch
 	if !st.topoHashed {
-		if cv := st.clusteredLocked(); cv != nil {
-			st.topoHash = plancache.TopoHashCores(cv.Topology().Name, cv.Cores())
-		} else {
-			st.topoHash = plancache.TopoHash(st.matrixLocked())
-		}
+		st.topoHash = plancache.TopoHashClustered(st.baseViewLocked())
 		if snap != nil && !snap.Empty() {
 			// Only when the overlay actually wraps this comm's view:
 			// snapshots touching no member leave the hash (and the
@@ -133,8 +129,8 @@ func (st *commState) topoHashLocked() uint64 {
 // communicator's topology. Called when the topology can no longer be
 // trusted or is going away: a member failure broke the communicator (the
 // fault-triggered rebuild path — survivors will Shrink to a different
-// matrix), Shrink itself, and Free. Safe to call whether or not the
-// matrix was ever built; a no-op if no plan was ever cached for it.
+// placement), Shrink itself, and Free. Safe to call whether or not the
+// view was ever built; a no-op if no plan was ever cached for it.
 func (st *commState) invalidatePlans() {
 	st.mu.Lock()
 	hashed := st.topoHashed
@@ -145,8 +141,8 @@ func (st *commState) invalidatePlans() {
 	}
 }
 
-// Free releases the communicator's cached resources: the distance
-// topologies held by the communicator state and every compiled plan in
+// Free releases the communicator's cached resources: the distance view
+// and topologies held by the communicator state and every compiled plan in
 // the world's cache keyed by its topology. Collectives on other
 // communicators with a *different* member placement are unaffected (their
 // plans hash to different topologies). Using the handle after Free simply
@@ -157,9 +153,7 @@ func (c *Comm) Free() {
 	st := c.state
 	st.invalidatePlans()
 	st.mu.Lock()
-	st.matrix = nil
-	st.clustered = nil
-	st.clusterKnown = false
+	st.view = nil
 	st.topoHashed = false
 	st.trees = make(map[int]*core.Tree)
 	st.ring = nil

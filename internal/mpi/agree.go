@@ -197,14 +197,13 @@ func (c *Comm) agreedSet(ctx context.Context) (map[int]bool, error) {
 	return set, nil
 }
 
-// aliveMembers returns the members of group not in the dead set, keeping
-// group order, as (communicator index, world rank) parallel slices.
-func aliveMembers(group []int, dead map[int]bool) (idx, world []int) {
-	for i, wr := range group {
+// aliveMembers returns the world ranks of group not in the dead set,
+// keeping group order.
+func aliveMembers(group []int, dead map[int]bool) (world []int) {
+	for _, wr := range group {
 		if !dead[wr] {
-			idx = append(idx, i)
 			world = append(world, wr)
 		}
 	}
-	return idx, world
+	return world
 }

@@ -163,14 +163,6 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 	return plan, nil
 }
 
-// distanceMatrix returns the member-to-member process distances from the
-// runtime binding (cached for the communicator's lifetime).
-func (c *Comm) distanceMatrix() distance.Matrix {
-	c.state.mu.Lock()
-	defer c.state.mu.Unlock()
-	return c.state.matrixLocked()
-}
-
 // runPlan executes this member's share of the plan with its arguments a
 // and synchronizes completion. A member that crashed must NOT join the
 // completion barrier: it is dead, and its absence is precisely what tells
@@ -269,12 +261,9 @@ func (c *Comm) execute(plan *collPlan, a *collArgs) error {
 	}()
 	m := &member{c: c, plan: plan, wr: c.state.group[c.rank], a: a}
 	// Copy events carry the distance class of the edge they crossed, read
-	// from the base view: O(1) dense or clustered, so tracing never
-	// materializes a cluster-scale communicator's O(n²) matrix.
+	// from the base view in O(1).
 	if c.state.world.tracer.Enabled() {
-		c.state.mu.Lock()
-		m.dist = c.state.baseViewLocked()
-		c.state.mu.Unlock()
+		m.dist = c.state.baseView()
 	}
 	return plan.prog.RunRank(c.rank, m)
 }
@@ -283,10 +272,10 @@ func (c *Comm) execute(plan *collPlan, a *collArgs) error {
 type member struct {
 	c       *Comm
 	plan    *collPlan
-	wr      int           // the member's world rank
-	a       *collArgs     // its arguments: the reduction operator, the progress ledger
-	scratch []byte        // landing buffer of kernel-assisted reduces (member.move)
-	dist    distance.View // set only while tracing; covers every schedule rank (newPlan)
+	wr      int                 // the member's world rank
+	a       *collArgs           // its arguments: the reduction operator, the progress ledger
+	scratch []byte              // landing buffer of kernel-assisted reduces (member.move)
+	dist    *distance.Clustered // set only while tracing; covers every schedule rank (newPlan)
 }
 
 // BeforeOp consults the injector. A crash is published to the world (waking

@@ -174,7 +174,7 @@ func compileAlltoall(c *Comm, comp Component, _ int, block, _ int64) (*sched.Sch
 	switch comp {
 	case KNEMColl:
 		if block < AlltoallHierarchicalLimit {
-			return core.CompileAlltoallHierarchical(c.distanceMatrix(), block)
+			return core.CompileAlltoallHierarchical(c.state.baseView(), block)
 		}
 		return core.CompileAlltoallDirect(n, block)
 	case Tuned:

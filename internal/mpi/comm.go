@@ -10,7 +10,6 @@ import (
 	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/health"
-	"distcoll/internal/hwtopo"
 )
 
 // commState is the shared (cross-process) state of one communicator.
@@ -49,26 +48,20 @@ type commState struct {
 	broken bool
 
 	// Topology cache: process placement is fixed for a communicator's
-	// lifetime, so the distance matrix, the distance-aware tree for each
+	// lifetime, so its distance view, the distance-aware tree for each
 	// root and the ring are built once and reused by every later
 	// collective (the §V-B overhead concern). Guarded by mu; builds counts
-	// constructions for tests. A shrunken communicator inherits its matrix
-	// by restriction of the parent's (core.RestrictMatrix) instead of
-	// re-measuring.
-	//
-	// On multi-machine topologies the communicator additionally carries a
-	// sparse clustered view (distance.Clustered); tree/ring construction
-	// and plan-cache hashing then run over the view, so a cluster-scale
-	// communicator never materializes its O(n²) matrix unless a dense-only
-	// consumer (repair compilation, hierarchical alltoall) asks for it.
-	matrix       distance.Matrix
-	clustered    *distance.Clustered
-	clusterKnown bool
-	trees        map[int]*core.Tree
-	ring         *core.Ring
-	builds       int
+	// constructions for tests. view is the communicator's one base view —
+	// a pure function of (world topology, member cores), O(n) state on one
+	// machine as on a cluster, built on first use — so a world, split or
+	// shrunken communicator all derive it the same way and nothing in the
+	// runtime holds an O(n²) matrix.
+	view   *distance.Clustered
+	trees  map[int]*core.Tree
+	ring   *core.Ring
+	builds int
 
-	// topoHash fingerprints the matrix for plan-cache keys (computed
+	// topoHash fingerprints the view for plan-cache keys (computed
 	// lazily; topoHashed marks validity so hash 0 stays unambiguous).
 	topoHash   uint64
 	topoHashed bool
@@ -158,40 +151,30 @@ func (st *commState) setBroken() {
 	}
 }
 
-// matrixLocked returns the cached member distance matrix, computing it
-// from the runtime binding on first use. Callers hold st.mu.
-func (st *commState) matrixLocked() distance.Matrix {
-	if st.matrix == nil {
+// baseViewLocked returns the communicator's own distance view, computing
+// it from the runtime binding on first use. Callers hold st.mu.
+func (st *commState) baseViewLocked() *distance.Clustered {
+	if st.view == nil {
 		w := st.world
 		cores := make([]int, len(st.group))
 		for i, wr := range st.group {
 			cores[i] = w.bind.CoreOf(wr)
 		}
-		st.matrix = distance.NewMatrix(w.Topology(), cores)
+		cv, err := distance.NewClustered(w.Topology(), cores)
+		if err != nil {
+			// The binding was validated against this topology.
+			panic("mpi: " + err.Error())
+		}
+		st.view = cv
 	}
-	return st.matrix
+	return st.view
 }
 
-// clusteredLocked returns the communicator's sparse clustered view, or nil
-// when the placement fits a single machine (the dense matrix is the right
-// representation there, and the greedy builders keep the byte-exact plans
-// the shipped goldens pin down). Built once per communicator. Callers hold
-// st.mu.
-func (st *commState) clusteredLocked() *distance.Clustered {
-	if !st.clusterKnown {
-		st.clusterKnown = true
-		w := st.world
-		if len(w.Topology().ObjectsOfKind(hwtopo.KindMachine)) > 1 {
-			cores := make([]int, len(st.group))
-			for i, wr := range st.group {
-				cores[i] = w.bind.CoreOf(wr)
-			}
-			if cv, err := distance.NewClustered(w.Topology(), cores); err == nil && len(cv.Machines()) > 1 {
-				st.clustered = cv
-			}
-		}
-	}
-	return st.clustered
+// baseView is baseViewLocked for callers not holding st.mu.
+func (st *commState) baseView() *distance.Clustered {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.baseViewLocked()
 }
 
 // healthLocked refreshes the communicator's demotion snapshot from the
@@ -229,16 +212,6 @@ func (st *commState) epochLocked() int64 {
 	return epoch
 }
 
-// baseViewLocked returns the communicator's own distance view: the sparse
-// clustered view on multi-machine placements, the dense matrix otherwise.
-// Callers hold st.mu.
-func (st *commState) baseViewLocked() distance.View {
-	if cv := st.clusteredLocked(); cv != nil {
-		return cv
-	}
-	return st.matrixLocked()
-}
-
 // viewLocked returns the distance view collective construction should run
 // over: the base view, overlaid with the current demotion snapshot when
 // the world runs gray-failure detection (the overlay passes the base
@@ -253,12 +226,8 @@ func (st *commState) viewLocked() distance.View {
 }
 
 // distanceTree returns the cached distance-aware tree rooted at root,
-// building it on first use. Multi-machine communicators build through the
-// sparse hierarchical constructor (provably the same tree, o(n²) work);
-// single-machine ones keep the greedy reference builder. Demotion-wrapped
-// views build hierarchically over a clustered base and greedily over a
-// materialized dense base — both constructions tolerate the
-// non-ultrametric overlay and route around demoted edges.
+// building it on first use by core's view → topology rule (the same one
+// tune.CompileFor applies, so fixed KNEMColl and Adaptive knemcoll agree).
 func (st *commState) distanceTree(root int) (*core.Tree, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -266,20 +235,7 @@ func (st *commState) distanceTree(root int) (*core.Tree, error) {
 	if t, ok := st.trees[root]; ok {
 		return t, nil
 	}
-	var t *core.Tree
-	var err error
-	switch vv := v.(type) {
-	case distance.Matrix:
-		t, err = core.BuildBroadcastTree(vv, root, core.TreeOptions{})
-	case *distance.Clustered:
-		t, err = core.BuildBroadcastTreeHier(vv, root, core.TreeOptions{})
-	default:
-		if wrapsClustered(v) {
-			t, err = core.BuildBroadcastTreeHier(v, root, core.TreeOptions{})
-		} else {
-			t, err = core.BuildBroadcastTree(distance.Materialize(v), root, core.TreeOptions{})
-		}
-	}
+	t, err := core.TreeFor(v, root)
 	if err != nil {
 		return nil, err
 	}
@@ -288,9 +244,8 @@ func (st *commState) distanceTree(root int) (*core.Tree, error) {
 	return t, nil
 }
 
-// distanceRing returns the cached distance-aware ring, hierarchical on
-// multi-machine communicators (same level structure; orientation may
-// differ from the greedy's, which check.VerifyAllgather accepts).
+// distanceRing returns the cached distance-aware ring, built on first use
+// by the same rule.
 func (st *commState) distanceRing() (*core.Ring, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -298,37 +253,13 @@ func (st *commState) distanceRing() (*core.Ring, error) {
 	if st.ring != nil {
 		return st.ring, nil
 	}
-	var r *core.Ring
-	var err error
-	switch vv := v.(type) {
-	case distance.Matrix:
-		r, err = core.BuildAllgatherRing(vv, core.RingOptions{})
-	case *distance.Clustered:
-		r, err = core.BuildAllgatherRingHier(vv, core.RingOptions{})
-	default:
-		if wrapsClustered(v) {
-			r, err = core.BuildAllgatherRingHier(v, core.RingOptions{})
-		} else {
-			r, err = core.BuildAllgatherRing(distance.Materialize(v), core.RingOptions{})
-		}
-	}
+	r, err := core.RingFor(v)
 	if err != nil {
 		return nil, err
 	}
 	st.ring = r
 	st.builds++
 	return r, nil
-}
-
-// wrapsClustered reports whether v is a demotion overlay over a sparse
-// clustered base, i.e. whether hierarchical construction applies.
-func wrapsClustered(v distance.View) bool {
-	hv, ok := v.(*health.View)
-	if !ok {
-		return false
-	}
-	_, clustered := hv.Base().(*distance.Clustered)
-	return clustered
 }
 
 // collSlot synchronizes one collective call across the communicator.
@@ -529,11 +460,10 @@ func (c *Comm) Barrier() error {
 // a split-brain. After agreement, every survivor derives the identical
 // membership and rendezvouses on the same shared state.
 //
-// The group keeps the parent's rank order, and the child's distance
-// matrix is the parent's restricted to the survivors
-// (core.RestrictMatrix), so the first collective on the shrunken
-// communicator rebuilds its distance-aware tree/ring over exactly the
-// surviving processes.
+// The group keeps the parent's rank order, and the child derives its
+// distance view from the survivors' cores like any communicator, so the
+// first collective on the shrunken communicator rebuilds its
+// distance-aware tree/ring over exactly the surviving processes.
 func (c *Comm) Shrink() (*Comm, error) {
 	return c.ShrinkContext(context.Background())
 }
@@ -559,7 +489,7 @@ func (c *Comm) ShrinkContext(ctx context.Context) (*Comm, error) {
 		// declared this rank corrupting while it was entering Shrink.
 		return nil, fmt.Errorf("mpi: rank %d is itself failed; cannot shrink", me)
 	}
-	aliveIdx, aliveWorld := aliveMembers(st.group, agreed)
+	aliveWorld := aliveMembers(st.group, agreed)
 	if len(aliveWorld) == len(st.group) {
 		return nil, fmt.Errorf("mpi: no failed members in communicator %d; nothing to shrink", st.id)
 	}
@@ -568,43 +498,11 @@ func (c *Comm) ShrinkContext(ctx context.Context) (*Comm, error) {
 	// from the world cache before deriving the child.
 	st.invalidatePlans()
 
-	// Restrict the parent's distance topology to the survivors: recovery
-	// re-derives the child instead of re-measuring it. A clustered parent
-	// restricts its sparse view (O(k)); a dense parent restricts its
-	// matrix. Neither path forces the other representation into existence.
-	st.mu.Lock()
-	parentCv := st.clusteredLocked()
-	var parent distance.Matrix
-	if parentCv == nil {
-		parent = st.matrixLocked()
-	}
-	st.mu.Unlock()
-	var sub distance.Matrix
-	var subCv *distance.Clustered
-	var err2 error
-	if parentCv != nil {
-		subCv, err2 = parentCv.Restrict(aliveIdx)
-	} else {
-		sub, err2 = core.RestrictMatrix(parent, aliveIdx)
-	}
-	if err2 != nil {
-		return nil, err2
-	}
-
 	key := fmt.Sprintf("%d|%v", st.id, aliveWorld)
 	w.smu.Lock()
 	ns, ok := w.shrunk[key]
 	if !ok {
 		ns = newCommState(w, aliveWorld)
-		ns.matrix = sub
-		if parentCv != nil {
-			// Survivors collapsed onto one machine go dense, like a
-			// fresh communicator with that placement would.
-			ns.clusterKnown = true
-			if len(subCv.Machines()) > 1 {
-				ns.clustered = subCv
-			}
-		}
 		w.shrunk[key] = ns
 	}
 	w.smu.Unlock()

@@ -117,7 +117,7 @@ func bcastRepair(c *Comm, vals []any, size int64) (*sched.Schedule, int) {
 		// a greedier tree. Restart on the purpose-built tree instead.
 		return nil, missing
 	}
-	repair, _ := core.CompileBcastRepair(c.distanceMatrix(), size, 0, holds)
+	repair, _ := core.CompileBcastRepair(c.state.baseView(), size, 0, holds)
 	return repair, missing
 }
 
@@ -147,7 +147,7 @@ func allgatherRepair(c *Comm, vals []any, block int64) (*sched.Schedule, int) {
 	if held == 0 {
 		return nil, n * n
 	}
-	repair, _ := core.CompileAllgatherRepair(c.distanceMatrix(), block, holds)
+	repair, _ := core.CompileAllgatherRepair(c.state.baseView(), block, holds)
 	return repair, n*n - held
 }
 

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"distcoll/internal/binding"
+	"distcoll/internal/distance"
 	"distcoll/internal/fault"
 	"distcoll/internal/hwtopo"
+	"distcoll/internal/integrity"
 	"distcoll/internal/sched"
 	"distcoll/internal/trace"
 )
@@ -96,8 +98,15 @@ func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, ran
 // for all of them, and tight enough that one more allocation per rank on
 // the shared path fails it. With a channel per op, a Validate per call and
 // allocating waits, the first three cells cost 588, 7,518 and 63,826.
+//
+// The guarded cells run the same executor with every hook live — per-chunk
+// CRC, end-to-end digests, a tracer with a ring sink. What they add is per
+// plan and per event record, not per checksum or per metric lookup: with
+// an escaping CRC header and a formatted counter name per copy, the two
+// cells cost 1,354 and 13,954.
 func TestWarmCollectiveAllocBudget(t *testing.T) {
-	const budget = 185 // 48 ranks × 3 + per-plan; measured 158–172 before the descriptor path
+	const budget = 140        // 48 ranks × 2 + per-plan; measured 110–122
+	const guardedBudget = 260 // under 2 × budget; measured 218–227
 	const n = 48
 	bufs := func(size int) [][]byte {
 		out := make([][]byte, n)
@@ -111,7 +120,7 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 		budget float64
 		call   func(c *Comm, rank int) error
 	}
-	b4k := bufs(4096)
+	b4k, b64k, b16k, b16kAll := bufs(4096), bufs(64<<10), bufs(16<<10), bufs(n*16<<10)
 	small, big, reduced, exchanged := bufs(1024), bufs(n*1024), bufs(1024), bufs(n*1024)
 	cells := []cell{
 		{"bcast 4KiB knemcoll", budget, func(c *Comm, r int) error { return c.Bcast(b4k[r], 0, KNEMColl) }},
@@ -128,14 +137,27 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 		{"alltoall 1KiB mpich2", budget, func(c *Comm, r int) error { return c.Alltoall(big[r], exchanged[r], MPICH2) }},
 		{"barrier", 8, func(c *Comm, _ int) error { return c.Barrier() }},
 	}
-	for _, cell := range cells {
-		w := igWorld(t, "crosssocket", n)
-		got := warmAllocsPerCall(t, w, 20, cell.call)
-		t.Logf("%-26s %.0f allocs/call over %d ranks", cell.name, got, n)
-		if got > cell.budget {
-			t.Errorf("%s: %.0f allocations per warm call, budget %.0f", cell.name, got, cell.budget)
+	guarded := []cell{
+		{"guarded bcast 64KiB", guardedBudget, func(c *Comm, r int) error { return c.Bcast(b64k[r], 0, Adaptive) }},
+		{"guarded allgather 16KiB", guardedBudget, func(c *Comm, r int) error {
+			return c.Allgather(b16k[r], b16kAll[r], Adaptive)
+		}},
+	}
+	run := func(cells []cell, opts func() []Option) {
+		for _, cell := range cells {
+			w := NewWorld(igWorld(t, "crosssocket", n).Binding(), opts()...)
+			got := warmAllocsPerCall(t, w, 20, cell.call)
+			t.Logf("%-26s %.0f allocs/call over %d ranks", cell.name, got, n)
+			if got > cell.budget {
+				t.Errorf("%s: %.0f allocations per warm call, budget %.0f", cell.name, got, cell.budget)
+			}
 		}
 	}
+	run(cells, func() []Option { return nil })
+	run(guarded, func() []Option {
+		return []Option{WithIntegrity(integrity.Config{}),
+			WithTracer(trace.New(trace.NewRing(trace.DefaultRingCapacity)))}
+	})
 }
 
 // TestManyRanksBlockedOnOneOp parks 15 ranks on one op of a straggling
@@ -275,39 +297,39 @@ func TestWatchdogIgnoresStaleTick(t *testing.T) {
 
 // TestTracingKeepsClusteredCommSparse: copy events are tagged with the
 // distance class of the edge they crossed, read from the communicator's
-// own view. On a multi-machine communicator that view is the O(n) clustered
-// one; tracing must not be what materialises the O(n²) matrix.
+// one view — the O(n) clustered one on a single machine as on a cluster —
+// and the tags agree with the dense reference matrix.
 func TestTracingKeepsClusteredCommSparse(t *testing.T) {
-	topo := hwtopo.NewIGCluster()
-	b, err := binding.CrossSocket(topo, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := trace.NewRing(trace.DefaultRingCapacity)
-	w := NewWorld(b, WithTracer(trace.New(ring)))
-	err = w.Run(func(p *Proc) error {
-		if err := p.Comm().Bcast(make([]byte, 8192), 3, KNEMColl); err != nil {
-			return err
+	for _, topo := range []*hwtopo.Topology{hwtopo.NewIGCluster(), hwtopo.NewIG()} {
+		b, err := binding.CrossSocket(topo, 48)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return p.Comm().Allgather(make([]byte, 128), make([]byte, 48*128), KNEMColl)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.worldComm
-	if st.clustered == nil {
-		t.Fatal("igcluster world communicator has no clustered view")
-	}
-	if st.matrix != nil {
-		t.Error("traced collectives materialised the dense distance matrix on a clustered communicator")
-	}
-	copies := trace.Filter(ring.Events(), trace.KindCopy)
-	if len(copies) == 0 {
-		t.Fatal("no copy events traced")
-	}
-	for _, e := range copies {
-		if want := st.clustered.At(e.Src, e.Dst); e.Dist != want {
-			t.Fatalf("copy %d→%d tagged distance %d, clustered view says %d", e.Src, e.Dst, e.Dist, want)
+		ring := trace.NewRing(trace.DefaultRingCapacity)
+		w := NewWorld(b, WithTracer(trace.New(ring)))
+		err = w.Run(func(p *Proc) error {
+			if err := p.Comm().Bcast(make([]byte, 8192), 3, KNEMColl); err != nil {
+				return err
+			}
+			return p.Comm().Allgather(make([]byte, 128), make([]byte, 48*128), KNEMColl)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := w.worldComm
+		if st.view == nil {
+			t.Fatalf("%s world communicator has no distance view", topo.Name)
+		}
+		copies := trace.Filter(ring.Events(), trace.KindCopy)
+		if len(copies) == 0 {
+			t.Fatal("no copy events traced")
+		}
+		dense := distance.NewMatrix(topo, b.Cores())
+		for _, e := range copies {
+			if want := dense.At(e.Src, e.Dst); e.Dist != want || st.view.At(e.Src, e.Dst) != want {
+				t.Fatalf("%s: copy %d→%d tagged distance %d, view says %d, dense matrix %d",
+					topo.Name, e.Src, e.Dst, e.Dist, st.view.At(e.Src, e.Dst), want)
+			}
 		}
 	}
 }

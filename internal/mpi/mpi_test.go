@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"distcoll/internal/binding"
@@ -110,6 +111,60 @@ func TestSendrecvExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMailboxFirstUseRaces: a (src, dst) mailbox is created by whichever
+// of the sender and the receiver gets there first. At step k every rank r
+// sends to r+k while r+k receives from r, so each pair's first Send and
+// first Recv race (run under -race, repeated); every message must still
+// arrive, in per-pair order, through the one channel that won.
+func TestMailboxFirstUseRaces(t *testing.T) {
+	const n, msgs = 16, 4
+	for round := 0; round < 20; round++ {
+		w := igWorld(t, "crosssocket", n)
+		err := w.Run(func(p *Proc) error {
+			r := p.Rank()
+			for k := 0; k < n; k++ {
+				dst, src := (r+k)%n, (r-k+n)%n
+				for i := 0; i < msgs; i++ {
+					if err := p.Send(dst, 9, []byte{byte(r), byte(i)}); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < msgs; i++ {
+					got, err := p.Recv(src, 9)
+					if err != nil {
+						return err
+					}
+					if len(got) != 2 || got[0] != byte(src) || got[1] != byte(i) {
+						return fmt.Errorf("rank %d: message %d from %d is %v", r, i, src, got)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNewWorldHeapBounded: a world's construction cost is its per-rank
+// state, not n² mailboxes nobody may ever use (5.6 MB for 48 ranks when
+// every pair's 64-deep channel was made eagerly).
+func TestNewWorldHeapBounded(t *testing.T) {
+	b, err := binding.CrossSocket(hwtopo.NewIG(), 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	w := NewWorld(b)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 1<<20 {
+		t.Errorf("NewWorld(48) allocated %d bytes in %d objects, want ≤ 1 MiB", got, m1.Mallocs-m0.Mallocs)
+	}
+	runtime.KeepAlive(w)
 }
 
 func TestP2PValidation(t *testing.T) {

@@ -207,8 +207,7 @@ func (c *Comm) resilient(ctx context.Context, a collArgs) (*Comm, []byte, error)
 // BcastResilient broadcasts like Bcast but survives member failures: when
 // the collective fails because ranks died, every survivor shrinks to the
 // same successor communicator (whose distance-aware tree is rebuilt over
-// the survivors by restriction of the parent's distance matrix) and
-// recovers incrementally — missing chunks are pulled from the
+// the survivors' own distance view) and recovers incrementally — missing chunks are pulled from the
 // minimum-distance survivors that already hold them, per the exchanged
 // progress ledgers, with a full restart as fallback. root is given in c's
 // rank space and must survive — a dead root is unrecoverable for a

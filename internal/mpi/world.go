@@ -31,7 +31,6 @@ import (
 
 	"distcoll/internal/autotune"
 	"distcoll/internal/binding"
-	"distcoll/internal/distance"
 	"distcoll/internal/fault"
 	"distcoll/internal/health"
 	"distcoll/internal/hwtopo"
@@ -122,9 +121,11 @@ type World struct {
 	// at runtime by the serve layer under sustained pressure.
 	e2eOff atomic.Bool
 
-	// mail[src][dst] carries messages; receivers keep per-sender pending
-	// queues for tag matching.
-	mail [][]chan message
+	// mail[src·n+dst] carries messages, created on the pair's first Send or
+	// Recv (mailbox): collectives never touch it, and n² eager channels were
+	// most of a world's heap. Receivers keep per-sender pending queues for
+	// tag matching.
+	mail []atomic.Pointer[chan message]
 
 	// Failure detection: the set of dead world ranks, plus a broadcast
 	// channel closed (and replaced) on every change so blocked operations
@@ -280,7 +281,7 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 		dev:        knem.NewDevice(),
 		n:          n,
 		mailboxCap: DefaultMailboxCapacity,
-		mail:       make([][]chan message, n),
+		mail:       make([]atomic.Pointer[chan message], n*n),
 		failed:     make(map[int]bool),
 		failCh:     make(chan struct{}),
 		blocked:    make(map[int]blockEntry),
@@ -293,9 +294,14 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 	if w.selector == nil {
 		w.selector = tune.DefaultSelector()
 	}
+	group := make([]int, n)
+	for i := range group {
+		group[i] = i
+	}
+	w.worldComm = newCommState(w, group)
 	if w.autoCfg != nil {
 		base, _ := w.selector.(*tune.Selector)
-		t := autotune.NewTuner(base, bindingView(b), *w.autoCfg)
+		t := autotune.NewTuner(base, w.worldComm.baseView(), *w.autoCfg)
 		w.tuner = t
 		w.selector = t.Overlay()
 		if w.tracer == nil {
@@ -364,18 +370,22 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 		w.tracer.Meta(fmt.Sprintf("machine=%s bind=%s np=%d",
 			b.Topology().Name, b.Name, n))
 	}
-	for s := 0; s < n; s++ {
-		w.mail[s] = make([]chan message, n)
-		for d := 0; d < n; d++ {
-			w.mail[s][d] = make(chan message, w.mailboxCap)
-		}
-	}
-	group := make([]int, n)
-	for i := range group {
-		group[i] = i
-	}
-	w.worldComm = newCommState(w, group)
 	return w
+}
+
+// mailbox returns the src→dst channel, creating it on first use. Sender
+// and receiver may race to create it: the CAS makes one channel win and
+// both use it, so per-pair ordering is that of the one channel.
+func (w *World) mailbox(src, dst int) chan message {
+	slot := &w.mail[src*w.n+dst]
+	if ch := slot.Load(); ch != nil {
+		return *ch
+	}
+	ch := make(chan message, w.mailboxCap)
+	if slot.CompareAndSwap(nil, &ch) {
+		return ch
+	}
+	return *slot.Load()
 }
 
 // Size returns the number of processes.
@@ -436,18 +446,6 @@ func (w *World) sleep(d time.Duration) bool {
 	}
 }
 
-// bindingView builds the distance view of the full binding, mirroring
-// the world communicator's choice: the sparse clustered view on
-// multi-machine placements, the dense matrix otherwise.
-func bindingView(b *binding.Binding) distance.View {
-	if len(b.Topology().ObjectsOfKind(hwtopo.KindMachine)) > 1 {
-		if cv, err := distance.NewClustered(b.Topology(), b.Cores()); err == nil && len(cv.Machines()) > 1 {
-			return cv
-		}
-	}
-	return distance.NewMatrix(b.Topology(), b.Cores())
-}
-
 // PlanCache returns the world's compiled-schedule cache (for stats and
 // tests).
 func (w *World) PlanCache() *plancache.Cache { return w.plans }
@@ -482,7 +480,7 @@ func (w *World) Run(main func(p *Proc) error) error {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
 				}
 			}()
-			p := &Proc{world: w, rank: rank, pending: make([][]message, w.n)}
+			p := &Proc{world: w, rank: rank}
 			if err := main(p); err != nil {
 				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
 			}
@@ -643,7 +641,7 @@ func deadIn(failed map[int]bool, group []int) []int {
 type Proc struct {
 	world   *World
 	rank    int
-	pending [][]message // unmatched messages per sender
+	pending [][]message // unmatched messages per sender; made by the first Recv
 }
 
 // Rank returns the process's world rank.
@@ -693,7 +691,7 @@ func (p *Proc) Send(dst, tag int, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	m := message{tag: tag, data: cp}
-	ch := w.mail[p.rank][dst]
+	ch := w.mailbox(p.rank, dst)
 	select {
 	case ch <- m:
 		return nil
@@ -737,6 +735,9 @@ func (p *Proc) Recv(src, tag int) ([]byte, error) {
 	if src < 0 || src >= p.world.n {
 		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
+	if p.pending == nil {
+		p.pending = make([][]message, p.world.n)
+	}
 	q := p.pending[src]
 	for i, m := range q {
 		if m.tag == tag {
@@ -745,7 +746,7 @@ func (p *Proc) Recv(src, tag int) ([]byte, error) {
 		}
 	}
 	w := p.world
-	ch := w.mail[src][p.rank]
+	ch := w.mailbox(src, p.rank)
 	blocked := false
 	var timeoutC <-chan time.Time
 	desc := blockDesc{kind: blockRecv, a: src, b: tag}

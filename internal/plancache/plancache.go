@@ -52,8 +52,9 @@ import (
 // tune.Decision.CacheKey()).
 type Key struct {
 	// Topo is the topology fingerprint: a hash of the communicator's
-	// distance matrix (TopoHash), so communicators with identical member
-	// placement share plans and a shrink invalidates exactly its topology.
+	// distance relation (TopoHashClustered), so communicators whose members
+	// are placed congruently share plans and a shrink invalidates exactly
+	// its topology.
 	Topo uint64
 	// Tenant scopes the entry to one tenant of a shared (serve-layer)
 	// cache: tenants never share entries even on identical placements, so
@@ -503,17 +504,17 @@ func TopoHash(m distance.Matrix) uint64 {
 	return h.Sum64()
 }
 
-// TopoHashCores fingerprints a placement for Key.Topo without touching
-// any pairwise distance: FNV-1a over the topology name and the per-rank
-// core bindings, which fully determine the distance relation. This is
-// the O(n) cluster-scale analogue of TopoHash; the two hash different
-// byte streams, so a communicator must use one or the other
-// consistently (internal/mpi picks by view kind and keeps it for the
-// communicator's lifetime).
-func TopoHashCores(topoName string, coreOf []int) uint64 {
+// TopoHashClustered fingerprints a communicator's distance view for
+// Key.Topo in O(n + Σ k²) over per-machine group sizes k, never touching
+// a cross-machine pair: FNV-1a over each rank's rack, switch and machine,
+// relabelled by first occurrence in rank order, then the upper triangle
+// of every machine's own pairs. Like TopoHash it is a function of the
+// distance relation alone, not of which cores realise it, so
+// placement-congruent communicators share plans; the two hash different
+// byte streams, so a key space must use one of them throughout
+// (internal/mpi uses this one).
+func TopoHashClustered(cv *distance.Clustered) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(topoName))
-	h.Write([]byte{0})
 	var buf [4]byte
 	enc := func(v int) {
 		buf[0] = byte(v)
@@ -522,9 +523,32 @@ func TopoHashCores(topoName string, coreOf []int) uint64 {
 		buf[3] = byte(v >> 24)
 		h.Write(buf[:])
 	}
-	enc(len(coreOf))
-	for _, c := range coreOf {
-		enc(c)
+	n := cv.Size()
+	enc(n)
+	labels := make(map[[2]int]int) // (tier, index) → first-occurrence label
+	label := func(tier, index int) int {
+		k := [2]int{tier, index}
+		l, ok := labels[k]
+		if !ok {
+			l = len(labels)
+			labels[k] = l
+		}
+		return l
+	}
+	for r := 0; r < n; r++ {
+		enc(label(0, cv.RackIndex(r)))
+		enc(label(1, cv.SwitchIndex(r)))
+		enc(label(2, cv.MachineIndex(r)))
+	}
+	var row []byte
+	for _, mach := range cv.Machines() {
+		for i, a := range mach {
+			row = row[:0]
+			for _, b := range mach[i+1:] {
+				row = append(row, byte(cv.At(a, b)))
+			}
+			h.Write(row)
+		}
 	}
 	return h.Sum64()
 }

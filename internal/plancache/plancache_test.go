@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,6 +252,59 @@ func TestTopoHash(t *testing.T) {
 	}
 	if TopoHash(distance.NewMatrix(topo, cont)) == TopoHash(distance.NewMatrix(topo, cont[:4])) {
 		t.Error("different sizes collide")
+	}
+}
+
+// TestTopoHashClustered: the communicator-side hash is a function of the
+// distance relation — equal for congruent placements on other cores,
+// machines or switches, different as soon as one pair's distance or the
+// size differs — without enumerating cross-machine pairs.
+func TestTopoHashClustered(t *testing.T) {
+	topo := hwtopo.NewIGRack() // 2 racks × 2 switches × 2 nodes × (2 sockets × 6 cores)
+	hash := func(cores ...int) uint64 {
+		t.Helper()
+		cv, err := distance.NewClustered(topo, cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return TopoHashClustered(cv)
+	}
+	same := [][2][]int{
+		{{0, 1, 6, 7}, {12, 13, 18, 19}},                  // another machine
+		{{0, 1, 6, 7}, {4, 2, 10, 11}},                    // other cores of the same sockets
+		{{0, 1, 12, 13}, {24, 25, 36, 37}},                // two machines under another switch
+		{{0, 12, 24, 48}, {49, 61, 73, 1}},                // one rank per tier, mirrored across racks
+		{{0, 1, 12, 24, 25, 48}, {72, 73, 84, 48, 49, 0}}, // every tier at once
+	}
+	for _, pair := range same {
+		if hash(pair[0]...) != hash(pair[1]...) {
+			t.Errorf("congruent placements %v and %v hash differently", pair[0], pair[1])
+		}
+	}
+	differ := [][2][]int{
+		{{0, 1, 6, 7}, {0, 1, 2, 7}},         // one rank moved across sockets
+		{{0, 1, 12, 13}, {0, 1, 24, 25}},     // same switch vs across switches
+		{{0, 12, 24}, {0, 12, 48}},           // across switches vs across racks
+		{{0, 1, 12, 13}, {0, 12, 1, 13}},     // same cores, other rank order
+		{{0, 1, 6, 7}, {0, 1, 6}},            // size
+		{{0, 1, 12, 13}, {0, 1, 12, 13, 14}}, // size across machines
+	}
+	for _, pair := range differ {
+		if hash(pair[0]...) == hash(pair[1]...) {
+			t.Errorf("placements %v and %v with different distance relations collide", pair[0], pair[1])
+		}
+	}
+	// Agreement with the dense reference on what "same relation" means.
+	r := rand.New(rand.NewSource(9))
+	seen := map[uint64]uint64{}
+	for i := 0; i < 300; i++ {
+		cores := r.Perm(topo.NumCores())[:2+r.Intn(10)]
+		dense := TopoHash(distance.NewMatrix(topo, cores))
+		sparse := hash(cores...)
+		if prev, ok := seen[dense]; ok && prev != sparse {
+			t.Fatalf("cores %v: matrix-equal placements hash differently", cores)
+		}
+		seen[dense] = sparse
 	}
 }
 

@@ -71,7 +71,7 @@ func (r *Report) String() string {
 // of one broadcast over n ranks rooted at root with a size-byte payload.
 // events must be the KindCopy events of that single collective, in
 // emission order.
-func VerifyBroadcast(events []trace.Event, m distance.Matrix, root int, size int64) *Report {
+func VerifyBroadcast(events []trace.Event, m distance.View, root int, size int64) *Report {
 	r := &Report{Op: "bcast"}
 	n := m.Size()
 	if len(events) == 0 {
@@ -197,7 +197,7 @@ func VerifyBroadcast(events []trace.Event, m distance.Matrix, root int, size int
 
 // VerifyAllgather checks the schedule invariants on the copy events of
 // one allgather over n ranks with block-byte contributions.
-func VerifyAllgather(events []trace.Event, m distance.Matrix, block int64) *Report {
+func VerifyAllgather(events []trace.Event, m distance.View, block int64) *Report {
 	r := &Report{Op: "allgather"}
 	n := m.Size()
 	pulls := make([][]trace.Event, n)
@@ -306,7 +306,7 @@ func VerifyAllgather(events []trace.Event, m distance.Matrix, block int64) *Repo
 // checkClasses verifies invariant 3 on a set of copy events: each event's
 // distance tag matches the matrix, and no cross-rank edge exceeds the
 // promised maximum class.
-func checkClasses(r *Report, events []trace.Event, m distance.Matrix, promised int) {
+func checkClasses(r *Report, events []trace.Event, m distance.View, promised int) {
 	worst := 0
 	for _, e := range events {
 		d := m.At(e.Src, e.Dst)
@@ -533,7 +533,7 @@ func parseWinner(det string) ([]int, bool) {
 // primWeight computes the minimum-spanning-tree weight of the complete
 // graph over m with Prim's algorithm — deliberately a different algorithm
 // from the construction under test.
-func primWeight(m distance.Matrix) int {
+func primWeight(m distance.View) int {
 	n := m.Size()
 	if n <= 1 {
 		return 0
@@ -571,7 +571,7 @@ func primWeight(m distance.Matrix) int {
 // inequality d(i,j) ≤ max(d(i,k), d(k,j)) — true for every matrix derived
 // from a hierarchical machine, where "distance ≤ t" is an equivalence at
 // every threshold t.
-func IsUltrametric(m distance.Matrix) bool {
+func IsUltrametric(m distance.View) bool {
 	n := m.Size()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -596,7 +596,7 @@ func IsUltrametric(m distance.Matrix) bool {
 // MST uses exactly one w-edge per non-root cluster, attachable at best
 // directly to the root, so the depth is the root cluster's own depth or
 // one more than the cheapest entry into each other cluster.
-func minDepthUltra(m distance.Matrix, ranks []int, root int) int {
+func minDepthUltra(m distance.View, ranks []int, root int) int {
 	if len(ranks) <= 1 {
 		return 0
 	}
@@ -636,7 +636,7 @@ func minDepthUltra(m distance.Matrix, ranks []int, root int) int {
 
 // clustersBelow partitions ranks into the equivalence classes of
 // "distance < w" (an equivalence on an ultrametric).
-func clustersBelow(m distance.Matrix, ranks []int, w int) [][]int {
+func clustersBelow(m distance.View, ranks []int, w int) [][]int {
 	assigned := make(map[int]bool, len(ranks))
 	var out [][]int
 	for _, a := range ranks {

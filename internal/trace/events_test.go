@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"distcoll/internal/distance"
 )
 
 // TestNilTracerIsSafe: every emit method on the nil tracer must be a
@@ -254,5 +257,41 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 	if got := tr.Metrics().DistClass("copies", 1).Load(); got != workers*per {
 		t.Fatalf("copies.dist1 = %d, want %d", got, workers*per)
+	}
+}
+
+// TestDistClassResolvesWithoutFormatting: DistClass is looked up twice per
+// copy event, so after first use it must neither format a name nor
+// allocate; the counters it returns are still the registry's own, under the
+// unchanged "<base>.dist.<d>" names, and RemovePrefix does not leave it
+// holding orphans.
+func TestDistClassResolvesWithoutFormatting(t *testing.T) {
+	mx := NewMetrics()
+	for d := -1; d <= distance.Max+1; d++ {
+		mx.DistClass("bytes", d).Add(int64(d + 2))
+	}
+	for d := 0; d <= distance.Max+1; d++ {
+		if got := mx.Counter(fmt.Sprintf("bytes.dist.%d", d)).Load(); got != int64(d+2) {
+			t.Errorf("bytes.dist.%d = %d, want %d", d, got, d+2)
+		}
+	}
+	if got := mx.Counter("bytes.dist.unknown").Load(); got != 1 {
+		t.Errorf("bytes.dist.unknown = %d, want 1", got)
+	}
+	if mx.DistClass("bytes", -7) != mx.DistClass("bytes", -1) {
+		t.Error("negative classes do not share the unknown counter")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		mx.DistClass("bytes", 3).Add(1)
+		mx.DistClass("bytes", -1).Add(1)
+	}); got != 0 {
+		t.Errorf("warm DistClass allocates %.0f times per pair of lookups, want 0", got)
+	}
+	mx.RemovePrefix("bytes.")
+	if got := mx.DistClass("bytes", 3).Load(); got != 0 {
+		t.Errorf("bytes.dist.3 = %d after RemovePrefix, want a fresh counter", got)
+	}
+	if mx.DistClass("bytes", 3) != mx.Counter("bytes.dist.3") {
+		t.Error("DistClass and Counter disagree on bytes.dist.3 after RemovePrefix")
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"distcoll/internal/distance"
 )
 
 // Metrics is a lightweight counter/histogram registry. Counters and
@@ -18,6 +20,9 @@ type Metrics struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// dist caches DistClass's counters by base, class d at index d+1
+	// (unknown at 0), so the two lookups per copy event format no name.
+	dist map[string]*[distance.Max + 2]*Counter
 }
 
 // NewMetrics creates an empty registry.
@@ -26,6 +31,7 @@ func NewMetrics() *Metrics {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		dist:     make(map[string]*[distance.Max + 2]*Counter),
 	}
 }
 
@@ -64,11 +70,16 @@ func (m *Metrics) Counter(name string) *Counter {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if c, ok = m.counters[name]; ok {
-		return c
+	return m.counterLocked(name)
+}
+
+// counterLocked is Counter's create-on-first-use half; callers hold mu.
+func (m *Metrics) counterLocked(name string) *Counter {
+	c, ok := m.counters[name]
+	if !ok {
+		c = &Counter{}
+		m.counters[name] = c
 	}
-	c = &Counter{}
-	m.counters[name] = c
 	return c
 }
 
@@ -159,6 +170,7 @@ func (m *Metrics) RemovePrefix(prefix string) {
 			delete(m.hists, name)
 		}
 	}
+	clear(m.dist) // only a cache of counters: DistClass resolves again
 }
 
 // DistClass returns the per-distance-class counter "<base>.dist.<d>"
@@ -168,10 +180,32 @@ func (m *Metrics) DistClass(base string, d int) *Counter {
 	if m == nil {
 		return nil
 	}
-	if d < 0 {
-		return m.Counter(base + ".dist.unknown")
+	if d > distance.Max { // off the scale: not cached
+		return m.Counter(fmt.Sprintf("%s.dist.%d", base, d))
 	}
-	return m.Counter(fmt.Sprintf("%s.dist.%d", base, d))
+	i := max(d, -1) + 1
+	m.mu.RLock()
+	var c *Counter
+	if row := m.dist[base]; row != nil {
+		c = row[i]
+	}
+	m.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	name := base + ".dist.unknown"
+	if d >= 0 {
+		name = fmt.Sprintf("%s.dist.%d", base, d)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	row := m.dist[base]
+	if row == nil {
+		row = new([distance.Max + 2]*Counter)
+		m.dist[base] = row
+	}
+	row[i] = m.counterLocked(name)
+	return row[i]
 }
 
 // Histogram observes float64 samples into exponential buckets. Bucket i

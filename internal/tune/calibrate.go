@@ -48,13 +48,9 @@ const calibrateMargin = 1e-3
 // candidates returns the decision candidates for a collective, in
 // preference order (earlier wins a near-tie). The knem tree collectives
 // carry the Fig. 8 hierarchical/linear split and a fixed-chunk pipeline
-// variant; ring collectives have a single distance-aware shape. On
-// multi-node topologies (clustered) the two-phase variants precede the
-// flat knem shapes: the two-phase broadcast tree is provably identical
-// to the flat distance-aware tree, so the simulated makespans tie
-// exactly and preference order resolves the tie toward the construction
-// that stays O(n) at cluster scale — which is how hier-vs-flat decision
-// rows enter the shipped tables.
+// variant; ring collectives have a single distance-aware shape. How the
+// tree or ring is constructed from the view is not a candidate dimension:
+// core's rule fixes it per view, on one machine as on many.
 //
 // MPICH2 (nemesis double copy) is deliberately not a candidate: it runs
 // the same rank-based algorithms as tuned over a strictly slower
@@ -63,19 +59,9 @@ const calibrateMargin = 1e-3
 // 8 MB × 48 ranks), which would dominate `disttune generate` and the CI
 // drift check. Tables may still *name* mpich2 (CompileFor supports it);
 // the calibrator just never needs to.
-func candidates(coll Collective, clustered bool) []Decision {
+func candidates(coll Collective) []Decision {
 	switch coll {
 	case CollBcast, CollReduce:
-		if clustered {
-			return []Decision{
-				{Component: ComponentTuned},
-				{Component: ComponentKNEM, TwoPhase: true},
-				{Component: ComponentKNEM},
-				{Component: ComponentKNEM, TwoPhase: true, Chunk: 64 << 10},
-				{Component: ComponentKNEM, Chunk: 64 << 10},
-				{Component: ComponentKNEM, Linear: true},
-			}
-		}
 		return []Decision{
 			{Component: ComponentTuned},
 			{Component: ComponentKNEM},
@@ -83,13 +69,6 @@ func candidates(coll Collective, clustered bool) []Decision {
 			{Component: ComponentKNEM, Linear: true},
 		}
 	default:
-		if clustered {
-			return []Decision{
-				{Component: ComponentTuned},
-				{Component: ComponentKNEM, TwoPhase: true},
-				{Component: ComponentKNEM},
-			}
-		}
 		return []Decision{
 			{Component: ComponentTuned},
 			{Component: ComponentKNEM},
@@ -99,10 +78,11 @@ func candidates(coll Collective, clustered bool) []Decision {
 
 // Candidates returns a copy of the decision candidates the calibrator
 // sweeps for a collective — the decision space the online autotuner
-// re-prices against its fitted model. clustered selects the multi-node
-// candidate set (two-phase shapes included).
-func Candidates(coll Collective, clustered bool) []Decision {
-	return append([]Decision(nil), candidates(coll, clustered)...)
+// re-prices against its fitted model.
+// The ignored bool once chose a multi-node list; bench/sim.go still passes
+// it, so it goes with the next benchmark PR.
+func Candidates(coll Collective, _ bool) []Decision {
+	return append([]Decision(nil), candidates(coll)...)
 }
 
 // reduceAlign is the element size calibration assumes for allreduce ring
@@ -168,10 +148,15 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tune: calibrate %s: %w", cfg.Name, err)
 		}
-		m := distance.NewMatrix(topo, b.Cores())
-		fp := FingerprintOf(m)
+		// The view a world on this binding would hand CompileFor, so the
+		// table describes exactly the constructions the runtime runs.
+		v, err := distance.NewClustered(topo, b.Cores())
+		if err != nil {
+			return nil, fmt.Errorf("tune: calibrate %s: %w", cfg.Name, err)
+		}
+		fp := FingerprintOf(v)
 		for _, coll := range colls {
-			rules, err := calibrateOne(coll, b, m, *params, sizes)
+			rules, err := calibrateOne(coll, b, v, *params, sizes)
 			if err != nil {
 				return nil, fmt.Errorf("tune: calibrate %s/%s/%s: %w", cfg.Name, bname, coll, err)
 			}
@@ -194,9 +179,9 @@ func Calibrate(cfg CalibrateConfig) (*Table, error) {
 // winners into rules. Rule boundaries sit at the first swept size where
 // the new decision won, so a lookup at any swept size reproduces the
 // winner exactly.
-func calibrateOne(coll Collective, b *binding.Binding, m distance.Matrix, params machine.Params, sizes []int64) ([]Rule, error) {
-	cands := candidates(coll, m.MaxValue() > distance.MaxIntraNode)
-	grid, err := simulateGrid(coll, cands, b, m, params, sizes)
+func calibrateOne(coll Collective, b *binding.Binding, v distance.View, params machine.Params, sizes []int64) ([]Rule, error) {
+	cands := candidates(coll)
+	grid, err := simulateGrid(coll, cands, b, v, params, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +220,7 @@ func calibrateOne(coll Collective, b *binding.Binding, m distance.Matrix, params
 // Each (size, candidate) simulation is self-contained, so they run on a
 // GOMAXPROCS-bounded worker pool; results land by index, keeping the
 // sweep's output independent of scheduling order.
-func simulateGrid(coll Collective, cands []Decision, b *binding.Binding, m distance.Matrix, params machine.Params, sizes []int64) ([][]float64, error) {
+func simulateGrid(coll Collective, cands []Decision, b *binding.Binding, v distance.View, params machine.Params, sizes []int64) ([][]float64, error) {
 	model, err := machine.NewModel(b, params) // immutable: shared by the workers
 	if err != nil {
 		return nil, err
@@ -258,7 +243,7 @@ func simulateGrid(coll Collective, cands []Decision, b *binding.Binding, m dista
 			defer wg.Done()
 			for j := range jobs {
 				size, d := sizes[j.si], cands[j.ci]
-				s, err := CompileFor(coll, d, m, 0, size, reduceAlign)
+				s, err := CompileFor(coll, d, v, 0, size, reduceAlign)
 				if err == nil {
 					var res *des.Result
 					if res, err = model.Simulate(s); err == nil {

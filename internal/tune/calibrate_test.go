@@ -61,7 +61,7 @@ func TestCalibratedRulesAreOptimalAtSweptPoints(t *testing.T) {
 				t.Fatalf("%s/%s: no rule covers swept size %d", rs.Coll, rs.Binding, size)
 			}
 			best, chosenTime := -1.0, -1.0
-			for _, d := range candidates(rs.Coll, m.MaxValue() > distance.MaxIntraNode) {
+			for _, d := range candidates(rs.Coll) {
 				s, err := CompileFor(rs.Coll, d, m, 0, size, reduceAlign)
 				if err != nil {
 					t.Fatal(err)

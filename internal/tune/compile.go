@@ -16,11 +16,10 @@ import (
 // cache), so a calibrated table always describes exactly what the runtime
 // will run.
 //
-// Two-phase decisions stay on the view (sparse hierarchical
-// construction, no dense matrix ever built); the other knemcoll shapes
-// route through the greedy reference builders, materializing the matrix
-// when handed a sparse view — acceptable because flat decisions are only
-// selected at sizes where the dense path is affordable.
+// A knemcoll decision names a tree shape and a chunk, not a construction:
+// which builder turns the view into the tree or ring is core's rule
+// (core.TreeFor, core.RingFor), the same one a communicator's own cache
+// uses, and nothing here materializes a matrix.
 //
 // bytes is the full message for bcast/reduce/allreduce and the per-rank
 // block for allgather; align is the reduction element size (reduce and
@@ -46,7 +45,7 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 	case CollAllgather:
 		switch d.Component {
 		case ComponentKNEM:
-			ring, err := knemRing(d, v)
+			ring, err := core.RingFor(v)
 			if err != nil {
 				return nil, err
 			}
@@ -72,7 +71,7 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 	case CollAllreduce:
 		switch d.Component {
 		case ComponentKNEM:
-			ring, err := knemRing(d, v)
+			ring, err := core.RingFor(v)
 			if err != nil {
 				return nil, err
 			}
@@ -86,27 +85,13 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 	return nil, fmt.Errorf("tune: cannot compile %s with decision %+v", coll, d)
 }
 
-// knemTree builds the broadcast/reduce tree a knemcoll decision names:
-// the sparse two-phase hierarchy, the linear topology (root fans out to
-// every rank directly) when the decision collapses the distance
-// structure, or the greedy distance-aware reference otherwise.
+// knemTree builds the broadcast/reduce tree a knemcoll decision names: the
+// linear topology (root fans out to every rank directly) when the decision
+// collapses the distance structure, the view's distance-aware tree
+// otherwise.
 func knemTree(d Decision, v distance.View, root int) (*core.Tree, error) {
-	switch {
-	case d.Linear:
+	if d.Linear {
 		return core.NewLinearTree(v.Size(), root)
-	case d.TwoPhase:
-		return core.BuildBroadcastTreeHier(v, root, core.TreeOptions{})
-	default:
-		return core.BuildBroadcastTree(distance.Materialize(v), root, core.TreeOptions{})
 	}
-}
-
-// knemRing builds the allgather/allreduce ring a knemcoll decision
-// names: the sparse hierarchical layout for two-phase decisions, the
-// greedy reference otherwise.
-func knemRing(d Decision, v distance.View) (*core.Ring, error) {
-	if d.TwoPhase {
-		return core.BuildAllgatherRingHier(v, core.RingOptions{})
-	}
-	return core.BuildAllgatherRing(distance.Materialize(v), core.RingOptions{})
+	return core.TreeFor(v, root)
 }

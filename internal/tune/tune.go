@@ -68,12 +68,6 @@ type Decision struct {
 	// compiled-in policy (core.BroadcastChunk). Only meaningful for
 	// knemcoll tree collectives.
 	Chunk int64 `json:"chunk,omitempty"`
-	// TwoPhase selects the hierarchical two-phase cluster construction:
-	// per-node leader subtrees under an inter-node leader tree, built
-	// sparsely (core.BuildBroadcastTreeHier / BuildAllgatherRingHier)
-	// instead of from the dense matrix. Only meaningful for knemcoll on
-	// multi-node topologies; mutually exclusive with Linear.
-	TwoPhase bool `json:"two_phase,omitempty"`
 }
 
 // String renders the decision for logs and the disttune CLI.
@@ -82,11 +76,8 @@ func (d Decision) String() string {
 		return d.Component
 	}
 	shape := "hier"
-	switch {
-	case d.Linear:
+	if d.Linear {
 		shape = "linear"
-	case d.TwoPhase:
-		shape = "2phase"
 	}
 	if d.Chunk > 0 {
 		return fmt.Sprintf("%s/%s/chunk=%d", d.Component, shape, d.Chunk)
@@ -96,14 +87,11 @@ func (d Decision) String() string {
 
 // CacheKey returns a stable discriminator for plan-cache keys: two
 // decisions with equal cache keys compile identical schedules for the same
-// (collective, matrix, root, size).
+// (collective, view, root, size).
 func (d Decision) CacheKey() string { return d.String() }
 
 // Valid reports whether the decision names a known component.
 func (d Decision) Valid() bool {
-	if d.Linear && d.TwoPhase {
-		return false
-	}
 	switch d.Component {
 	case ComponentKNEM, ComponentTuned, ComponentMPICH:
 		return d.Chunk >= 0
@@ -138,26 +126,16 @@ type Fingerprint struct {
 	AdjHist []int64 `json:"adj_hist"`
 }
 
-// FingerprintOf computes the fingerprint of a distance view. Dense
-// views cost the O(n²) pair loop; a distance.Clustered view is
-// fingerprinted combinatorially — intra-node pair loops plus closed-form
-// inter-node pair counts per network tier — in O(n + Σ k²) for per-node
-// group sizes k, producing the exact histogram the dense loop would.
+// FingerprintOf computes the fingerprint of a distance view, at the cost
+// of distance.PairHistogram: no cross-machine pair of a communicator's own
+// view is enumerated.
 func FingerprintOf(v distance.View) Fingerprint {
 	n := v.Size()
 	f := Fingerprint{Procs: n}
-	var hist, adj [distance.Max + 1]int64
-	if cv, ok := v.(*distance.Clustered); ok {
-		clusteredHist(cv, &hist)
-	} else {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				hist[clampDist(v.At(i, j))]++
-			}
-		}
-	}
+	hist := distance.PairHistogram(v)
+	var adj [distance.Max + 1]int64
 	for i := 0; i+1 < n; i++ {
-		adj[clampDist(v.At(i, i+1))]++
+		adj[min(max(v.At(i, i+1), 0), distance.Max)]++
 	}
 	for d, c := range hist {
 		if c > 0 && d > f.MaxDist {
@@ -169,49 +147,6 @@ func FingerprintOf(v distance.View) Fingerprint {
 	f.SingleMC = hist[distance.CrossSocketSameMC] > 0 &&
 		hist[distance.SameSocketCrossMC] == 0 && hist[distance.SameBoard] == 0
 	return f
-}
-
-func clampDist(d int) int {
-	if d < 0 {
-		return 0
-	}
-	if d > distance.Max {
-		return distance.Max
-	}
-	return d
-}
-
-// clusteredHist fills the unordered-pair distance histogram from a
-// sparse view: intra-node distances by pair loops over each machine's
-// member set, inter-node counts in closed form — every cross-machine
-// pair under one switch is SameSwitch, every cross-switch pair in one
-// rack CrossSwitch, every cross-rack pair CrossRack — so no rank pair
-// outside a machine is ever enumerated.
-func clusteredHist(cv *distance.Clustered, hist *[distance.Max + 1]int64) {
-	n := int64(cv.Size())
-	bySwitch := make(map[int]int64)
-	byRack := make(map[int]int64)
-	var sumMach2, sumSwitch2, sumRack2 int64
-	for _, mach := range cv.Machines() {
-		for i := 0; i < len(mach); i++ {
-			for j := i + 1; j < len(mach); j++ {
-				hist[clampDist(cv.At(mach[i], mach[j]))]++
-			}
-		}
-		k := int64(len(mach))
-		sumMach2 += k * k
-		bySwitch[cv.SwitchIndex(mach[0])] += k
-		byRack[cv.RackIndex(mach[0])] += k
-	}
-	for _, k := range bySwitch {
-		sumSwitch2 += k * k
-	}
-	for _, k := range byRack {
-		sumRack2 += k * k
-	}
-	hist[distance.SameSwitch] += (sumSwitch2 - sumMach2) / 2
-	hist[distance.CrossSwitch] += (sumRack2 - sumSwitch2) / 2
-	hist[distance.CrossRack] += (n*n - sumRack2) / 2
 }
 
 // Equal reports an exact fingerprint match (same size, same pair and

@@ -111,6 +111,59 @@ func TestFingerprintSeparatesBindings(t *testing.T) {
 	}
 }
 
+// TestFingerprintSameOnEveryRepresentation: a communicator fingerprints its
+// one view; shipped tables, tools and tests often fingerprint a dense
+// matrix of the same placement. The two must agree exactly — histogram,
+// adjacency, class — on single machines and clusters alike, or a table
+// calibrated over one would miss on the other.
+func TestFingerprintSameOnEveryRepresentation(t *testing.T) {
+	for _, tc := range []struct {
+		machine, bind string
+		n             int
+	}{
+		{"zoot", "contiguous", 16}, {"zoot", "crosssocket", 16}, {"zoot", "contiguous", 7},
+		{"ig", "contiguous", 48}, {"ig", "crosssocket", 48}, {"ig", "crosssocket", 13},
+		{"igcluster", "contiguous", 48}, {"igcluster", "crosssocket", 30},
+		{"igrack", "contiguous", 96}, {"igrack", "crosssocket", 50},
+	} {
+		topo, err := hwtopo.ByName(tc.machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := binding.ByName(topo, tc.bind, tc.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv, err := distance.NewClustered(topo, b.Cores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, dense := FingerprintOf(cv), FingerprintOf(distance.NewMatrix(topo, b.Cores()))
+		if !sparse.Equal(dense) || sparse.SingleMC != dense.SingleMC {
+			t.Errorf("%s/%s/%d: view fingerprints %+v, matrix %+v", tc.machine, tc.bind, tc.n, sparse, dense)
+		}
+	}
+}
+
+// TestOldTableJSONStillLoads: tables written when Decision carried a
+// two_phase flag parse to the same rules — the key is ignored, and what it
+// used to select is now what the view implies.
+func TestOldTableJSONStillLoads(t *testing.T) {
+	old := `{"name":"old","machine":"igcluster","procs":4,"sizes":[1024],"rule_sets":[{"collective":"bcast",
+		"binding":"contiguous","fingerprint":{"procs":4,"max_dist":8,"single_mc":false,"hist":[0],"adj_hist":[0]},
+		"rules":[{"min_bytes":0,"decision":{"component":"knemcoll","chunk":65536,"two_phase":true}}]}]}`
+	tab, err := ParseTable([]byte(old))
+	if err != nil {
+		t.Fatalf("table with a two_phase key rejected: %v", err)
+	}
+	if got, want := tab.RuleSets[0].Rules[0].Decision, (Decision{Component: ComponentKNEM, Chunk: 65536}); got != want {
+		t.Errorf("decision = %+v, want %+v", got, want)
+	}
+	if n := reflect.TypeOf(Decision{}).NumField(); n != 3 {
+		t.Errorf("Decision has %d fields, want 3 (component, linear, chunk)", n)
+	}
+}
+
 func TestFallbackCrossovers(t *testing.T) {
 	ig := FingerprintOf(matrixFor(t, "ig", "contiguous", 48))
 	zoot := FingerprintOf(matrixFor(t, "zoot", "contiguous", 16))
