@@ -60,7 +60,7 @@ func BenchmarkFig2(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.MPICHBcastTime(model, 0, size)
+					sec, err = figures.TimeOf(model, tune.CollBcast, tune.Decision{Component: tune.ComponentMPICH}, 0, size, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -87,7 +87,7 @@ func BenchmarkFig6(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.TunedBcastTime(model, 0, size)
+					sec, err = figures.TimeOf(model, tune.CollBcast, tune.Decision{Component: tune.ComponentTuned}, 0, size, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -98,7 +98,7 @@ func BenchmarkFig6(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.KNEMBcastTime(model, 0, size, nil)
+					sec, err = figures.TimeOf(model, tune.CollBcast, tune.Decision{Component: tune.ComponentKNEM}, 0, size, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -124,7 +124,7 @@ func BenchmarkFig7(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.TunedAllgatherTime(model, size)
+					sec, err = figures.TimeOf(model, tune.CollAllgather, tune.Decision{Component: tune.ComponentTuned}, 0, size, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -135,7 +135,7 @@ func BenchmarkFig7(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.KNEMAllgatherTime(model, size)
+					sec, err = figures.TimeOf(model, tune.CollAllgather, tune.Decision{Component: tune.ComponentKNEM}, 0, size, 0)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -166,7 +166,7 @@ func BenchmarkFig8(b *testing.B) {
 				var sec float64
 				for i := 0; i < b.N; i++ {
 					var err error
-					sec, err = figures.KNEMBcastTime(model, 0, size, v.levels)
+					sec, err = figures.LevelsBcastTime(model, 0, size, v.levels)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -225,7 +225,7 @@ func BenchmarkExtCluster(b *testing.B) {
 		var sec float64
 		for i := 0; i < b.N; i++ {
 			var err error
-			sec, err = figures.KNEMBcastTime(model, 0, size, nil)
+			sec, err = figures.TimeOf(model, tune.CollBcast, tune.Decision{Component: tune.ComponentKNEM}, 0, size, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

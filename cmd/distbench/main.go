@@ -40,7 +40,7 @@ func main() {
 	all := flag.Bool("all", false, "reproduce every paper figure (2, 6, 7, 8)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	sizesFlag := flag.String("sizes", "", "comma-separated message sizes in bytes (default: the paper's sweep)")
-	explain := flag.String("explain", "", "diagnose one run instead of sweeping: bcast or allgather")
+	explain := flag.String("explain", "", "diagnose one run instead of sweeping: bcast, allgather, or any other collective tune.CompileFor compiles")
 	machineName := flag.String("machine", "ig", "machine for -explain: zoot, ig, igcluster")
 	bindName := flag.String("binding", "crosssocket", "binding for -explain")
 	component := flag.String("component", "knemcoll", "component for -explain: knemcoll, tuned, mpich2")

@@ -110,15 +110,10 @@ type (
 	Levels      = core.Levels
 )
 
-// Topology construction and compilation. The Rebuild/Restrict helpers are
-// the self-healing half: re-running the constructions over the survivors
-// of a rank failure.
+// Topology construction and compilation.
 var (
 	BuildBroadcastTree          = core.BuildBroadcastTree
 	BuildAllgatherRing          = core.BuildAllgatherRing
-	RestrictDistanceMatrix      = core.RestrictMatrix
-	RebuildBroadcastTree        = core.RebuildBroadcastTree
-	RebuildAllgatherRing        = core.RebuildAllgatherRing
 	BuildBroadcastTreeFast      = core.BuildBroadcastTreeFast
 	BuildAllgatherRingFast      = core.BuildAllgatherRingFast
 	NewLinearTree               = core.NewLinearTree

@@ -22,6 +22,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -411,7 +412,7 @@ func runCollective(sc Scenario, p *mpi.Proc) rankOut {
 		if err != nil {
 			return rankOut{err: err}
 		}
-		return rankOut{completed: true, group: groupOf(nc), data: buf}
+		return rankOut{completed: true, group: nc.Group(), data: buf}
 
 	case "allgather":
 		send := Payload(sc.Seed, p.Rank(), sc.Size)
@@ -420,7 +421,7 @@ func runCollective(sc Scenario, p *mpi.Proc) rankOut {
 		if err != nil {
 			return rankOut{err: err}
 		}
-		return rankOut{completed: true, group: groupOf(nc), data: append([]byte(nil), out...)}
+		return rankOut{completed: true, group: nc.Group(), data: append([]byte(nil), out...)}
 
 	case "allreduce":
 		send := Payload(sc.Seed, p.Rank(), sc.Size)
@@ -429,7 +430,7 @@ func runCollective(sc Scenario, p *mpi.Proc) rankOut {
 			recv := make([]byte, sc.Size)
 			err := cur.Allreduce(send, recv, mpi.OpBXOR, comp)
 			if err == nil {
-				return rankOut{completed: true, group: groupOf(cur), data: recv}
+				return rankOut{completed: true, group: cur.Group(), data: recv}
 			}
 			next, stop, rerr := recoverStep(cur, err)
 			if stop {
@@ -444,7 +445,7 @@ func runCollective(sc Scenario, p *mpi.Proc) rankOut {
 		for try := 0; try <= n; try++ {
 			err := cur.Barrier()
 			if err == nil {
-				return rankOut{completed: true, group: groupOf(cur)}
+				return rankOut{completed: true, group: cur.Group()}
 			}
 			next, stop, rerr := recoverStep(cur, err)
 			if stop {
@@ -477,15 +478,6 @@ func recoverStep(cur *mpi.Comm, err error) (next *mpi.Comm, stop bool, rerr erro
 	return nc, false, nil
 }
 
-// groupOf snapshots a communicator's world-rank membership.
-func groupOf(c *mpi.Comm) []int {
-	g := make([]int, c.Size())
-	for i := range g {
-		g[i] = c.WorldRank(i)
-	}
-	return g
-}
-
 // checkOutcomes verifies the oracle and membership properties over the
 // per-rank outcomes.
 func checkOutcomes(res *Result, sc Scenario, outs []rankOut, failedSet map[int]bool) {
@@ -510,7 +502,7 @@ func checkOutcomes(res *Result, sc Scenario, outs []rankOut, failedSet map[int]b
 			refGroup = out.group
 			refRank = r
 			res.Group = out.group
-		} else if !equalInts(refGroup, out.group) {
+		} else if !slices.Equal(refGroup, out.group) {
 			res.violate("membership", r,
 				"final group %v differs from rank %d's %v (split-brain shrink)", out.group, refRank, refGroup)
 		}
@@ -636,18 +628,6 @@ func distinctPlans(events []trace.Event, op string) int {
 		}
 	}
 	return len(ids)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func countDiff(a, b []byte) int {

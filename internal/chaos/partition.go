@@ -23,6 +23,7 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -230,9 +231,9 @@ func runPartitionRound(cell PartitionCell, p *mpi.Proc, cur *mpi.Comm, winner []
 		*seq++
 		want := Payload(int64(*seq), 0, cell.Bytes)
 		buf := make([]byte, cell.Bytes)
-		root := indexIn(cur, 0)
+		root := cur.RankOf(0)
 		if root < 0 {
-			return partRankResult{err: fmt.Errorf("rank %d: root 0 left the comm: %v", p.Rank(), commGroup(cur))}, cur
+			return partRankResult{err: fmt.Errorf("rank %d: root 0 left the comm: %v", p.Rank(), cur.Group())}, cur
 		}
 		if p.Rank() == 0 {
 			copy(buf, want)
@@ -248,7 +249,9 @@ func runPartitionRound(cell PartitionCell, p *mpi.Proc, cur *mpi.Comm, winner []
 		if !bytes.Equal(buf, want) {
 			return partRankResult{err: fmt.Errorf("rank %d op %d: corrupted payload", p.Rank(), op)}, cur
 		}
-		if sameGroup(commGroup(cur), winner) {
+		// A shrink keeps the parent's rank order, so the world's successors
+		// list their members ascending, like winner.
+		if slices.Equal(cur.Group(), winner) {
 			return partRankResult{detectOps: op + 1, survived: true}, cur
 		}
 	}
@@ -264,7 +267,7 @@ func settleOps(cell PartitionCell, p *mpi.Proc, cur *mpi.Comm, seq *int) error {
 		*seq++
 		want := Payload(int64(*seq), 0, cell.Bytes)
 		buf := make([]byte, cell.Bytes)
-		root := indexIn(cur, 0)
+		root := cur.RankOf(0)
 		if p.Rank() == 0 {
 			copy(buf, want)
 		}
@@ -431,7 +434,7 @@ func checkPartitionOutcomes(rep *PartitionReport, cell PartitionCell, results []
 	if rep.Epoch < wantEpoch {
 		rep.violate("final epoch %d, want >= %d", rep.Epoch, wantEpoch)
 	}
-	if !sameGroup(rep.Winner, finalWinner) {
+	if !slices.Equal(rep.Winner, finalWinner) {
 		rep.violate("surviving component %v, want %v", rep.Winner, finalWinner)
 	}
 	expectFenced := make([]int, 0, len(results))
@@ -440,7 +443,7 @@ func checkPartitionOutcomes(rep *PartitionReport, cell PartitionCell, results []
 			expectFenced = append(expectFenced, r)
 		}
 	}
-	if !sameGroup(rep.Fenced, expectFenced) {
+	if !slices.Equal(rep.Fenced, expectFenced) {
 		rep.violate("fenced ranks %v, want %v", rep.Fenced, expectFenced)
 	}
 	for r, res := range results {
@@ -495,37 +498,4 @@ func checkPartitionTraces(rep *PartitionReport, ring *trace.RingSink, tr *trace.
 			rep.violate("trace: %s", v)
 		}
 	}
-}
-
-// indexIn returns world rank wr's index in c, or -1.
-func indexIn(c *mpi.Comm, wr int) int {
-	for i := 0; i < c.Size(); i++ {
-		if c.WorldRank(i) == wr {
-			return i
-		}
-	}
-	return -1
-}
-
-// commGroup snapshots c's world-rank membership, sorted.
-func commGroup(c *mpi.Comm) []int {
-	g := make([]int, c.Size())
-	for i := range g {
-		g[i] = c.WorldRank(i)
-	}
-	sort.Ints(g)
-	return g
-}
-
-// sameGroup reports whether two sorted rank sets are identical.
-func sameGroup(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -77,8 +77,9 @@ func CompileAlltoallDirect(n int, block int64) (*sched.Schedule, error) {
 // cost is a kernel trap regardless of distance, so grouping buys nothing
 // — the finest level is used only if the caller insists (it is also what
 // the correctness tests exercise intra-node). Returns nil when no useful
-// grouping exists.
+// grouping exists. It reads the physical view under an overlay (rule.go).
 func alltoallClusters(m distance.View) [][]int {
+	m, _ = physical(m)
 	n := m.Size()
 	minD, maxD := 0, 0
 	for i := 0; i < n; i++ {

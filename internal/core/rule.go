@@ -3,8 +3,8 @@ package core
 import "distcoll/internal/distance"
 
 // This file is the one rule from a distance view to the paper's two
-// topologies. Every production caller — a communicator's tree/ring cache,
-// the decision compiler, chaos leader targeting — goes through TreeFor and
+// topologies. Every production caller — the schedule compiler
+// (tune.CompileFor) and chaos leader targeting — goes through TreeFor and
 // RingFor, so what a calibrated table describes, what a fixed component
 // runs and what a fault scenario aims at are the same construction:
 //
@@ -22,14 +22,23 @@ import "distcoll/internal/distance"
 // one machine; across machines the pairwise cluster walk keeps
 // construction affordable. The hierarchical ring has the level structure
 // of Algorithm 2's but not its cyclic order, so single-machine rings stay
-// on the literal algorithm.
+// on the literal algorithm. The hierarchical alltoall groups ranks by the
+// machine they sit on, so it reads the physical view under an overlay: a
+// demoted edge is slower, not on another node.
+
+// physical returns the placement's own view: what v overlays (anything
+// exposing Base, i.e. health.View), else v itself.
+func physical(v distance.View) (base distance.View, overlay bool) {
+	if o, ok := v.(interface{ Base() distance.View }); ok {
+		return o.Base(), true
+	}
+	return v, false
+}
 
 // clusteredBase returns the Clustered view v is, or overlays; nil for any
 // other view.
 func clusteredBase(v distance.View) (cv *distance.Clustered, overlay bool) {
-	if o, ok := v.(interface{ Base() distance.View }); ok {
-		v, overlay = o.Base(), true
-	}
+	v, overlay = physical(v)
 	cv, _ = v.(*distance.Clustered)
 	return cv, overlay
 }

@@ -115,3 +115,52 @@ func TestRuleMultiMachineUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// demoted is an overlay raising one pair above every physical distance, the
+// way health.View prices a demoted edge.
+type demoted struct {
+	distance.View
+	a, b int
+}
+
+func (d demoted) Base() distance.View { return d.View }
+
+func (d demoted) At(i, j int) int {
+	if (i == d.a && j == d.b) || (i == d.b && j == d.a) {
+		return d.View.At(i, j) + distance.Max + 1
+	}
+	return d.View.At(i, j)
+}
+
+// TestAlltoallGroupsByPhysicalMachine: the hierarchical alltoall aggregates
+// per machine, and a demoted edge is slower, not on another node — under an
+// overlay the grouping reads the physical view, so the schedule is the one
+// the bare placement gets: the direct fallback on one machine (a demoted
+// pair there would otherwise read as a second "node"), the same leaders and
+// staging across several.
+func TestAlltoallGroupsByPhysicalMachine(t *testing.T) {
+	for _, topo := range []*hwtopo.Topology{hwtopo.NewIG(), hwtopo.NewIGCluster()} {
+		cores := make([]int, 24)
+		for i := range cores {
+			cores[i] = 2 * i
+		}
+		cv, err := distance.NewClustered(topo, cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.CompileAlltoallHierarchical(cv, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.CompileAlltoallHierarchical(demoted{cv, 0, 1}, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, staged := want.FindBuffer(0, "packed"); staged != cv.MultiMachine() {
+			t.Fatalf("%s: bare placement staged = %v, want %v", topo.Name, staged, cv.MultiMachine())
+		}
+		if !reflect.DeepEqual(got.Ops, want.Ops) {
+			t.Errorf("%s: a demoted intra-node pair changed the alltoall's grouping", topo.Name)
+		}
+	}
+}

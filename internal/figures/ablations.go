@@ -3,11 +3,46 @@ package figures
 import (
 	"distcoll/internal/binding"
 	"distcoll/internal/core"
-	"distcoll/internal/distance"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/imb"
 	"distcoll/internal/machine"
+	"distcoll/internal/sched"
+	"distcoll/internal/tune"
 )
+
+// This file holds the series no tune.Decision names, and so the only
+// drivers that call a core compiler directly instead of going through
+// TimeOf: Fig. 8's explicit level sets, the ring tie-break, and the two
+// alltoall strategies swept past the block size where the runtime switches
+// between them. (The chunk ablation is here with them, but a chunk
+// override is something a decision can say.)
+
+// compiled times, at every size, a schedule built outside
+// tune.CompileFor.
+func compiled(m *machine.Model, build func(size int64) (*sched.Schedule, error)) imb.Runner {
+	return func(size int64) (float64, error) {
+		s, err := build(size)
+		if err != nil {
+			return 0, err
+		}
+		return makespan(m, s)
+	}
+}
+
+// LevelsBcastTime simulates one distance-aware KNEM broadcast over the
+// Algorithm-1 tree built with an explicit level set — Fig. 8's "4 sets"
+// (core.CollapseBelow(2)) and "linear" (core.FlatLevels) topologies.
+func LevelsBcastTime(m *machine.Model, root int, size int64, levels core.Levels) (float64, error) {
+	tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{Levels: levels})
+	if err != nil {
+		return 0, err
+	}
+	s, err := core.CompileBroadcast(tree, size, 0)
+	if err != nil {
+		return 0, err
+	}
+	return makespan(m, s)
+}
 
 // AblationChunk sweeps the pipeline chunk size for an 8 MB distance-aware
 // broadcast on IG (design-choice bench for the §IV-B pipelining policy).
@@ -24,24 +59,15 @@ func AblationChunk(chunks []int64) (*Figure, error) {
 		return nil, err
 	}
 	fig := &Figure{ID: "chunk", Title: "Pipeline chunk-size ablation: 8MB KNEM broadcast on IG", Procs: n}
-	for _, m := range []*machine.Model{cont, cross} {
-		tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		s, err := imb.Sweep("KNEMColl_"+m.Binding().Name, chunks,
-			func(chunk int64) (float64, error) {
-				sched, err := core.CompileBroadcast(tree, msg, chunk)
-				if err != nil {
-					return 0, err
-				}
-				return makespan(m, sched)
-			},
-			func(_ int64, sec float64) float64 { return imb.BcastBandwidth(n, msg, sec) })
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+	chunked := func(m *machine.Model) curve {
+		return curve{"KNEMColl_" + m.Binding().Name, func(chunk int64) (float64, error) {
+			return TimeOf(m, tune.CollBcast, tune.Decision{Component: tune.ComponentKNEM, Chunk: chunk}, root, msg, 0)
+		}}
+	}
+	err = fig.sweep(chunks, func(p int, _ int64, sec float64) float64 { return imb.BcastBandwidth(p, msg, sec) },
+		chunked(cont), chunked(cross))
+	if err != nil {
+		return nil, err
 	}
 	return fig, nil
 }
@@ -56,8 +82,7 @@ func AblationRingOrdering(sizes []int64) (*Figure, error) {
 		sizes = imb.StandardSizes()
 	}
 	const n = 48
-	ig := hwtopo.NewIG()
-	b, err := binding.Random(ig, n, 7)
+	b, err := binding.Random(hwtopo.NewIG(), n, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -66,29 +91,66 @@ func AblationRingOrdering(sizes []int64) (*Figure, error) {
 		return nil, err
 	}
 	fig := &Figure{ID: "ordering", Title: "Ring tie-break ablation: KNEM allgather on IG, random binding", Procs: n}
+	var curves []curve
 	for _, ord := range []struct {
 		label string
 		o     core.RingOrdering
 	}{{"canonical", core.RingCanonical}, {"lexicographic", core.RingLexicographic}} {
-		ord := ord
-		m := distance.NewMatrix(ig, b.Cores())
-		ring, err := core.BuildAllgatherRing(m, core.RingOptions{Ordering: ord.o})
+		ring, err := core.BuildAllgatherRing(view(model), core.RingOptions{Ordering: ord.o})
 		if err != nil {
 			return nil, err
 		}
-		s, err := imb.Sweep(ord.label, sizes,
-			func(block int64) (float64, error) {
-				sched, err := core.CompileAllgather(ring, block)
-				if err != nil {
-					return 0, err
-				}
-				return makespan(model, sched)
-			},
-			func(block int64, sec float64) float64 { return imb.AllgatherBandwidth(n, block, sec) })
-		if err != nil {
-			return nil, err
+		curves = append(curves, curve{ord.label, compiled(model, func(block int64) (*sched.Schedule, error) {
+			return core.CompileAllgather(ring, block)
+		})})
+	}
+	if err := fig.sweep(sizes, imb.AllgatherBandwidth, curves...); err != nil {
+		return nil, err
+	}
+	return fig, nil
+}
+
+// ExtAlltoall compares alltoall strategies on the 4-node cluster: the
+// rank-based pairwise exchange, the direct single-copy pull, and the
+// distance-aware hierarchical aggregation (ranks grouped by machine, ONE
+// network transfer per ordered node pair instead of 144 small ones).
+// Aggregation wins at small blocks where the per-message network cost
+// dominates; direct/pairwise catch up at large blocks where volume rules —
+// the measurement behind tune.AlltoallHierarchicalLimit, which is why the
+// two distance-aware strategies are each swept over the whole range here
+// rather than through the decision that switches between them.
+// Bandwidth = P·(P−1)·block/t.
+func ExtAlltoall(sizes []int64) (*Figure, error) {
+	if sizes == nil {
+		// Per-rank block sizes; alltoall buffers are P× larger, so sweep a
+		// smaller range than the other figures.
+		for s := int64(64); s <= 256<<10; s <<= 1 {
+			sizes = append(sizes, s)
 		}
-		fig.Series = append(fig.Series, s)
+	}
+	cross, err := binding.CrossSocket(hwtopo.NewIGCluster(), 48) // scatters ranks across all 4 nodes
+	if err != nil {
+		return nil, err
+	}
+	model, err := machine.NewModel(cross, machine.ClusterParams(machine.IGParams()))
+	if err != nil {
+		return nil, err
+	}
+	const n = 48
+	fig := &Figure{ID: "alltoall", Title: "Alltoall on a 4-node cluster, 48 processes, scattered binding: strategies", Procs: n}
+	err = fig.sweep(sizes,
+		func(p int, block int64, sec float64) float64 {
+			return float64(p) * float64(p-1) * float64(block) / sec / imb.MB
+		},
+		curve{"pairwise(tuned)", decided(model, tune.CollAlltoall, tuned, 0, 0)},
+		curve{"direct", compiled(model, func(b int64) (*sched.Schedule, error) {
+			return core.CompileAlltoallDirect(n, b)
+		})},
+		curve{"hierarchical", compiled(model, func(b int64) (*sched.Schedule, error) {
+			return core.CompileAlltoallHierarchical(view(model), b)
+		})})
+	if err != nil {
+		return nil, err
 	}
 	return fig, nil
 }

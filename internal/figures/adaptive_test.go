@@ -23,11 +23,10 @@ func minF(a, b float64) float64 {
 	return b
 }
 
-// TestAdaptiveTracksUpperEnvelopeBcast is the headline acceptance test:
-// at every sweep point, under both bindings, the Adaptive component's
-// simulated broadcast matches or beats the better of tuned and the fixed
-// distance-aware component.
-func TestAdaptiveTracksUpperEnvelopeBcast(t *testing.T) {
+// checkEnvelope asserts, at every acceptance size under both IG bindings,
+// that the schedule the Adaptive component selects for coll simulates to
+// match or beat the better of tuned and the fixed distance-aware component.
+func checkEnvelope(t *testing.T, coll tune.Collective) {
 	cont, cross, err := igModels(48)
 	if err != nil {
 		t.Fatal(err)
@@ -38,58 +37,32 @@ func TestAdaptiveTracksUpperEnvelopeBcast(t *testing.T) {
 		m    *machine.Model
 	}{{"contiguous", cont}, {"crosssocket", cross}} {
 		for _, size := range acceptSizes {
-			tuned, err := TunedBcastTime(bc.m, 0, size)
-			if err != nil {
-				t.Fatal(err)
+			timeOf := func(d tune.Decision) float64 {
+				sec, err := TimeOf(bc.m, coll, d, 0, size, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sec
 			}
-			knem, err := KNEMBcastTime(bc.m, 0, size, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			adaptive, err := AdaptiveBcastTime(sel, bc.m, 0, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best := minF(tuned, knem); adaptive > best*(1+envelopeTol) {
-				t.Errorf("bcast/%s %d B: adaptive %.3gs worse than best fixed component %.3gs (tuned %.3gs, knem %.3gs)",
-					bc.name, size, adaptive, best, tuned, knem)
+			tunedSec, knemSec := timeOf(tuned), timeOf(knem)
+			adaptive := timeOf(sel.Select(coll, view(bc.m), size))
+			if best := minF(tunedSec, knemSec); adaptive > best*(1+envelopeTol) {
+				t.Errorf("%s/%s %d B: adaptive %.3gs worse than best fixed component %.3gs (tuned %.3gs, knem %.3gs)",
+					coll, bc.name, size, adaptive, best, tunedSec, knemSec)
 			}
 		}
 	}
 }
 
+// TestAdaptiveTracksUpperEnvelopeBcast is the headline acceptance test:
+// at every sweep point, under both bindings, the Adaptive component's
+// simulated broadcast matches or beats the better of tuned and the fixed
+// distance-aware component.
+func TestAdaptiveTracksUpperEnvelopeBcast(t *testing.T) { checkEnvelope(t, tune.CollBcast) }
+
 // TestAdaptiveTracksUpperEnvelopeAllgather mirrors the broadcast test on
 // the Fig. 7 allgather sweep.
-func TestAdaptiveTracksUpperEnvelopeAllgather(t *testing.T) {
-	cont, cross, err := igModels(48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := tune.DefaultSelector()
-	for _, bc := range []struct {
-		name string
-		m    *machine.Model
-	}{{"contiguous", cont}, {"crosssocket", cross}} {
-		for _, block := range acceptSizes {
-			tuned, err := TunedAllgatherTime(bc.m, block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			knem, err := KNEMAllgatherTime(bc.m, block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			adaptive, err := AdaptiveAllgatherTime(sel, bc.m, block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best := minF(tuned, knem); adaptive > best*(1+envelopeTol) {
-				t.Errorf("allgather/%s %d B: adaptive %.3gs worse than best fixed component %.3gs (tuned %.3gs, knem %.3gs)",
-					bc.name, block, adaptive, best, tuned, knem)
-			}
-		}
-	}
-}
+func TestAdaptiveTracksUpperEnvelopeAllgather(t *testing.T) { checkEnvelope(t, tune.CollAllgather) }
 
 // TestAdaptiveFigures drives the two new figure IDs end to end on a tiny
 // sweep and sanity-checks the series layout.

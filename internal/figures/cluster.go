@@ -3,13 +3,13 @@ package figures
 import (
 	"fmt"
 
-	"distcoll/internal/baseline"
 	"distcoll/internal/binding"
 	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/imb"
 	"distcoll/internal/machine"
+	"distcoll/internal/tune"
 )
 
 // ClusterTopology builds the multi-node evaluation platform for the §VI
@@ -62,53 +62,29 @@ func ExtCluster(sizes []int64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig := &Figure{ID: "cluster", Title: "Broadcast on a 4-node/2-switch cluster (48 processes): tuned vs distance-aware", Procs: n}
 	ms, err := models(params, cont, scattered)
 	if err != nil {
 		return nil, err
 	}
-	tuned := func(m *machine.Model) imb.Runner {
-		return func(size int64) (float64, error) {
-			alg, seg := baseline.TunedBcastDecision(n, size)
-			s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
-			if err != nil {
-				return 0, err
-			}
-			return makespan(m, s)
-		}
-	}
-	knem := func(m *machine.Model) imb.Runner {
-		return func(size int64) (float64, error) {
-			tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{})
-			if err != nil {
-				return 0, err
-			}
-			if got := tree.EdgesAtWeight(distance.CrossSwitch); got != 1 {
-				return 0, fmt.Errorf("cluster tree has %d trunk edges, want 1", got)
-			}
-			s, err := core.CompileBroadcast(tree, size, 0)
-			if err != nil {
-				return 0, err
-			}
-			return makespan(m, s)
-		}
-	}
-	type cfg struct {
-		label string
-		run   imb.Runner
-	}
-	for _, c := range []cfg{
-		{"tuned_contiguous", tuned(ms[0])},
-		{"tuned_scattered", tuned(ms[1])},
-		{"distaware_contiguous", knem(ms[0])},
-		{"distaware_scattered", knem(ms[1])},
-	} {
-		s, err := imb.Sweep(c.label, sizes, c.run,
-			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
+	for _, m := range ms {
+		// The tree the knemcoll curves below compile over (the same rule
+		// on the same view) must cross the trunk exactly once.
+		tree, err := core.TreeFor(view(m), root)
 		if err != nil {
 			return nil, err
 		}
-		fig.Series = append(fig.Series, s)
+		if got := tree.EdgesAtWeight(distance.CrossSwitch); got != 1 {
+			return nil, fmt.Errorf("cluster tree has %d trunk edges, want 1", got)
+		}
+	}
+	fig := &Figure{ID: "cluster", Title: "Broadcast on a 4-node/2-switch cluster (48 processes): tuned vs distance-aware", Procs: n}
+	err = fig.sweep(sizes, imb.BcastBandwidth,
+		curve{"tuned_contiguous", decided(ms[0], tune.CollBcast, tuned, root, 0)},
+		curve{"tuned_scattered", decided(ms[1], tune.CollBcast, tuned, root, 0)},
+		curve{"distaware_contiguous", decided(ms[0], tune.CollBcast, knem, root, 0)},
+		curve{"distaware_scattered", decided(ms[1], tune.CollBcast, knem, root, 0)})
+	if err != nil {
+		return nil, err
 	}
 	return fig, nil
 }

@@ -8,7 +8,6 @@ package figures
 import (
 	"fmt"
 
-	"distcoll/internal/baseline"
 	"distcoll/internal/binding"
 	"distcoll/internal/core"
 	"distcoll/internal/des"
@@ -17,6 +16,7 @@ import (
 	"distcoll/internal/imb"
 	"distcoll/internal/machine"
 	"distcoll/internal/sched"
+	"distcoll/internal/tune"
 )
 
 // Figure is a reproduced experiment: a set of bandwidth curves.
@@ -42,64 +42,50 @@ func view(m *machine.Model) distance.Matrix {
 	return distance.NewMatrix(b.Topology(), b.Cores())
 }
 
-// KNEMBcastTime simulates one distance-aware KNEM broadcast.
-func KNEMBcastTime(m *machine.Model, root int, size int64, levels core.Levels) (float64, error) {
-	tree, err := core.BuildBroadcastTree(view(m), root, core.TreeOptions{Levels: levels})
-	if err != nil {
-		return 0, err
-	}
-	s, err := core.CompileBroadcast(tree, size, 0)
-	if err != nil {
-		return 0, err
-	}
-	return makespan(m, s)
-}
-
-// TunedBcastTime simulates Open MPI tuned's broadcast over the SM/KNEM BTL.
-func TunedBcastTime(m *machine.Model, root int, size int64) (float64, error) {
-	n := m.Binding().NumRanks()
-	alg, seg := baseline.TunedBcastDecision(n, size)
-	s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
+// TimeOf simulates, on m's placement, the schedule tune.CompileFor
+// compiles for decision d — exactly what the runtime executes for it,
+// whether a fixed component names it or the selector picked it. size is
+// the full message or the per-rank block, as CompileFor defines it for
+// coll; align the reduction element size.
+func TimeOf(m *machine.Model, coll tune.Collective, d tune.Decision, root int, size, align int64) (float64, error) {
+	s, err := tune.CompileFor(coll, d, view(m), root, size, align)
 	if err != nil {
 		return 0, err
 	}
 	return makespan(m, s)
 }
 
-// MPICHBcastTime simulates MPICH2-1.4's broadcast over nemesis shared
-// memory (double copy).
-func MPICHBcastTime(m *machine.Model, root int, size int64) (float64, error) {
-	n := m.Binding().NumRanks()
-	alg, seg := baseline.MPICHBcastDecision(n, size)
-	s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.NemesisSM())
-	if err != nil {
-		return 0, err
-	}
-	return makespan(m, s)
+// The fixed components as decisions.
+var (
+	knem  = tune.Decision{Component: tune.ComponentKNEM}
+	tuned = tune.Decision{Component: tune.ComponentTuned}
+	mpich = tune.Decision{Component: tune.ComponentMPICH}
+)
+
+// curve is one plotted series: its label and what it times at each size.
+type curve struct {
+	label string
+	run   imb.Runner
 }
 
-// KNEMAllgatherTime simulates the distance-aware KNEM allgather.
-func KNEMAllgatherTime(m *machine.Model, block int64) (float64, error) {
-	ring, err := core.BuildAllgatherRing(view(m), core.RingOptions{})
-	if err != nil {
-		return 0, err
-	}
-	s, err := core.CompileAllgather(ring, block)
-	if err != nil {
-		return 0, err
-	}
-	return makespan(m, s)
+// decided times the schedule of one decision at every size.
+func decided(m *machine.Model, coll tune.Collective, d tune.Decision, root int, align int64) imb.Runner {
+	return func(size int64) (float64, error) { return TimeOf(m, coll, d, root, size, align) }
 }
 
-// TunedAllgatherTime simulates Open MPI tuned's allgather.
-func TunedAllgatherTime(m *machine.Model, block int64) (float64, error) {
-	n := m.Binding().NumRanks()
-	alg := baseline.TunedAllgatherDecision(n, block)
-	s, err := baseline.CompileAllgather(alg, n, block, baseline.SMKnemBTL())
-	if err != nil {
-		return 0, err
+// sweep appends one series per curve over sizes; toMBps converts each
+// timing given the figure's process count (imb.BcastBandwidth and
+// imb.AllgatherBandwidth have this shape).
+func (f *Figure) sweep(sizes []int64, toMBps func(procs int, size int64, seconds float64) float64, curves ...curve) error {
+	for _, c := range curves {
+		s, err := imb.Sweep(c.label, sizes, c.run,
+			func(size int64, sec float64) float64 { return toMBps(f.Procs, size, sec) })
+		if err != nil {
+			return err
+		}
+		f.Series = append(f.Series, s)
 	}
-	return makespan(m, s)
+	return nil
 }
 
 // Fig2 reproduces Figure 2: MPICH2-1.4 broadcast bandwidth on Zoot with 16
@@ -139,7 +125,7 @@ func Fig2(sizes []int64) (*Figure, error) {
 	cpu2.Name = "cache"
 	bindings = append(bindings, cpu, &cpu2)
 
-	fig := &Figure{ID: "2", Title: "MPICH2-1.4 Broadcast on Zoot, 16 processes, 4 bindings", Procs: n}
+	var curves []curve
 	for _, b := range bindings {
 		label := map[string]string{"rr": "RR", "user": "user:0..15", "contiguous": "cpu", "cache": "cache"}[b.Name]
 		if label == "" {
@@ -149,13 +135,11 @@ func Fig2(sizes []int64) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := imb.Sweep(label, sizes,
-			func(size int64) (float64, error) { return MPICHBcastTime(m, root, size) },
-			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+		curves = append(curves, curve{label, decided(m, tune.CollBcast, mpich, root, 0)})
+	}
+	fig := &Figure{ID: "2", Title: "MPICH2-1.4 Broadcast on Zoot, 16 processes, 4 bindings", Procs: n}
+	if err := fig.sweep(sizes, imb.BcastBandwidth, curves...); err != nil {
+		return nil, err
 	}
 	return fig, nil
 }
@@ -192,10 +176,12 @@ func igModels(n int) (cont, cross *machine.Model, err error) {
 	return ms[0], ms[1], nil
 }
 
-// Fig6 reproduces Figure 6: broadcast bandwidth on IG with 48 processes —
-// Open MPI tuned vs the distance-aware KNEM collective, each under the
-// contiguous and cross-socket bindings, off-cache.
-func Fig6(sizes []int64) (*Figure, error) {
+// igSweep is the experiment Figs. 6 and 7 and their adaptive extensions
+// share: coll (bcast or allgather) on IG with 48 processes, Open MPI tuned
+// vs the distance-aware KNEM collective — and, when adaptive, the Adaptive
+// component, timed on whatever the shipped tables select per size — each
+// under the contiguous and cross-socket bindings, off-cache.
+func igSweep(id, title string, coll tune.Collective, adaptive bool, sizes []int64) (*Figure, error) {
 	if sizes == nil {
 		sizes = imb.StandardSizes()
 	}
@@ -204,57 +190,44 @@ func Fig6(sizes []int64) (*Figure, error) {
 		return nil, err
 	}
 	const n, root = 48, 0
-	fig := &Figure{ID: "6", Title: "Broadcast on IG, 48 processes: tuned vs KNEM collective", Procs: n}
-	type cfg struct {
-		label string
-		run   imb.Runner
+	curves := []curve{
+		{"OpenMPI_contiguous", decided(cont, coll, tuned, root, 0)},
+		{"OpenMPI_crosssocket", decided(cross, coll, tuned, root, 0)},
+		{"KNEMColl_contiguous", decided(cont, coll, knem, root, 0)},
+		{"KNEMColl_crosssocket", decided(cross, coll, knem, root, 0)},
 	}
-	for _, c := range []cfg{
-		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedBcastTime(cont, root, size) }},
-		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedBcastTime(cross, root, size) }},
-		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMBcastTime(cont, root, size, nil) }},
-		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMBcastTime(cross, root, size, nil) }},
-	} {
-		s, err := imb.Sweep(c.label, sizes, c.run,
-			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
-		if err != nil {
-			return nil, err
+	if adaptive {
+		sel := tune.DefaultSelector()
+		selected := func(m *machine.Model) imb.Runner {
+			v := view(m)
+			return func(size int64) (float64, error) {
+				return TimeOf(m, coll, sel.Select(coll, v, size), root, size, 0)
+			}
 		}
-		fig.Series = append(fig.Series, s)
+		curves = append(curves, curve{"Adaptive_contiguous", selected(cont)}, curve{"Adaptive_crosssocket", selected(cross)})
+	}
+	toMBps := imb.BcastBandwidth
+	if coll == tune.CollAllgather {
+		toMBps = imb.AllgatherBandwidth
+	}
+	fig := &Figure{ID: id, Title: title, Procs: n}
+	if err := fig.sweep(sizes, toMBps, curves...); err != nil {
+		return nil, err
 	}
 	return fig, nil
+}
+
+// Fig6 reproduces Figure 6: broadcast bandwidth on IG with 48 processes —
+// Open MPI tuned vs the distance-aware KNEM collective, each under the
+// contiguous and cross-socket bindings, off-cache.
+func Fig6(sizes []int64) (*Figure, error) {
+	return igSweep("6", "Broadcast on IG, 48 processes: tuned vs KNEM collective", tune.CollBcast, false, sizes)
 }
 
 // Fig7 reproduces Figure 7: allgather bandwidth on IG with 48 processes —
 // tuned vs the distance-aware KNEM collective under both bindings.
 func Fig7(sizes []int64) (*Figure, error) {
-	if sizes == nil {
-		sizes = imb.StandardSizes()
-	}
-	cont, cross, err := igModels(48)
-	if err != nil {
-		return nil, err
-	}
-	const n = 48
-	fig := &Figure{ID: "7", Title: "Allgather on IG, 48 processes: tuned vs KNEM collective", Procs: n}
-	type cfg struct {
-		label string
-		run   imb.Runner
-	}
-	for _, c := range []cfg{
-		{"OpenMPI_contiguous", func(size int64) (float64, error) { return TunedAllgatherTime(cont, size) }},
-		{"OpenMPI_crosssocket", func(size int64) (float64, error) { return TunedAllgatherTime(cross, size) }},
-		{"KNEMColl_contiguous", func(size int64) (float64, error) { return KNEMAllgatherTime(cont, size) }},
-		{"KNEMColl_crosssocket", func(size int64) (float64, error) { return KNEMAllgatherTime(cross, size) }},
-	} {
-		s, err := imb.Sweep(c.label, sizes, c.run,
-			func(size int64, sec float64) float64 { return imb.AllgatherBandwidth(n, size, sec) })
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
+	return igSweep("7", "Allgather on IG, 48 processes: tuned vs KNEM collective", tune.CollAllgather, false, sizes)
 }
 
 // Fig8 reproduces Figure 8: KNEM broadcast on Zoot, 16 processes, two
@@ -282,24 +255,16 @@ func Fig8(sizes []int64) (*Figure, error) {
 		return nil, err
 	}
 	fig := &Figure{ID: "8", Title: "KNEM Broadcast on Zoot, 16 processes: 4-set hierarchy vs linear", Procs: n}
-	type cfg struct {
-		label  string
-		m      *machine.Model
-		levels core.Levels
+	levels := func(m *machine.Model, l core.Levels) imb.Runner {
+		return func(size int64) (float64, error) { return LevelsBcastTime(m, root, size, l) }
 	}
-	for _, c := range []cfg{
-		{"4sets_contiguous", ms[0], core.CollapseBelow(2)},
-		{"4sets_crosssocket", ms[1], core.CollapseBelow(2)},
-		{"linear_contiguous", ms[0], core.FlatLevels},
-		{"linear_crosssocket", ms[1], core.FlatLevels},
-	} {
-		s, err := imb.Sweep(c.label, sizes,
-			func(size int64) (float64, error) { return KNEMBcastTime(c.m, root, size, c.levels) },
-			func(size int64, sec float64) float64 { return imb.BcastBandwidth(n, size, sec) })
-		if err != nil {
-			return nil, err
-		}
-		fig.Series = append(fig.Series, s)
+	err = fig.sweep(sizes, imb.BcastBandwidth,
+		curve{"4sets_contiguous", levels(ms[0], core.CollapseBelow(2))},
+		curve{"4sets_crosssocket", levels(ms[1], core.CollapseBelow(2))},
+		curve{"linear_contiguous", levels(ms[0], core.FlatLevels)},
+		curve{"linear_crosssocket", levels(ms[1], core.FlatLevels)})
+	if err != nil {
+		return nil, err
 	}
 	return fig, nil
 }
@@ -349,10 +314,10 @@ func All(sizes []int64) ([]*Figure, error) {
 	return out, nil
 }
 
-// Explain simulates one broadcast or allgather configuration and returns
-// the compiled schedule with its simulated result, for trace diagnostics
-// (distbench -explain). machineName ∈ {zoot, ig, igcluster}; component ∈
-// {knemcoll, tuned, mpich2}; op ∈ {bcast, allgather}.
+// Explain simulates one configuration and returns the compiled schedule
+// with its simulated result, for trace diagnostics (distbench -explain).
+// machineName ∈ {zoot, ig, igcluster}; component ∈ {knemcoll, tuned,
+// mpich2}; op is any collective tune.CompileFor knows.
 func Explain(machineName, bindName, component, op string, size int64) (*sched.Schedule, *des.Result, *binding.Binding, error) {
 	topo, err := hwtopo.ByName(machineName)
 	if err != nil {
@@ -366,51 +331,15 @@ func Explain(machineName, bindName, component, op string, size int64) (*sched.Sc
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	n := b.NumRanks()
-	var s *sched.Schedule
-	switch {
-	case op == "bcast" && component == "knemcoll":
-		m := distance.NewMatrix(topo, b.Cores())
-		tree, err := core.BuildBroadcastTree(m, 0, core.TreeOptions{})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s, err = core.CompileBroadcast(tree, size, 0)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	case op == "bcast" && component == "tuned":
-		alg, seg := baseline.TunedBcastDecision(n, size)
-		s, err = baseline.CompileBcast(alg, n, 0, size, seg, baseline.SMKnemBTL())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	case op == "bcast" && component == "mpich2":
-		alg, seg := baseline.MPICHBcastDecision(n, size)
-		s, err = baseline.CompileBcast(alg, n, 0, size, seg, baseline.NemesisSM())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	case op == "allgather" && component == "knemcoll":
-		m := distance.NewMatrix(topo, b.Cores())
-		ring, err := core.BuildAllgatherRing(m, core.RingOptions{})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		s, err = core.CompileAllgather(ring, size)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	case op == "allgather" && component == "tuned":
-		alg := baseline.TunedAllgatherDecision(n, size)
-		s, err = baseline.CompileAllgather(alg, n, size, baseline.SMKnemBTL())
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	default:
-		return nil, nil, nil, fmt.Errorf("figures: unknown explain config %s/%s", op, component)
+	m, err := machine.NewModel(b, params)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	res, err := machine.Simulate(b, params, s)
+	s, err := tune.CompileFor(tune.Collective(op), tune.Decision{Component: component}, view(m), 0, size, 0)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("figures: explain %s/%s: %w", op, component, err)
+	}
+	res, err := m.Simulate(s)
 	if err != nil {
 		return nil, nil, nil, err
 	}

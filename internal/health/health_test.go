@@ -255,22 +255,52 @@ func TestScorerIgnoresJunkEvents(t *testing.T) {
 }
 
 func TestSnapshotHashStability(t *testing.T) {
+	// The hash plan-cache keys fold is the wrapped view's: the demotion
+	// set as the view's members see it. With the identity group that is
+	// the snapshot's own set.
+	base := uniformMatrix(8, 2)
+	hash := func(group []int, s *Snapshot) uint64 {
+		t.Helper()
+		v, ok := WrapView(base, group, s).(*View)
+		if !ok {
+			t.Fatal("snapshot touching a member left the view unwrapped")
+		}
+		return v.Hash()
+	}
 	e := map[[2]int]bool{{0, 3}: true, {1, 2}: true}
 	r := map[int]bool{5: true}
 	a := newSnapshot(1, 8, e, r)
 	b := newSnapshot(9, 8, map[[2]int]bool{{1, 2}: true, {0, 3}: true}, map[int]bool{5: true})
-	if a.Hash() != b.Hash() {
+	if hash(nil, a) != hash(nil, b) {
 		t.Error("identical demotion sets at different revisions must hash identically")
 	}
 	c := newSnapshot(1, 8, map[[2]int]bool{{0, 3}: true}, r)
-	if a.Hash() == c.Hash() {
+	if hash(nil, a) == hash(nil, c) {
 		t.Error("different edge sets hash identically")
 	}
 	// Edge {a,b} demoted vs rank a demoted must not collide.
 	d := newSnapshot(1, 8, map[[2]int]bool{{5, 6}: true}, nil)
 	f := newSnapshot(1, 8, nil, map[int]bool{5: true, 6: true})
-	if d.Hash() == f.Hash() {
+	if hash(nil, d) == hash(nil, f) {
 		t.Error("edge demotion and rank demotion hash identically")
+	}
+	// Member-relative: one snapshot demoting world edges 10-13 and 21-22
+	// reads as edge 0-3 in group X and edge 1-2 in group Y — different
+	// views, different hashes — while a group that sees its edge at the
+	// same member-relative place as X shares X's hash, and an edge with one
+	// endpoint outside the group does not count.
+	two := newSnapshot(1, 8, map[[2]int]bool{{10, 13}: true, {21, 22}: true, {13, 40}: true}, nil)
+	x := []int{10, 11, 12, 13, 14, 15, 16, 17}
+	y := []int{20, 21, 22, 23, 24, 25, 26, 27}
+	if hash(x, two) == hash(y, two) {
+		t.Error("groups demoted on different member-relative edges hash identically")
+	}
+	z := []int{22, 30, 31, 21, 32, 33, 34, 35} // 21-22 sits at 0-3 here
+	if hash(x, two) != hash(z, two) {
+		t.Error("groups demoted on the same member-relative edge hash differently")
+	}
+	if hash(x, two) != hash(nil, newSnapshot(2, 8, map[[2]int]bool{{0, 3}: true}, nil)) {
+		t.Error("member-relative hash differs from the same set under the identity group")
 	}
 }
 

@@ -7,16 +7,13 @@ import (
 )
 
 // Snapshot is an immutable set of demoted edges and ranks, keyed by
-// world rank, published by the Scorer at a given revision. The hash
-// folds into plan-cache topology keys so every demotion revision maps to
-// a distinct plan space.
+// world rank, published by the Scorer at a given revision.
 type Snapshot struct {
 	rev      int64
 	demoteTo int
 	edges    map[[2]int]bool
 	ranks    map[int]bool
 	members  map[int]bool // every rank touched by a demotion
-	hash     uint64
 }
 
 func emptySnapshot(demoteTo int) *Snapshot {
@@ -33,36 +30,11 @@ func newSnapshot(rev int64, demoteTo int, edges map[[2]int]bool, ranks map[int]b
 	for r := range ranks {
 		s.members[r] = true
 	}
-	// FNV-1a over the sorted demotion set: identical sets hash
-	// identically regardless of the revision that produced them.
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(demoteTo))
-	for _, e := range s.Edges() {
-		mix(uint64(e[0])<<32 | uint64(uint32(e[1])))
-	}
-	mix(0xffffffffffffffff)
-	for _, r := range s.Ranks() {
-		mix(uint64(r))
-	}
-	s.hash = h
 	return s
 }
 
 // Rev returns the revision this snapshot was published at.
 func (s *Snapshot) Rev() int64 { return s.rev }
-
-// Hash returns a stable hash of the demotion set, for plan-cache keys.
-func (s *Snapshot) Hash() uint64 { return s.hash }
 
 // DemoteTo returns the distance class demoted edges are raised to.
 func (s *Snapshot) DemoteTo() int { return s.demoteTo }
@@ -185,3 +157,51 @@ func (v *View) Base() distance.View { return v.base }
 
 // Snap returns the snapshot this view applies.
 func (v *View) Snap() *Snapshot { return v.snap }
+
+// Hash fingerprints the demotions as this view's members see them — the
+// demoted pairs and ranks in view indices, never world ranks — for
+// plan-cache topology keys: two placement-congruent communicators share a
+// plan under one snapshot exactly when it demotes the same member-relative
+// pairs in both, and a demotion wholly outside the group changes nothing.
+// Identical sets hash identically whatever revision produced them.
+func (v *View) Hash() uint64 {
+	world := func(i int) int {
+		if v.group != nil {
+			return v.group[i]
+		}
+		return i
+	}
+	var touched []int // view indices a demotion touches, ascending
+	for i := 0; i < v.base.Size(); i++ {
+		if v.snap.members[world(i)] {
+			touched = append(touched, i)
+		}
+	}
+	// FNV-1a over the demotion set in ascending member-relative order.
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	mix := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= (x >> (8 * i)) & 0xff
+			h *= prime
+		}
+	}
+	mix(uint64(v.snap.demoteTo))
+	for a, i := range touched {
+		for _, j := range touched[a+1:] {
+			if v.snap.edges[normEdge(world(i), world(j))] {
+				mix(uint64(i)<<32 | uint64(uint32(j)))
+			}
+		}
+	}
+	mix(0xffffffffffffffff) // an edge {a,b} and the ranks a, b must not collide
+	for _, i := range touched {
+		if v.snap.ranks[world(i)] {
+			mix(uint64(i))
+		}
+	}
+	return h
+}

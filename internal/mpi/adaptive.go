@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 
-	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/health"
 	"distcoll/internal/plancache"
@@ -32,23 +31,20 @@ type adecision struct {
 	hit   bool
 }
 
-// fixedVariants are the plan-cache Variant strings of the fixed components.
-// Within one of them the algorithm is a pure function of the rest of the
-// key (communicator size via Topo, byte size, root), so the component name
-// is the whole discriminator; the prefix keeps them apart from every
-// tune.Decision.CacheKey.
-var fixedVariants = [...]string{KNEMColl: "fixed/knemcoll", Tuned: "fixed/tuned", MPICH2: "fixed/mpich2"}
-
 // schedule resolves one collective call to its compiled schedule through
 // the world's plan cache — one key space and one invalidation (break,
-// Shrink, Free, health revision, partition epoch) for every component.
-// unit is the full message or the per-rank block, as the descriptor
-// defines it; align the reduction element size. The *adecision is non-nil
-// only when the selector decided (Adaptive on a collective it knows): a
-// fixed component makes no decision and emits no plan_cache event.
+// Shrink, Free, health revision, partition epoch) for every component, and
+// one compiler behind it. A fixed component is the decision that names
+// only that component; Adaptive on a collective the selector decides is
+// the selector's answer; either way the decision's cache key is the plan's
+// variant, so a fixed call and an Adaptive call that name the same
+// schedule share one entry. unit is the full message or the per-rank
+// block, as the descriptor defines it; align the reduction element size.
+// The *adecision is non-nil only when the selector decided: a fixed
+// component emits no plan_cache event.
 func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int64) (*sched.Schedule, *adecision, error) {
-	adaptive := comp == Adaptive && d.tuned != ""
-	if !adaptive && (comp < 0 || int(comp) >= len(fixedVariants)) {
+	adaptive := comp == Adaptive && d.decided
+	if !adaptive && (comp < KNEMColl || comp > MPICH2) {
 		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
 	}
 	st := c.state
@@ -61,58 +57,44 @@ func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int
 	}
 	st.mu.Unlock()
 
-	// dec is what tune.CompileFor compiles: the selector's choice, or a
-	// fixed Tuned/MPICH2 on a collective tune knows. Left zero, the
-	// descriptor's own compiler runs (fixed KNEMColl over the communicator's
-	// cached tree or ring; every component of an untuned collective).
-	var dec tune.Decision
-	key := plancache.Key{Topo: topo, Tenant: w.tenant, Coll: d.name, Root: root, Size: unit, Align: align}
+	dec := tune.Decision{Component: comp.String()}
 	if adaptive {
-		dec = w.selector.Select(d.tuned, v, unit)
-		key.Variant = dec.CacheKey()
-	} else {
-		key.Variant = fixedVariants[comp]
-		if d.tuned != "" && comp != KNEMColl {
-			dec.Component = comp.String()
-		}
+		dec = w.selector.Select(d.coll, v, unit)
 	}
+	key := plancache.Key{Topo: topo, Tenant: w.tenant, Coll: d.name, Root: root, Size: unit, Align: align, Variant: dec.CacheKey()}
 	s, hit, err := w.plans.Get(key, func() (*sched.Schedule, error) {
-		if dec.Component == "" {
-			return d.compile(c, comp, root, unit, align)
-		}
 		if v == nil {
 			st.mu.Lock()
 			v = st.viewLocked()
 			st.mu.Unlock()
 		}
-		return tune.CompileFor(d.tuned, dec, v, root, unit, align)
+		return tune.CompileFor(d.coll, dec, v, root, unit, align)
 	})
 	if err != nil || !adaptive {
 		return s, nil, err
 	}
-	return s, &adecision{coll: d.tuned, bytes: unit, dec: dec, hit: hit}, nil
+	return s, &adecision{coll: d.coll, bytes: unit, dec: dec, hit: hit}, nil
 }
 
 // topoHashLocked returns the cached fingerprint of the communicator's
 // distance topology, computing it on first use in O(n + Σ k²) over
 // per-machine group sizes k (plancache.TopoHashClustered: a function of
 // the distance relation, so placement-congruent communicators share
-// plans). When a demotion snapshot touches this communicator, its hash is
-// folded in, so every health revision maps to a distinct plan-cache key
-// space and a stale plan can never be served for a re-routed topology.
-// Callers hold st.mu.
+// plans). When a demotion snapshot touches this communicator, the hash of
+// the demoted pairs in the communicator's own rank space is folded in
+// (health.View.Hash), so every change of what the members see maps to a
+// distinct plan-cache key space: a stale plan can never be served for a
+// re-routed topology, nor one communicator's routing to a congruent one
+// demoted on a different edge. Callers hold st.mu.
 func (st *commState) topoHashLocked() uint64 {
-	snap := st.healthLocked() // a new revision clears topoHashed
+	st.healthLocked()         // a new revision clears topoHashed
 	epoch := st.epochLocked() // so does an advanced partition epoch
 	if !st.topoHashed {
 		st.topoHash = plancache.TopoHashClustered(st.baseViewLocked())
-		if snap != nil && !snap.Empty() {
-			// Only when the overlay actually wraps this comm's view:
-			// snapshots touching no member leave the hash (and the
-			// cached plans) alone.
-			if _, wrapped := st.viewLocked().(*health.View); wrapped {
-				st.topoHash = st.topoHash*1099511628211 ^ snap.Hash()
-			}
+		// Only when the overlay actually wraps this comm's view: snapshots
+		// touching no member leave the hash (and the cached plans) alone.
+		if hv, wrapped := st.viewLocked().(*health.View); wrapped {
+			st.topoHash = st.topoHash*1099511628211 ^ hv.Hash()
 		}
 		if epoch > 0 {
 			// Fold the partition epoch in so every quorum decision maps
@@ -155,8 +137,6 @@ func (c *Comm) Free() {
 	st.mu.Lock()
 	st.view = nil
 	st.topoHashed = false
-	st.trees = make(map[int]*core.Tree)
-	st.ring = nil
 	st.healthSnap = nil
 	st.mu.Unlock()
 }

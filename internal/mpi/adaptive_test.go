@@ -3,12 +3,14 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"distcoll/internal/binding"
 	"distcoll/internal/fault"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/trace"
+	"distcoll/internal/tune"
 )
 
 func zootWorld(t *testing.T, n int, opts ...Option) *World {
@@ -345,5 +347,52 @@ func TestAdaptiveSelectorOverride(t *testing.T) {
 	events := trace.Filter(ring.Events(), trace.KindPlanCache)
 	if len(events) != 1 || events[0].Det != "knemcoll/linear" {
 		t.Fatalf("plan_cache events = %+v, want one knemcoll/linear decision", events)
+	}
+}
+
+// TestFixedAndAdaptiveShareOnePlan: a fixed component is the decision that
+// names only that component, keyed like any other, so an Adaptive call
+// whose selector answers the same decision at the same (root, size) is
+// served the fixed call's schedule instead of compiling it again — and an
+// Adaptive call on a collective the selector does not decide is still an
+// error, not a silent default.
+func TestFixedAndAdaptiveShareOnePlan(t *testing.T) {
+	const n, size = 16, 512
+	b, err := binding.CrossSocket(hwtopo.NewIG(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := trace.NewRing(trace.DefaultRingCapacity)
+	w := NewWorld(b, WithTracer(trace.New(ring)))
+	err = w.Run(func(p *Proc) error {
+		for _, comp := range []Component{Tuned, Adaptive} {
+			buf := make([]byte, size)
+			if p.Rank() == 2 {
+				copy(buf, pattern(2, size))
+			}
+			if err := p.Comm().Bcast(buf, 2, comp); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, pattern(2, size)) {
+				return fmt.Errorf("rank %d: wrong %v bcast data", p.Rank(), comp)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := trace.Filter(ring.Events(), trace.KindPlanCache)
+	if len(events) != 1 || events[0].Det != tune.ComponentTuned || events[0].Mode != "hit" {
+		t.Fatalf("plan_cache events = %+v, want one: Adaptive selecting tuned, a hit", events)
+	}
+	if st := w.PlanCache().Stats(); st.Misses != 1 || st.Hits != 1 || st.Size != 1 {
+		t.Errorf("plan cache after fixed tuned + adaptive(tuned): %+v, want 1 miss, 1 hit, 1 entry", st)
+	}
+	err = w.Run(func(p *Proc) error {
+		return p.Comm().Gather(make([]byte, 64), make([]byte, n*64), 0, Adaptive)
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown component adaptive") {
+		t.Errorf("Adaptive gather returned %v, want the unknown-component error", err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"distcoll/internal/baseline"
-	"distcoll/internal/core"
 	"distcoll/internal/integrity"
 	"distcoll/internal/sched"
 	"distcoll/internal/tune"
@@ -18,21 +16,16 @@ import (
 // outcome vote and the recovery ladder are shared code driven by the
 // entry (Comm.run → Comm.buildPlan → Comm.runPlan, Comm.resilient).
 type collective struct {
-	name   string          // op name in traces, errors and plan-cache keys
-	tuned  tune.Collective // the selector's name for it; "" when the selector does not decide it
-	rooted bool            // takes a root, which must be a member
+	name    string          // op name in traces, errors and plan-cache keys
+	coll    tune.Collective // what tune.CompileFor compiles it as, on every component
+	decided bool            // the selector decides it under Adaptive (else Adaptive is an error)
+	rooted  bool            // takes a root, which must be a member
 
 	// roles maps the schedule's buffer names to caller buffers and states
 	// each one's required length. The first role is bound on every rank;
 	// rank 0's length of it fixes the unit the schedule is compiled for
 	// (the full message, or the per-rank block when the role is perRank).
 	roles []role
-
-	// compile builds the schedule over the communicator's cached tree or
-	// ring. For a tuned collective it is the KNEMColl compiler only — the
-	// Tuned and MPICH2 schedules come from tune.CompileFor; the others keep
-	// every fixed component behind it.
-	compile compileFn
 
 	// digest is the end-to-end digest rule applied when integrity
 	// verification is on.
@@ -48,8 +41,6 @@ type collective struct {
 	// communicator between two rounds of the resilient ladder.
 	afterShrink func(a *collArgs, old, cur []int) error
 }
-
-type compileFn func(c *Comm, comp Component, root int, unit, align int64) (*sched.Schedule, error)
 
 // role binds one named schedule buffer to a caller buffer.
 type role struct {
@@ -80,109 +71,45 @@ const (
 )
 
 // collectives is the descriptor table. Adding a collective is one entry
-// here, its compile function, and an exported wrapper.
+// here, a tune.CompileFor case, and an exported wrapper; a new variant of
+// an existing one is a CompileFor case alone.
 var collectives = [...]collective{
 	opBcast: {
-		name: "bcast", tuned: tune.CollBcast, rooted: true,
-		roles: []role{{name: "data", recv: true}},
-		compile: onTree(func(t *core.Tree, size, _ int64) (*sched.Schedule, error) {
-			return core.CompileBroadcast(t, size, 0)
-		}),
+		name: "bcast", coll: tune.CollBcast, decided: true, rooted: true,
+		roles:  []role{{name: "data", recv: true}},
 		digest: digestRoot, repair: bcastRepair, afterShrink: relocateRoot,
 	},
 	opAllgather: {
-		name: "allgather", tuned: tune.CollAllgather,
-		roles: []role{{name: "send"}, {name: "recv", recv: true, perRank: true}},
-		compile: onRing(func(r *core.Ring, block, _ int64) (*sched.Schedule, error) {
-			return core.CompileAllgather(r, block)
-		}),
+		name: "allgather", coll: tune.CollAllgather, decided: true,
+		roles:  []role{{name: "send"}, {name: "recv", recv: true, perRank: true}},
 		digest: digestSegments, repair: allgatherRepair, afterShrink: compactRecv,
 	},
 	opReduce: {
-		name: "reduce", tuned: tune.CollReduce, rooted: true,
+		name: "reduce", coll: tune.CollReduce, decided: true, rooted: true,
 		roles: []role{{name: "send"}, {name: "acc", recv: true, atRoot: true}},
-		compile: onTree(func(t *core.Tree, size, align int64) (*sched.Schedule, error) {
-			return core.CompileReduce(t, size, 0, align)
-		}),
 	},
 	opAllreduce: {
-		name: "allreduce", tuned: tune.CollAllreduce,
-		roles:   []role{{name: "send"}, {name: "recv", recv: true}},
-		compile: onRing(core.CompileAllreduce),
+		name: "allreduce", coll: tune.CollAllreduce, decided: true,
+		roles: []role{{name: "send"}, {name: "recv", recv: true}},
 	},
 	opGather: {
-		name: "gather", rooted: true,
+		name: "gather", coll: tune.CollGather, rooted: true,
 		roles: []role{{name: "send"}, {name: "recv", recv: true, atRoot: true, perRank: true}},
-		compile: onTree(func(t *core.Tree, block, _ int64) (*sched.Schedule, error) {
-			return core.CompileGather(t, block)
-		}),
 	},
 	opScatter: {
-		name: "scatter", rooted: true,
+		name: "scatter", coll: tune.CollScatter, rooted: true,
 		roles: []role{{name: "recv", recv: true}, {name: "send", atRoot: true, perRank: true}},
-		compile: onTree(func(t *core.Tree, block, _ int64) (*sched.Schedule, error) {
-			return core.CompileScatter(t, block)
-		}),
 	},
 	opAlltoall: {
-		name:    "alltoall",
-		roles:   []role{{name: "send", perRank: true}, {name: "recv", recv: true, perRank: true}},
-		compile: compileAlltoall,
+		name: "alltoall", coll: tune.CollAlltoall,
+		roles: []role{{name: "send", perRank: true}, {name: "recv", recv: true, perRank: true}},
 	},
 }
 
-// onTree adapts a tree compiler: the distance-aware tree for KNEMColl, the
-// rank-based binomial tree for the baselines (gather and scatter run every
-// component through the same subtree-staging compiler, so the comparison
-// isolates topology).
-func onTree(compile func(t *core.Tree, unit, align int64) (*sched.Schedule, error)) compileFn {
-	return func(c *Comm, comp Component, root int, unit, align int64) (*sched.Schedule, error) {
-		var tree *core.Tree
-		var err error
-		if comp == KNEMColl {
-			tree, err = c.state.distanceTree(root)
-		} else {
-			tree, err = baseline.BinomialTree(c.Size(), root)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return compile(tree, unit, align)
-	}
-}
-
-// onRing adapts a compiler over the communicator's distance-aware ring.
-func onRing(compile func(r *core.Ring, unit, align int64) (*sched.Schedule, error)) compileFn {
-	return func(c *Comm, _ Component, _ int, unit, align int64) (*sched.Schedule, error) {
-		ring, err := c.state.distanceRing()
-		if err != nil {
-			return nil, err
-		}
-		return compile(ring, unit, align)
-	}
-}
-
-// AlltoallHierarchicalLimit: below this block size the distance-aware
-// component aggregates inter-node traffic at machine leaders (one network
-// message per node pair); above it the direct single-copy schedule wins —
-// alltoall volume is irreducible, staging only adds copies and leaders
-// become hot spots. Calibrated from the alltoall extension experiment.
-const AlltoallHierarchicalLimit = 512
-
-func compileAlltoall(c *Comm, comp Component, _ int, block, _ int64) (*sched.Schedule, error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		if block < AlltoallHierarchicalLimit {
-			return core.CompileAlltoallHierarchical(c.state.baseView(), block)
-		}
-		return core.CompileAlltoallDirect(n, block)
-	case Tuned:
-		return baseline.CompileAlltoallPairwise(n, block, baseline.SMKnemBTL())
-	default:
-		return baseline.CompileAlltoallPairwise(n, block, baseline.NemesisSM())
-	}
-}
+// AlltoallHierarchicalLimit is the block size below which the
+// distance-aware alltoall aggregates at machine leaders
+// (tune.AlltoallHierarchicalLimit, where the compiler reads it).
+const AlltoallHierarchicalLimit = tune.AlltoallHierarchicalLimit
 
 // collArgs is one member's contribution to a collective: the value it
 // deposits at the plan-building rendezvous, where the last arriver reads

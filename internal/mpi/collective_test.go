@@ -97,7 +97,7 @@ func TestCollectiveConformance(t *testing.T) {
 			t.Fatalf("descriptor %q has no oracle", d.name)
 		}
 		comps := []Component{KNEMColl, Tuned, MPICH2}
-		if d.tuned != "" {
+		if d.decided {
 			comps = append(comps, Adaptive)
 		}
 		for _, comp := range comps {

@@ -3,11 +3,11 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/health"
 )
@@ -47,19 +47,15 @@ type commState struct {
 	// RankFailureError (ULFM semantics) until the survivors Shrink.
 	broken bool
 
-	// Topology cache: process placement is fixed for a communicator's
-	// lifetime, so its distance view, the distance-aware tree for each
-	// root and the ring are built once and reused by every later
-	// collective (the §V-B overhead concern). Guarded by mu; builds counts
-	// constructions for tests. view is the communicator's one base view —
-	// a pure function of (world topology, member cores), O(n) state on one
-	// machine as on a cluster, built on first use — so a world, split or
-	// shrunken communicator all derive it the same way and nothing in the
-	// runtime holds an O(n²) matrix.
-	view   *distance.Clustered
-	trees  map[int]*core.Tree
-	ring   *core.Ring
-	builds int
+	// view is the communicator's one base view — a pure function of (world
+	// topology, member cores), O(n) state on one machine as on a cluster,
+	// built on first use — so a world, split or shrunken communicator all
+	// derive it the same way and nothing in the runtime holds an O(n²)
+	// matrix. Process placement is fixed for a communicator's lifetime;
+	// the trees, rings and schedules built over the view live in the
+	// world's plan cache and nowhere else (the §V-B overhead concern).
+	// Guarded by mu.
+	view *distance.Clustered
 
 	// topoHash fingerprints the view for plan-cache keys (computed
 	// lazily; topoHashed marks validity so hash 0 stays unambiguous).
@@ -67,15 +63,15 @@ type commState struct {
 	topoHashed bool
 
 	// healthSnap is the demotion snapshot last applied to this
-	// communicator's derived caches (nil until the first lookup on a
+	// communicator's topology hash (nil until the first lookup on a
 	// health-enabled world). When the scorer publishes a new revision,
-	// the next lookup drops trees/ring/topoHash and re-wraps the view.
+	// the next lookup drops topoHash and re-wraps the view.
 	healthSnap *health.Snapshot
 
 	// epochSeen is the partition epoch last folded into this
-	// communicator's derived caches. When a quorum decision advances the
-	// epoch, the next lookup drops trees/ring/topoHash so no plan (or
-	// tree) compiled before the decision survives into the new epoch.
+	// communicator's topology hash. When a quorum decision advances the
+	// epoch, the next lookup drops topoHash so no plan compiled before
+	// the decision survives into the new epoch.
 	epochSeen int64
 }
 
@@ -90,7 +86,6 @@ func newCommState(w *World, group []int) *commState {
 		dogs:       make([]watchdog, len(group)),
 		agreeSeqs:  make([]int, len(group)),
 		agreeSlots: make(map[int]*agreeSlot),
-		trees:      make(map[int]*core.Tree),
 	}
 	for i := range st.wake {
 		st.wake[i] = make(chan struct{}, 1)
@@ -179,10 +174,9 @@ func (st *commState) baseView() *distance.Clustered {
 
 // healthLocked refreshes the communicator's demotion snapshot from the
 // world's gray-failure scorer (nil when health is off). A new revision
-// drops every derived cache — trees, ring, topology hash — so the next
-// construction runs over the re-wrapped view: this is how a demotion
-// forces replan on next use without any eager notification fan-out.
-// Callers hold st.mu.
+// drops the topology hash, so the next call keys a fresh plan compiled
+// over the re-wrapped view: this is how a demotion forces replan on next
+// use without any eager notification fan-out. Callers hold st.mu.
 func (st *commState) healthLocked() *health.Snapshot {
 	s := st.world.scorer
 	if s == nil {
@@ -190,23 +184,19 @@ func (st *commState) healthLocked() *health.Snapshot {
 	}
 	if snap := s.Snapshot(); st.healthSnap == nil || st.healthSnap.Rev() != snap.Rev() {
 		st.healthSnap = snap
-		st.trees = make(map[int]*core.Tree)
-		st.ring = nil
 		st.topoHashed = false
 	}
 	return st.healthSnap
 }
 
-// epochLocked returns the world's partition epoch, dropping the derived
-// caches when a quorum decision advanced it since the last lookup — the
+// epochLocked returns the world's partition epoch, dropping the topology
+// hash when a quorum decision advanced it since the last lookup — the
 // same pattern as healthLocked, keyed on the epoch instead of the
 // demotion revision. Callers hold st.mu.
 func (st *commState) epochLocked() int64 {
 	epoch := st.world.PartitionEpoch()
 	if epoch != st.epochSeen {
 		st.epochSeen = epoch
-		st.trees = make(map[int]*core.Tree)
-		st.ring = nil
 		st.topoHashed = false
 	}
 	return epoch
@@ -223,43 +213,6 @@ func (st *commState) viewLocked() distance.View {
 		return health.WrapView(base, st.group, snap)
 	}
 	return base
-}
-
-// distanceTree returns the cached distance-aware tree rooted at root,
-// building it on first use by core's view → topology rule (the same one
-// tune.CompileFor applies, so fixed KNEMColl and Adaptive knemcoll agree).
-func (st *commState) distanceTree(root int) (*core.Tree, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	v := st.viewLocked() // refreshes the health snapshot, may drop st.trees
-	if t, ok := st.trees[root]; ok {
-		return t, nil
-	}
-	t, err := core.TreeFor(v, root)
-	if err != nil {
-		return nil, err
-	}
-	st.trees[root] = t
-	st.builds++
-	return t, nil
-}
-
-// distanceRing returns the cached distance-aware ring, built on first use
-// by the same rule.
-func (st *commState) distanceRing() (*core.Ring, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	v := st.viewLocked() // refreshes the health snapshot, may drop st.ring
-	if st.ring != nil {
-		return st.ring, nil
-	}
-	r, err := core.RingFor(v)
-	if err != nil {
-		return nil, err
-	}
-	st.ring = r
-	st.builds++
-	return r, nil
 }
 
 // collSlot synchronizes one collective call across the communicator.
@@ -290,6 +243,14 @@ func (c *Comm) Size() int { return len(c.state.group) }
 
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(r int) int { return c.state.group[r] }
+
+// Group returns the communicator's membership: the world ranks in
+// communicator-rank order, as a copy the caller owns.
+func (c *Comm) Group() []int { return slices.Clone(c.state.group) }
+
+// RankOf translates a world rank to its communicator rank; -1 when the
+// world rank is not a member.
+func (c *Comm) RankOf(worldRank int) int { return slices.Index(c.state.group, worldRank) }
 
 // Proc returns the owning process handle.
 func (c *Comm) Proc() *Proc { return c.proc }

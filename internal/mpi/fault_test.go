@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"distcoll/internal/binding"
+	"distcoll/internal/core"
+	"distcoll/internal/distance"
 	"distcoll/internal/fault"
 	"distcoll/internal/hwtopo"
+	"distcoll/internal/trace"
 )
 
 // faultWorld builds a cross-socket world with a fault plan and a watchdog,
@@ -393,44 +397,67 @@ func TestBrokenCommFailsFastAndShrinkRecovers(t *testing.T) {
 
 // TestShrunkenTopologyMatchesSurvivorPlacement: the shrunken
 // communicator's distance-aware tree must be a genuine rebuild over the
-// survivors (node count, validity), not a patched copy of the old one.
+// survivors, not a patched copy of the old one: the copies a broadcast on
+// it actually executes are exactly the edges of the distance-aware tree of
+// a fresh communicator on the survivors' cores.
 func TestShrunkenTopologyMatchesSurvivorPlacement(t *testing.T) {
 	const (
 		n      = 8
 		victim = 6
 	)
-	w := faultWorld(t, n, fault.Plan{CrashAtOp: map[int]int{victim: 0}})
+	ring := trace.NewRing(trace.DefaultRingCapacity)
+	w := faultWorld(t, n, fault.Plan{CrashAtOp: map[int]int{victim: 0}}, WithTracer(trace.New(ring)))
 	err := w.Run(func(p *Proc) error {
-		buf := make([]byte, 128)
-		nc, err := p.Comm().BcastResilient(buf, 0, KNEMColl)
+		nc, err := p.Comm().BcastResilient(make([]byte, 128), 0, KNEMColl)
 		if p.Rank() == victim {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if p.Rank() != 0 {
-			return nil
-		}
-		st := nc.state
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.builds == 0 {
-			t.Error("shrunken comm never rebuilt a topology")
-		}
-		tree := st.trees[0]
-		if tree == nil {
-			t.Fatal("no tree cached for root 0 on the shrunken comm")
-		}
-		if err := tree.Validate(); err != nil {
-			t.Errorf("rebuilt tree invalid: %v", err)
-		}
-		if len(tree.Parent) != n-1 {
-			t.Errorf("rebuilt tree spans %d ranks, want %d", len(tree.Parent), n-1)
-		}
-		return nil
+		// The recovered broadcast may have been a delta repair; a second,
+		// single-chunk one runs the shrunken communicator's full tree.
+		return nc.Bcast(make([]byte, 256), 0, KNEMColl)
 	})
 	if err != nil {
 		t.Fatalf("survivors failed: %v", err)
+	}
+	var cores []int
+	for r := 0; r < n; r++ {
+		if r != victim {
+			cores = append(cores, w.bind.CoreOf(r))
+		}
+	}
+	fresh, err := distance.NewClustered(w.Topology(), cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := core.TreeFor(fresh, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Errorf("rebuilt tree invalid: %v", err)
+	}
+	want := make(map[[2]int]bool)
+	for r, parent := range tree.Parent {
+		if r != 0 {
+			want[[2]int{parent, r}] = true
+		}
+	}
+	// The last broadcast plan traced is the one on the shrunken communicator.
+	var last int64
+	got := make(map[[2]int]bool)
+	for _, e := range trace.Filter(ring.Events(), trace.KindCopy) {
+		if e.Op != "bcast" || e.Plan < last {
+			continue
+		}
+		if e.Plan > last {
+			last, got = e.Plan, make(map[[2]int]bool)
+		}
+		got[[2]int{e.Src, e.Dst}] = true
+	}
+	if len(got) != n-2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("shrunken bcast copied over %v, want the %d edges of the survivors' tree %v", got, n-2, want)
 	}
 }

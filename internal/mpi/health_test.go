@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestHealthDemotionSteersTree(t *testing.T) {
 	class := st.viewLocked().At(0, 4)
 	topo0 := st.topoHashLocked()
 	st.mu.Unlock()
-	tree0, err := st.distanceTree(0)
+	tree0, err := treeOf(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestHealthDemotionSteersTree(t *testing.T) {
 	if topo1 == topo0 {
 		t.Error("topology hash unchanged across a demotion revision")
 	}
-	tree1, err := st.distanceTree(0)
+	tree1, err := treeOf(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +114,85 @@ func TestHealthDemotionSteersTree(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCongruentSplitsKeyTheirOwnDemotions: two placement-congruent
+// communicators share compiled plans (same topology hash), so under one
+// demotion snapshot they may only keep sharing if the snapshot demotes the
+// same member-relative pairs in both. Here it demotes a different edge of
+// the shared tree in each: the keys must part, and each communicator's
+// compiled broadcast must route around its own edge. (The world-wide
+// snapshot hash used to be folded instead — equal for both — and the
+// second communicator was served the first one's routing.)
+func TestCongruentSplitsKeyTheirOwnDemotions(t *testing.T) {
+	b, err := binding.CrossSocket(hwtopo.NewIG(), 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(b, WithHealth(fastHealth()))
+	var subs [2]*Comm // rank 0's handle on ranks 0–15 and on ranks 16–31
+	err = w.Run(func(p *Proc) error {
+		color := p.Rank() / 16
+		sub, err := p.Comm().Split(color, p.Rank())
+		if err == nil && color < len(subs) && sub.Rank() == 0 {
+			subs[color] = sub
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topoOf := func(c *Comm) uint64 {
+		c.state.mu.Lock()
+		defer c.state.mu.Unlock()
+		return c.state.topoHashLocked()
+	}
+	if topoOf(subs[0]) != topoOf(subs[1]) {
+		t.Fatal("the two splits are not placement-congruent; pick another pair")
+	}
+	tree, err := treeOf(subs[0].state, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kids []int // root children whose ^1 peer edges below stay off the root
+	for _, k := range tree.Children[0] {
+		if k > 1 {
+			kids = append(kids, k)
+		}
+	}
+	if len(kids) < 2 {
+		t.Fatalf("root 0 has children %v; need two above rank 1", tree.Children[0])
+	}
+	// Demote comm-relative edge 0–kids[i] of split i, in world ranks, with
+	// three healthy same-class peers each as the baseline.
+	s := w.Health()
+	for round := 0; round < 10 && s.Demotions() < 2; round++ {
+		for i, c := range subs {
+			class := c.state.baseView().At(0, kids[i])
+			a, b := c.WorldRank(0), c.WorldRank(kids[i])
+			feedEdge(s, a, b, class, 200)
+			feedEdge(s, a, b^1, class, 10)
+			feedEdge(s, a^1, b, class, 10)
+			feedEdge(s, a^1, b^1, class, 10)
+		}
+		s.Emit(trace.Event{Kind: trace.KindOpEnd})
+	}
+	want := [][2]int{{subs[0].WorldRank(0), subs[0].WorldRank(kids[0])}, {subs[1].WorldRank(0), subs[1].WorldRank(kids[1])}}
+	if got := s.DemotedEdges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DemotedEdges = %v, want %v", got, want)
+	}
+	if topoOf(subs[0]) == topoOf(subs[1]) {
+		t.Error("splits demoted on different member-relative edges share a plan-cache key")
+	}
+	for i, c := range subs {
+		sch, _, err := c.schedule(&collectives[opBcast], KNEMColl, 0, 4096, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if edges := copyEdges(sch); edges[[2]int{0, kids[i]}] || edges[[2]int{kids[i], 0}] {
+			t.Errorf("split %d: compiled bcast still crosses its demoted edge 0-%d", i, kids[i])
+		}
 	}
 }
 

@@ -277,6 +277,18 @@ func TestSplitAndSubcommCollectives(t *testing.T) {
 		if p.Rank() >= 46 && sub.Rank() != 0 {
 			return fmt.Errorf("world rank %d got sub rank %d, want 0", p.Rank(), sub.Rank())
 		}
+		// Group and RankOf are the membership both ways: the world ranks in
+		// sub-rank order (a copy), and a world rank's place among them.
+		g := sub.Group()
+		for r, wr := range g {
+			if wr != sub.WorldRank(r) || sub.RankOf(wr) != r || wr%2 != p.Rank()%2 {
+				return fmt.Errorf("world rank %d: group %v disagrees with WorldRank/RankOf at %d", p.Rank(), g, r)
+			}
+		}
+		g[0] = -1
+		if len(g) != 24 || sub.WorldRank(0) == -1 || sub.RankOf(p.Rank()) != sub.Rank() || sub.RankOf(p.Rank()^1) != -1 {
+			return fmt.Errorf("world rank %d: Group aliases the communicator or RankOf misplaces a rank", p.Rank())
+		}
 		want := pattern(p.Rank()%2, 32768)
 		buf := make([]byte, 32768)
 		if sub.Rank() == 0 {
@@ -469,6 +481,8 @@ func TestClusterWorldCollectives(t *testing.T) {
 func TestTopologyCacheReused(t *testing.T) {
 	// Repeated distance-aware collectives on one communicator must build
 	// the topology once per shape (tree per root, one ring), not per call.
+	// The world's plan cache is the one cache between a call and its
+	// schedule, so a build is a miss and a reuse is a hit.
 	w := igWorld(t, "crosssocket", 16)
 	err := w.Run(func(p *Proc) error {
 		comm := p.Comm()
@@ -489,11 +503,7 @@ func TestTopologyCacheReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.worldComm
-	if st.builds != 3 {
-		t.Fatalf("topology builds = %d, want 3 (tree root 0, ring, tree root 3)", st.builds)
-	}
-	if len(st.trees) != 2 || st.ring == nil {
-		t.Fatalf("cache contents: %d trees, ring=%v", len(st.trees), st.ring != nil)
+	if st := w.PlanCache().Stats(); st.Misses != 3 || st.Hits != 10 {
+		t.Fatalf("plan cache: %+v, want 3 misses (tree root 0, ring, tree root 3) and 10 hits", st)
 	}
 }

@@ -12,8 +12,40 @@ import (
 	"distcoll/internal/core"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/recovery"
+	"distcoll/internal/sched"
 	"distcoll/internal/tune"
 )
+
+// treeOf and ringOf are the topologies a communicator's distance-aware
+// schedules are compiled over: core's one rule applied to the
+// communicator's current view (tune.CompileFor does exactly this on a
+// plan-cache miss; nothing else in the runtime holds a tree or ring).
+func treeOf(st *commState, root int) (*core.Tree, error) {
+	st.mu.Lock()
+	v := st.viewLocked()
+	st.mu.Unlock()
+	return core.TreeFor(v, root)
+}
+
+func ringOf(st *commState) (*core.Ring, error) {
+	st.mu.Lock()
+	v := st.viewLocked()
+	st.mu.Unlock()
+	return core.RingFor(v)
+}
+
+// copyEdges returns the rank pairs a schedule moves bytes between, as
+// {source rank, destination rank} of every cross-rank op.
+func copyEdges(s *sched.Schedule) map[[2]int]bool {
+	edges := make(map[[2]int]bool)
+	for i := range s.Ops {
+		o := &s.Ops[i]
+		if src, dst := s.Buffers[o.Src].Rank, s.Buffers[o.Dst].Rank; src != dst {
+			edges[[2]int{src, dst}] = true
+		}
+	}
+	return edges
+}
 
 // TestShrinkDerivesViewLikeFreshComm: a communicator's distance view is a
 // function of (topology, member cores) and nothing else, so a communicator
@@ -40,11 +72,11 @@ func TestShrinkDerivesViewLikeFreshComm(t *testing.T) {
 			return fmt.Errorf("cores %v: shrunken view spans machines differently from a fresh one", cores)
 		}
 		for root := range cores {
-			got, err := st.distanceTree(root)
+			got, err := treeOf(st, root)
 			if err != nil {
 				return err
 			}
-			want, err := fresh.distanceTree(root)
+			want, err := treeOf(fresh, root)
 			if err != nil {
 				return err
 			}
@@ -52,11 +84,11 @@ func TestShrinkDerivesViewLikeFreshComm(t *testing.T) {
 				return fmt.Errorf("cores %v root %d: shrunken tree %v, fresh tree %v", cores, root, got.Parent, want.Parent)
 			}
 		}
-		got, err := st.distanceRing()
+		got, err := ringOf(st)
 		if err != nil {
 			return err
 		}
-		want, err := fresh.distanceRing()
+		want, err := ringOf(fresh)
 		if err != nil {
 			return err
 		}
@@ -294,7 +326,7 @@ func TestNoTableClusterAllgather(t *testing.T) {
 		if dec, prov := p.World().Selector().(*tune.Selector).SelectExplain(tune.CollAllgather, v, block); prov != "fallback" || dec.Component != tune.ComponentKNEM {
 			return fmt.Errorf("allgather decided %s (%s), want knemcoll by fallback", dec, prov)
 		}
-		fixed, err := st.distanceRing()
+		fixed, err := ringOf(st)
 		if err != nil {
 			return err
 		}

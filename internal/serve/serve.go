@@ -538,25 +538,6 @@ func (t *Tenant) procLoop(p *mpi.Proc) error {
 	return nil
 }
 
-// indexOf returns world rank wr's position in c, or -1.
-func indexOf(c *mpi.Comm, wr int) int {
-	for i := 0; i < c.Size(); i++ {
-		if c.WorldRank(i) == wr {
-			return i
-		}
-	}
-	return -1
-}
-
-// groupOf snapshots a communicator's world-rank membership.
-func groupOf(c *mpi.Comm) []int {
-	g := make([]int, c.Size())
-	for i := range g {
-		g[i] = c.WorldRank(i)
-	}
-	return g
-}
-
 // runOp executes one op on one rank, returning its report and the
 // communicator to use for the NEXT op (nil = unchanged). Payloads are
 // chaos oracle bytes, verified on delivery, so a tenant op that
@@ -564,13 +545,13 @@ func groupOf(c *mpi.Comm) []int {
 // zero-error assertion is a data-integrity assertion, not just an
 // error-code check.
 func (t *Tenant) runOp(op *tenantOp, p *mpi.Proc, cur *mpi.Comm) (rankDone, *mpi.Comm) {
-	if indexOf(cur, p.Rank()) < 0 {
+	if cur.RankOf(p.Rank()) < 0 {
 		// Shrunk away by an earlier op's recovery.
 		return rankDone{excluded: true}, nil
 	}
 	switch op.req.Kind {
 	case "bcast":
-		root := indexOf(cur, 0)
+		root := cur.RankOf(0)
 		if root < 0 {
 			return rankDone{excluded: true}, nil
 		}
@@ -586,7 +567,7 @@ func (t *Tenant) runOp(op *tenantOp, p *mpi.Proc, cur *mpi.Comm) (rankDone, *mpi
 		if !bytes.Equal(buf, want) {
 			return rankDone{err: fmt.Errorf("serve: bcast payload corrupted on rank %d", p.Rank())}, nc
 		}
-		return rankDone{completed: true, group: groupOf(nc)}, nc
+		return rankDone{completed: true, group: nc.Group()}, nc
 
 	case "allgather":
 		send := chaos.Payload(op.req.Seed, p.Rank(), op.req.Size)
@@ -595,7 +576,7 @@ func (t *Tenant) runOp(op *tenantOp, p *mpi.Proc, cur *mpi.Comm) (rankDone, *mpi
 		if err != nil {
 			return t.classify(p, err), nc
 		}
-		group := groupOf(nc)
+		group := nc.Group()
 		for i, wr := range group {
 			blk := out[int64(i)*op.req.Size : int64(i+1)*op.req.Size]
 			if !bytes.Equal(blk, chaos.Payload(op.req.Seed, wr, op.req.Size)) {
@@ -608,7 +589,7 @@ func (t *Tenant) runOp(op *tenantOp, p *mpi.Proc, cur *mpi.Comm) (rankDone, *mpi
 		for try := 0; try <= t.ranks; try++ {
 			err := cur.Barrier()
 			if err == nil {
-				return rankDone{completed: true, group: groupOf(cur)}, cur
+				return rankDone{completed: true, group: cur.Group()}, cur
 			}
 			if fault.IsCrashed(err) {
 				return rankDone{excluded: true, crashed: true}, cur

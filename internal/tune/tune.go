@@ -70,19 +70,21 @@ type Decision struct {
 	Chunk int64 `json:"chunk,omitempty"`
 }
 
-// String renders the decision for logs and the disttune CLI.
+// String renders the decision for logs and the disttune CLI. Only a chunk
+// override is formatted: every other decision renders to a constant, so
+// the plan-cache key of a warm call (CacheKey) allocates nothing.
 func (d Decision) String() string {
 	if d.Component != ComponentKNEM {
 		return d.Component
 	}
-	shape := "hier"
+	shape := ComponentKNEM + "/hier"
 	if d.Linear {
-		shape = "linear"
+		shape = ComponentKNEM + "/linear"
 	}
 	if d.Chunk > 0 {
-		return fmt.Sprintf("%s/%s/chunk=%d", d.Component, shape, d.Chunk)
+		return fmt.Sprintf("%s/chunk=%d", shape, d.Chunk)
 	}
-	return fmt.Sprintf("%s/%s", d.Component, shape)
+	return shape
 }
 
 // CacheKey returns a stable discriminator for plan-cache keys: two

@@ -7,6 +7,7 @@ import (
 
 	"distcoll/internal/binding"
 	"distcoll/internal/distance"
+	"distcoll/internal/exec"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/sched"
 )
@@ -51,6 +52,24 @@ func TestDecisionString(t *testing.T) {
 	}
 	if (Decision{Component: ComponentKNEM, Chunk: -1}).Valid() {
 		t.Error("negative chunk reported valid")
+	}
+}
+
+// TestCacheKeyAllocatesNothing: the plan-cache variant of every decision a
+// warm call can carry — a fixed component, or the selector's unchunked
+// choice — is a constant string. (It used to be formatted per call: three
+// allocations on every warm knemcoll collective.)
+func TestCacheKeyAllocatesNothing(t *testing.T) {
+	var sink string
+	for _, d := range []Decision{
+		{Component: ComponentKNEM},
+		{Component: ComponentKNEM, Linear: true},
+		{Component: ComponentTuned},
+		{Component: ComponentMPICH},
+	} {
+		if a := testing.AllocsPerRun(100, func() { sink = d.CacheKey() }); a != 0 {
+			t.Errorf("CacheKey(%+v) = %q allocates %v times per call, want 0", d, sink, a)
+		}
 	}
 }
 
@@ -421,6 +440,93 @@ func TestCompileForAllDecisions(t *testing.T) {
 			}
 			if err := s.Validate(); err != nil {
 				t.Errorf("CompileFor(%s, %s) schedule invalid: %v", coll, d, err)
+			}
+		}
+	}
+	// The compile-only collectives: every component, on one machine and
+	// across four, below and above the hierarchical-alltoall limit, executed
+	// on payloads whose every byte names its (origin, destination, offset).
+	pat := func(from, to, i int) byte { return byte(from*131 + to*31 + i*7 + 1) }
+	for _, v := range []distance.Matrix{m, matrixFor(t, "igcluster", "crosssocket", 12)} {
+		n := v.Size()
+		for _, coll := range []Collective{CollGather, CollScatter, CollAlltoall} {
+			for _, d := range []Decision{
+				{Component: ComponentTuned},
+				{Component: ComponentMPICH},
+				{Component: ComponentKNEM},
+				{Component: ComponentKNEM, Linear: true},
+			} {
+				for _, block := range []int{96, 2 * AlltoallHierarchicalLimit} {
+					const root = 3
+					s, err := CompileFor(coll, d, v, root, int64(block), 0)
+					if err != nil {
+						t.Errorf("CompileFor(%s, %s, n=%d, %d B): %v", coll, d, n, block, err)
+						continue
+					}
+					if err := s.Validate(); err != nil {
+						t.Errorf("CompileFor(%s, %s, n=%d, %d B) schedule invalid: %v", coll, d, n, block, err)
+						continue
+					}
+					// A rooted collective's n-block buffer lives at the root
+					// only and is indexed by the peer; alltoall's on every rank.
+					bufs := exec.Alloc(s)
+					whole, part := "send", "recv" // scatter, alltoall: n blocks out, gather: n blocks in
+					if coll == CollGather {
+						whole, part = "recv", "send"
+					}
+					buf := func(r int, name string) []byte {
+						id, ok := s.FindBuffer(r, name)
+						if !ok {
+							t.Fatalf("%s: rank %d has no %q buffer", coll, r, name)
+						}
+						return bufs.Bytes(id)
+					}
+					for r := 0; r < n; r++ {
+						switch coll {
+						case CollGather:
+							for i := 0; i < block; i++ {
+								buf(r, part)[i] = pat(r, root, i)
+							}
+						case CollScatter:
+							if r == root {
+								for i := range buf(r, whole) {
+									buf(r, whole)[i] = pat(root, i/block, i%block)
+								}
+							}
+						case CollAlltoall:
+							for i := range buf(r, whole) {
+								buf(r, whole)[i] = pat(r, i/block, i%block)
+							}
+						}
+					}
+					if err := exec.RunReduce(s, bufs, func(dst, src []byte) {}); err != nil {
+						t.Errorf("CompileFor(%s, %s, n=%d, %d B) did not run: %v", coll, d, n, block, err)
+						continue
+					}
+					for r := 0; r < n; r++ {
+						// Rank r's output and the origin of its byte i; r is
+						// always the destination.
+						var got []byte
+						var from func(i int) int
+						switch coll {
+						case CollGather:
+							if r != root {
+								continue
+							}
+							got, from = buf(r, whole), func(i int) int { return i / block }
+						case CollScatter:
+							got, from = buf(r, part), func(int) int { return root }
+						case CollAlltoall:
+							got, from = buf(r, "recv"), func(i int) int { return i / block }
+						}
+						for i := range got {
+							if want := pat(from(i), r, i%block); got[i] != want {
+								t.Errorf("CompileFor(%s, %s, n=%d, %d B): rank %d byte %d = %d, want %d", coll, d, n, block, r, i, got[i], want)
+								break
+							}
+						}
+					}
+				}
 			}
 		}
 	}
