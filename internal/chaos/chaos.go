@@ -35,9 +35,9 @@ import (
 	"distcoll/internal/integrity"
 	"distcoll/internal/mpi"
 	"distcoll/internal/partition"
-	"distcoll/internal/sched"
 	"distcoll/internal/trace"
 	"distcoll/internal/trace/check"
+	"distcoll/internal/tune"
 )
 
 // Cell is one point of the fault grid: which fault classes are active
@@ -91,7 +91,7 @@ type Scenario struct {
 	Seed       int64
 	Ranks      int
 	Topology   string // "cross" | "contiguous" | "zoot"
-	Collective string // "bcast" | "allgather" | "allreduce" | "barrier"
+	Collective string // "bcast" | "allgather" | "allreduce" | "allreduce-tree" | "barrier"
 	Size       int64  // payload (bcast) or per-rank block (allgather/allreduce)
 	Cell       Cell
 	Integrity  bool
@@ -140,6 +140,9 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 func (r *Result) violate(kind string, rank int, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{Kind: kind, Rank: rank, Detail: fmt.Sprintf(format, args...)})
 }
+
+// defaultSize is the payload of a scenario that names none.
+const defaultSize = 4096
 
 // Payload is the oracle buffer: a deterministic per-(seed, rank) byte
 // pattern, so any corrupted or misplaced block is detectable.
@@ -196,7 +199,7 @@ func PlanFor(sc Scenario) fault.Plan {
 			h = mix64(h)
 			if _, dup := p.CrashAtOp[victim]; !dup {
 				if c.CrashOpFrac > 0 {
-					p.CrashAtOp[victim] = lateCrashOp(sc, c.CrashOpFrac)
+					p.CrashAtOp[victim] = lateCrashOp(sc, victim, c.CrashOpFrac)
 				} else {
 					p.CrashAtOp[victim] = int(h % 4)
 				}
@@ -212,11 +215,7 @@ func PlanFor(sc Scenario) fault.Plan {
 // Empty on single-machine topologies and on any resolution error — the
 // caller falls back to the ordinary victim pool.
 func LeaderPool(sc Scenario) []int {
-	topo, b, err := buildBinding(sc)
-	if err != nil {
-		return nil
-	}
-	cv, err := distance.NewClustered(topo, b.Cores())
+	_, cv, err := worldView(sc)
 	if err != nil || !cv.MultiMachine() {
 		return nil
 	}
@@ -233,25 +232,97 @@ func LeaderPool(sc Scenario) []int {
 	return pool
 }
 
-// rankOps is the number of ops one non-root rank executes in the
-// scenario's collective — bcast executes one pull per pipeline chunk,
-// allgather and allreduce one op per member, barrier one.
-func rankOps(sc Scenario) int {
+// treeAllreduce is the collective name of the grid's second allreduce
+// column: the same operation, oracle and trace op as "allreduce", run under
+// Adaptive with a selector whose only allreduce rule is the tree variant
+// (treeSelector) where "allreduce" runs the fixed component's ring.
+const treeAllreduce = "allreduce-tree"
+
+// op is the scenario's operation as traces and the oracle name it.
+func (sc Scenario) op() string {
+	if sc.Collective == treeAllreduce {
+		return "allreduce"
+	}
+	return sc.Collective
+}
+
+// decision is what the scenario's collective compiles as on the healthy
+// world communicator; ok is false for barrier, which has no schedule.
+func (sc Scenario) decision() (coll tune.Collective, d tune.Decision, ok bool) {
+	d.Component = tune.ComponentKNEM
 	switch sc.Collective {
 	case "bcast":
-		return len(sched.Chunks(sc.Size, core.BroadcastChunk(sc.Size, 2)))
-	case "allgather", "allreduce":
-		return sc.Ranks
-	default:
+		return tune.CollBcast, d, true
+	case "allgather":
+		return tune.CollAllgather, d, true
+	case "allreduce":
+		return tune.CollAllreduce, d, true
+	case treeAllreduce:
+		d.Tree = true
+		return tune.CollAllreduce, d, true
+	}
+	return "", d, false
+}
+
+// worldView resolves the scenario's binding and the distance view of its
+// world communicator.
+func worldView(sc Scenario) (*binding.Binding, *distance.Clustered, error) {
+	topo, b, err := buildBinding(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := distance.NewClustered(topo, b.Cores())
+	return b, v, err
+}
+
+// treeSelector is the selector of the tree-allreduce column: one table whose
+// only rule set matches the world communicator exactly and sends every
+// allreduce to the tree, so each fault cell reaches core's
+// CompileAllreduceTree whatever the shipped tables say at this size.
+// (A shrunken successor no longer matches exactly and takes the class or
+// fallback tier — any schedule is a valid retry.)
+func treeSelector(sc Scenario, v distance.View) *tune.Selector {
+	_, d, _ := sc.decision()
+	return tune.NewSelector(&tune.Table{Name: "chaos-" + treeAllreduce, RuleSets: []tune.RuleSet{{
+		Coll: tune.CollAllreduce, Binding: sc.Topology, Fingerprint: tune.FingerprintOf(v),
+		Rules: []tune.Rule{{Decision: d}},
+	}}})
+}
+
+// rankOps is the number of ops the victim executes in the schedule the
+// scenario's collective actually compiles to on the healthy world
+// communicator — the first attempt's, where a crash plan fires. It is
+// counted, not derived: a ring-allreduce rank runs 3n−2 ops, a tree-allreduce
+// leaf two per chunk, an interior rank more. Barrier has no schedule: one.
+func rankOps(sc Scenario, victim int) int {
+	coll, d, ok := sc.decision()
+	if !ok {
 		return 1
 	}
+	size := sc.Size
+	if size <= 0 {
+		size = defaultSize
+	}
+	_, v, err := worldView(sc)
+	if err != nil {
+		return 1 // RunPlan reports the configuration error
+	}
+	s, err := tune.CompileFor(coll, d, v, 0, size, mpi.OpBXOR.ElemSize)
+	if err != nil {
+		return 1
+	}
+	idx, err := s.Index()
+	if err != nil {
+		return 1
+	}
+	return len(idx.RankOps(victim))
 }
 
 // lateCrashOp maps a crash fraction onto the victim's op index: frac
 // 0.75 of a 16-chunk broadcast crashes before the 13th pull, after 12
 // chunks (75%) already landed.
-func lateCrashOp(sc Scenario, frac float64) int {
-	ops := rankOps(sc)
+func lateCrashOp(sc Scenario, victim int, frac float64) int {
+	ops := rankOps(sc, victim)
 	op := int(frac * float64(ops))
 	if op >= ops {
 		op = ops - 1
@@ -312,9 +383,9 @@ func RunPlan(sc Scenario, plan fault.Plan) *Result {
 		return res
 	}
 	if sc.Size <= 0 {
-		sc.Size = 4096
+		sc.Size = defaultSize
 	}
-	topo, b, err := buildBinding(sc)
+	b, v, err := worldView(sc)
 	if err != nil {
 		res.violate("config", -1, "%v", err)
 		return res
@@ -332,6 +403,9 @@ func RunPlan(sc Scenario, plan fault.Plan) *Result {
 	}
 	if sc.Integrity {
 		opts = append(opts, mpi.WithIntegrity(integrity.Config{Repulls: sc.Repulls}))
+	}
+	if sc.Collective == treeAllreduce {
+		opts = append(opts, mpi.WithSelector(treeSelector(sc, v)))
 	}
 	w := mpi.NewWorld(b, opts...)
 
@@ -358,7 +432,7 @@ func RunPlan(sc Scenario, plan fault.Plan) *Result {
 	}
 
 	checkOutcomes(res, sc, outs, failedSet)
-	checkTraces(res, sc, topo, b, ring, tr)
+	checkTraces(res, sc, v, ring, tr)
 	checkRecovery(res, sc, tr)
 	return res
 }
@@ -378,7 +452,7 @@ func checkRecovery(res *Result, sc Scenario, tr *trace.Tracer) {
 	case "bcast":
 		// An unpipelined broadcast has a single chunk; "late" does not
 		// exist and a restart moves the same bytes a repair would.
-		if lateCrashOp(sc, sc.Cell.CrashOpFrac) < 1 {
+		if lateCrashOp(sc, 1, sc.Cell.CrashOpFrac) < 1 { // every non-root rank pulls once per chunk
 			return
 		}
 	case "allgather":
@@ -399,9 +473,12 @@ func checkRecovery(res *Result, sc Scenario, tr *trace.Tracer) {
 // allgather, and a shrink-and-retry loop (the same ULFM pattern) for
 // allreduce and barrier.
 func runCollective(sc Scenario, p *mpi.Proc) rankOut {
-	const comp = mpi.KNEMColl
+	comp := mpi.KNEMColl
+	if sc.Collective == treeAllreduce {
+		comp = mpi.Adaptive
+	}
 	n := sc.Ranks
-	switch sc.Collective {
+	switch sc.op() {
 	case "bcast":
 		want := Payload(sc.Seed, 0, sc.Size)
 		buf := make([]byte, sc.Size)
@@ -509,7 +586,7 @@ func checkOutcomes(res *Result, sc Scenario, outs []rankOut, failedSet map[int]b
 
 		// Oracle: the delivered bytes must match what the survivors'
 		// membership implies.
-		switch sc.Collective {
+		switch sc.op() {
 		case "bcast":
 			if !bytes.Equal(out.data, Payload(sc.Seed, 0, sc.Size)) {
 				res.violate("oracle", r, "broadcast payload corrupted (%d bytes differ)",
@@ -582,7 +659,7 @@ func expectedExclusion(err error, rank int, failedSet map[int]bool) bool {
 // cross-check where they are applicable: metrics whenever no events were
 // dropped, structure only for single-attempt runs that never failed over
 // (a shrink or retry legitimately changes the executed schedule).
-func checkTraces(res *Result, sc Scenario, topo *hwtopo.Topology, b *binding.Binding, ring *trace.RingSink, tr *trace.Tracer) {
+func checkTraces(res *Result, sc Scenario, m *distance.Clustered, ring *trace.RingSink, tr *trace.Tracer) {
 	if ring.Dropped() > 0 {
 		return
 	}
@@ -593,16 +670,11 @@ func checkTraces(res *Result, sc Scenario, topo *hwtopo.Topology, b *binding.Bin
 		}
 	}
 
-	res.Attempts = distinctPlans(events, sc.Collective)
+	res.Attempts = distinctPlans(events, sc.op())
 	if len(res.Failed) > 0 || res.Attempts != 1 || res.Completed == 0 {
 		return
 	}
-	m, err := distance.NewClustered(topo, b.Cores())
-	if err != nil {
-		res.violate("invariant", -1, "%v", err)
-		return
-	}
-	copies := trace.FilterOp(events, trace.KindCopy, sc.Collective)
+	copies := trace.FilterOp(events, trace.KindCopy, sc.op())
 	switch sc.Collective {
 	case "bcast":
 		if r := check.VerifyBroadcast(copies, m, 0, sc.Size); !r.OK() {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"distcoll/internal/fault"
+	"distcoll/internal/sched"
+	"distcoll/internal/tune"
 )
 
 func mustPass(t *testing.T, res *Result) {
@@ -51,7 +53,7 @@ func TestPayloadDeterministicAndDistinct(t *testing.T) {
 // every check, including the structural schedule invariants and metrics
 // cross-check.
 func TestCalmRunsAllCollectives(t *testing.T) {
-	for _, coll := range []string{"bcast", "allgather", "allreduce", "barrier"} {
+	for _, coll := range []string{"bcast", "allgather", "allreduce", treeAllreduce, "barrier"} {
 		res := RunSeed(Scenario{
 			Seed: 1, Ranks: 6, Collective: coll, Size: 2048,
 			Cell: Cell{Name: "calm"}, Integrity: true,
@@ -74,7 +76,7 @@ func TestCalmRunsAllCollectives(t *testing.T) {
 // op, not per collective) — those runs legitimately keep the full group.
 func TestCrashRunsRecover(t *testing.T) {
 	crashes := int64(0)
-	for _, coll := range []string{"bcast", "allgather", "allreduce", "barrier"} {
+	for _, coll := range []string{"bcast", "allgather", "allreduce", treeAllreduce, "barrier"} {
 		for seed := int64(1); seed <= 4; seed++ {
 			res := RunSeed(Scenario{
 				Seed: seed, Ranks: 6, Collective: coll, Size: 1024,
@@ -101,7 +103,7 @@ func TestCrashRunsRecover(t *testing.T) {
 // buffers — the checks inside RunPlan enforce it.
 func TestCorruptionWithIntegrityDeliversCleanData(t *testing.T) {
 	corrupted := int64(0)
-	for _, coll := range []string{"bcast", "allgather", "allreduce"} {
+	for _, coll := range []string{"bcast", "allgather", "allreduce", treeAllreduce} {
 		for seed := int64(1); seed <= 5; seed++ {
 			res := RunSeed(Scenario{
 				Seed: seed, Ranks: 6, Collective: coll, Size: 4096,
@@ -156,7 +158,7 @@ func TestMembershipAgreementAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-seed soak; skipped with -short")
 	}
-	colls := []string{"bcast", "allgather", "allreduce", "barrier"}
+	colls := []string{"bcast", "allgather", "allreduce", treeAllreduce, "barrier"}
 	cells := []Cell{
 		{Name: "crash", Crashes: 1},
 		{Name: "crash2", Crashes: 2},
@@ -187,7 +189,7 @@ func TestMixedFaultSweep(t *testing.T) {
 		CorruptProb: 0.15, DelayProb: 0.1, Delay: 20 * time.Microsecond,
 		Crashes: 1,
 	}
-	for _, coll := range []string{"bcast", "allgather", "allreduce"} {
+	for _, coll := range []string{"bcast", "allgather", "allreduce", treeAllreduce} {
 		for seed := int64(1); seed <= 3; seed++ {
 			res := RunSeed(Scenario{
 				Seed: seed, Ranks: 6, Collective: coll, Size: 1024,
@@ -480,24 +482,98 @@ func TestLateCrashRecoversIncrementally(t *testing.T) {
 }
 
 // TestLateCrashOpMapsFractions pins the fraction → op-index mapping the
-// crash-late cells rely on.
+// crash-late cells rely on against the schedule each collective actually
+// compiles to: the index is the fraction of the ops the victim executes in
+// it, so it always names one of them and sits at least that far in. (The
+// count used to be a formula — one op per member for allreduce, where a ring
+// rank runs 3n−2 and "late" fired a quarter of the way in, and where a leaf
+// of the tree runs two and it would never have fired at all.)
 func TestLateCrashOpMapsFractions(t *testing.T) {
 	// 256 KiB broadcast → 16 chunks of 16 KiB.
 	bc := Scenario{Collective: "bcast", Size: 256 << 10, Ranks: 16}
-	if got := lateCrashOp(bc, 0.75); got != 12 {
+	if got := lateCrashOp(bc, 5, 0.75); got != 12 {
 		t.Errorf("bcast 256KiB frac 0.75: op %d, want 12", got)
 	}
-	if got := lateCrashOp(bc, 1.0); got != 15 {
+	if got := lateCrashOp(bc, 5, 1.0); got != 15 {
 		t.Errorf("bcast 256KiB frac 1.0: op %d, want clamp 15", got)
 	}
 	// Small broadcast: unpipelined, single chunk, op 0 regardless.
 	small := Scenario{Collective: "bcast", Size: 4096, Ranks: 16}
-	if got := lateCrashOp(small, 0.75); got != 0 {
+	if got := lateCrashOp(small, 5, 0.75); got != 0 {
 		t.Errorf("bcast 4KiB frac 0.75: op %d, want 0", got)
 	}
 	ag := Scenario{Collective: "allgather", Size: 8192, Ranks: 8}
-	if got := lateCrashOp(ag, 0.75); got != 6 {
+	if got := lateCrashOp(ag, 3, 0.75); got != 6 {
 		t.Errorf("allgather np=8 frac 0.75: op %d, want 6", got)
+	}
+	// A ring-allreduce rank runs n copies, n−1 combines and n−1 pulls.
+	ring := Scenario{Collective: "allreduce", Size: 8192, Ranks: 8}
+	if got := lateCrashOp(ring, 3, 0.75); got != 16 {
+		t.Errorf("ring allreduce np=8 frac 0.75: op %d, want 16 of 22", got)
+	}
+
+	for _, sc := range []Scenario{bc, small, ag, ring,
+		{Collective: treeAllreduce, Size: 4096, Ranks: 8},
+		{Collective: treeAllreduce, Size: 256 << 10, Ranks: 16, Topology: "zoot"},
+		{Collective: "barrier", Ranks: 8},
+	} {
+		var idx *sched.Index
+		if coll, d, ok := sc.decision(); ok {
+			_, v, err := worldView(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := tune.CompileFor(coll, d, v, 0, sc.Size, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idx, err = s.Index(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc.Seed, sc.Cell = 11, Cell{Name: "crash-late", Crashes: sc.Ranks - 1, CrashOpFrac: 0.75}
+		plan := PlanFor(sc)
+		if len(plan.CrashAtOp) != sc.Ranks-1 {
+			t.Fatalf("%s: %d victims, want every non-root rank", sc.Collective, len(plan.CrashAtOp))
+		}
+		for victim, at := range plan.CrashAtOp {
+			ops := 1
+			if idx != nil {
+				ops = len(idx.RankOps(victim))
+			}
+			if at >= ops || float64(at) < 0.75*float64(ops)-1 {
+				t.Errorf("%s np=%d: victim %d crashes at op %d of the %d it executes, want three quarters in",
+					sc.Collective, sc.Ranks, victim, at, ops)
+			}
+		}
+	}
+}
+
+// TestTreeAllreduceColumnRunsTheTree: the grid's second allreduce column
+// executes core.CompileAllreduceTree's schedule, not the ring — with every
+// copy delayed, the injector counts 2(n−1) kernel copies (each tree edge
+// once up, once down) against the ring's 2n(n−1) — and a late crash on it
+// fires, leaves included.
+func TestTreeAllreduceColumnRunsTheTree(t *testing.T) {
+	const n = 6
+	everyCopy := Cell{Name: "delay-all", DelayProb: 1, Delay: time.Microsecond}
+	for coll, want := range map[string]int64{treeAllreduce: 2 * (n - 1), "allreduce": 2 * n * (n - 1)} {
+		res := RunSeed(Scenario{Seed: 1, Ranks: n, Collective: coll, Size: 2048, Cell: everyCopy})
+		mustPass(t, res)
+		if res.Completed != n || res.Fault.Delays != want {
+			t.Errorf("%s: %d ranks completed, %d kernel copies; want %d and %d", coll, res.Completed, res.Fault.Delays, n, want)
+		}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		res := RunSeed(Scenario{
+			Seed: seed, Ranks: n, Collective: treeAllreduce, Size: 2048,
+			Cell: Cell{Name: "crash-late", Crashes: 1, CrashOpFrac: 0.75}, Integrity: true,
+		})
+		mustPass(t, res)
+		if res.Fault.Crashes != 1 || len(res.Group) != n-1 {
+			t.Errorf("seed %d: %d crashes fired, final group %v; want the late crash to fire and the survivors to finish",
+				seed, res.Fault.Crashes, res.Group)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ type Config struct {
 	Size        int64         // payload / block size (default 4096)
 	Budget      time.Duration // wall-clock bound; 0 = run the whole grid
 	Cells       []Cell        // default DefaultGrid()
-	Collectives []string      // default all four
+	Collectives []string      // default all five columns (allreduce runs as ring and as tree)
 	Topologies  []string      // default {"cross", "contiguous"}
 	Integrity   bool          // run with integrity verification on
 	Repulls     int           // integrity re-pull budget (0 = default)
@@ -34,13 +34,13 @@ func (cfg *Config) defaults() {
 		cfg.Ranks = 6
 	}
 	if cfg.Size <= 0 {
-		cfg.Size = 4096
+		cfg.Size = defaultSize
 	}
 	if len(cfg.Cells) == 0 {
 		cfg.Cells = DefaultGrid()
 	}
 	if len(cfg.Collectives) == 0 {
-		cfg.Collectives = []string{"bcast", "allgather", "allreduce", "barrier"}
+		cfg.Collectives = []string{"bcast", "allgather", "allreduce", treeAllreduce, "barrier"}
 	}
 	if len(cfg.Topologies) == 0 {
 		cfg.Topologies = []string{"cross", "contiguous"}

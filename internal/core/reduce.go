@@ -14,11 +14,14 @@ import (
 // combined on arrival), so partial sums travel each slow link exactly
 // once, pipelined chunk by chunk for large messages.
 //
-// Allreduce composes two passes over the distance-aware ring: a ring
-// reduce-scatter (each rank ends with one fully-reduced block) followed by
-// the §IV-C ring allgather — inheriting the same balanced memory-access
-// profile: every controller sees the same load, and only ring-boundary
-// edges cross slow links.
+// Allreduce has two forms; which one runs is a calibrated decision
+// (tune.Decision.Tree). The ring form composes two passes over the
+// distance-aware ring: a ring reduce-scatter (each rank ends with one
+// fully-reduced block) followed by the §IV-C ring allgather — inheriting
+// the same balanced memory-access profile: every controller sees the same
+// load, and only ring-boundary edges cross slow links. The tree form is
+// Reduce followed by a pipelined broadcast back down the same tree: a
+// fraction of the ops, so it wins until bandwidth dominates.
 
 // CompileReduce compiles a distance-aware reduction to the tree root.
 // Buffers per rank: "send" (the contribution) and "acc" (the accumulator;
@@ -27,11 +30,28 @@ import (
 // reduction operator's element size; ≤1 means byte-wise): the operator
 // combines chunk by chunk, so no element may straddle two chunks.
 func CompileReduce(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, error) {
-	if err := t.Validate(); err != nil {
+	s, _, _, _, err := reduceUp(t, "acc", size, chunkBytes, align)
+	if err != nil {
 		return nil, err
 	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("core: compiled reduce invalid: %w", err)
+	}
+	return s, nil
+}
+
+// reduceUp compiles the reduction up the tree that CompileReduce is and
+// CompileAllreduceTree starts with, accumulating into the per-rank buffer
+// named accName. It returns the schedule (not yet validated), the
+// accumulators, the chunk table and last, where last[r][c] is rank r's op
+// completing chunk c of its subtree's partial result; every rank's final
+// op is its last[r][len(chunks)-1].
+func reduceUp(t *Tree, accName string, size, chunkBytes, align int64) (*sched.Schedule, []sched.BufID, [][2]int64, [][]sched.OpID, error) {
+	if err := t.Validate(); err != nil {
+		return nil, nil, nil, nil, err
+	}
 	if size <= 0 {
-		return nil, fmt.Errorf("core: reduce size %d", size)
+		return nil, nil, nil, nil, fmt.Errorf("core: reduce size %d", size)
 	}
 	if chunkBytes <= 0 {
 		chunkBytes = BroadcastChunk(size, t.Depth())
@@ -45,12 +65,10 @@ func CompileReduce(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, err
 	acc := make([]sched.BufID, n)
 	for r := 0; r < n; r++ {
 		send[r] = s.AddBuffer(r, "send", size)
-		acc[r] = s.AddBuffer(r, "acc", size)
+		acc[r] = s.AddBuffer(r, accName, size)
 	}
 	chunks := sched.Chunks(size, chunkBytes)
 
-	// last[r][c] is rank r's op completing chunk c of its subtree's
-	// partial result.
 	last := make([][]sched.OpID, n)
 	for r := 0; r < n; r++ {
 		last[r] = make([]sched.OpID, len(chunks))
@@ -92,8 +110,45 @@ func CompileReduce(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, err
 			}
 		}
 	}
+	return s, acc, chunks, last, nil
+}
+
+// CompileAllreduceTree compiles allreduce as a reduction up the
+// distance-aware tree followed by a pipelined broadcast back down it, the
+// latency-regime counterpart of the ring CompileAllreduce: 3n−2 ops per
+// chunk where the ring takes n(3n−2), and every slow link crossed exactly
+// twice per chunk. Buffers per rank are the caller's "send"
+// and "recv" only: recv is the accumulator on the way up and holds the
+// result on the way down, so the plan has no auxiliary bytes. Chunking and
+// alignment are CompileReduce's.
+//
+// Down phase: every non-root rank pulls chunk c from its parent's recv once
+// the parent holds the result (the root's last combine of c, or the
+// parent's own pull), chained on the rank's previous op. The pull
+// overwrites the rank's partial of c, which its parent read on the way up;
+// that read is an ancestor of the root's final op of chunk c, which every
+// down pull of c depends on, so no partial is overwritten while still in
+// use. Chunk c travels down while c+1 is still being reduced.
+func CompileAllreduceTree(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, error) {
+	s, recv, chunks, have, err := reduceUp(t, "recv", size, chunkBytes, align)
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range bfsOrder(t) {
+		for _, v := range t.Children[u] {
+			prev := have[v][len(chunks)-1] // v's last op of the up phase
+			for c, ch := range chunks {
+				prev = s.AddOp(sched.Op{
+					Rank: v, Mode: sched.ModeKnem,
+					Src: recv[u], SrcOff: ch[0], Dst: recv[v], DstOff: ch[0], Bytes: ch[1],
+					Chunk: c, Deps: []sched.OpID{have[u][c], prev},
+				})
+				have[v][c] = prev
+			}
+		}
+	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("core: compiled reduce invalid: %w", err)
+		return nil, fmt.Errorf("core: compiled tree allreduce invalid: %w", err)
 	}
 	return s, nil
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 
-	"distcoll/internal/distance"
 	"distcoll/internal/health"
 	"distcoll/internal/plancache"
 	"distcoll/internal/sched"
@@ -51,23 +50,21 @@ func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int
 	w := st.world
 	st.mu.Lock()
 	topo := st.topoHashLocked()
-	var v distance.View // fetched where it is read: by the selector, else on a cache miss only
+	var fp tune.Fingerprint
 	if adaptive {
-		v = st.viewLocked()
+		fp = st.fingerprintLocked()
 	}
 	st.mu.Unlock()
 
 	dec := tune.Decision{Component: comp.String()}
 	if adaptive {
-		dec = w.selector.Select(d.coll, v, unit)
+		dec = w.selector.SelectFP(d.coll, fp, unit)
 	}
 	key := plancache.Key{Topo: topo, Tenant: w.tenant, Coll: d.name, Root: root, Size: unit, Align: align, Variant: dec.CacheKey()}
 	s, hit, err := w.plans.Get(key, func() (*sched.Schedule, error) {
-		if v == nil {
-			st.mu.Lock()
-			v = st.viewLocked()
-			st.mu.Unlock()
-		}
+		st.mu.Lock()
+		v := st.viewLocked() // read on a miss only: a warm call needs no view
+		st.mu.Unlock()
 		return tune.CompileFor(d.coll, dec, v, root, unit, align)
 	})
 	if err != nil || !adaptive {
@@ -103,8 +100,21 @@ func (st *commState) topoHashLocked() uint64 {
 			st.topoHash = st.topoHash*1099511628211 ^ uint64(epoch)
 		}
 		st.topoHashed = true
+		st.fingerprint = tune.Fingerprint{} // one invalidation for both identities of the view
 	}
 	return st.topoHash
+}
+
+// fingerprintLocked returns the selector's identity of the communicator's
+// view (tune.FingerprintOf: the O(n²) pair histogram), computed once per
+// topology hash: whatever drops the hash — a health revision, a partition
+// epoch, Free — drops the fingerprint with it. Callers hold st.mu and have
+// just called topoHashLocked.
+func (st *commState) fingerprintLocked() tune.Fingerprint {
+	if st.fingerprint.Procs == 0 {
+		st.fingerprint = tune.FingerprintOf(st.viewLocked())
+	}
+	return st.fingerprint
 }
 
 // invalidatePlans drops every cached plan compiled for this

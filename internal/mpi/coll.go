@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/exec"
 	"distcoll/internal/fault"
@@ -259,22 +260,34 @@ func (c *Comm) execute(plan *collPlan, a *collArgs) error {
 			plan.reap()
 		}
 	}()
-	m := &member{c: c, plan: plan, wr: c.state.group[c.rank], a: a}
+	st := c.state
+	m := &st.mem[c.rank]
+	m.c, m.plan, m.wr, m.a = c, plan, st.group[c.rank], a
 	// Copy events carry the distance class of the edge they crossed, read
 	// from the base view in O(1).
-	if c.state.world.tracer.Enabled() {
-		m.dist = c.state.baseView()
+	if st.world.tracer.Enabled() {
+		m.dist = st.baseView()
 	}
-	return plan.prog.RunRank(c.rank, m)
+	err := plan.prog.RunRank(c.rank, m)
+	// A finished call leaves nothing in the slot but a landing buffer, and
+	// that only up to the largest pipeline chunk: a bigger one (an
+	// unpipelined reduce of a large message) would be payload-sized memory
+	// held between calls.
+	m.plan, m.a, m.dist = nil, nil, nil
+	if cap(m.scratch) > core.PipelineMaxChunk {
+		m.scratch = nil
+	}
+	return err
 }
 
-// member is one communicator member's run of one plan: the exec.Hooks.
+// member is one communicator member's run of one plan: the exec.Hooks. It
+// lives in the communicator's per-member slot (commState.mem).
 type member struct {
 	c       *Comm
 	plan    *collPlan
 	wr      int                 // the member's world rank
 	a       *collArgs           // its arguments: the reduction operator, the progress ledger
-	scratch []byte              // landing buffer of kernel-assisted reduces (member.move)
+	scratch []byte              // landing buffer of kernel-assisted reduces (member.move); kept between calls
 	dist    *distance.Clustered // set only while tracing; covers every schedule rank (newPlan)
 }
 

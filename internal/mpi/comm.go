@@ -10,6 +10,7 @@ import (
 
 	"distcoll/internal/distance"
 	"distcoll/internal/health"
+	"distcoll/internal/tune"
 )
 
 // commState is the shared (cross-process) state of one communicator.
@@ -34,6 +35,11 @@ type commState struct {
 	// touches it.
 	wake []chan struct{}
 	dogs []watchdog
+	// mem is the member's execution slot: the exec.Hooks value of the
+	// collective it is running, filled in place by Comm.execute. Between
+	// calls it holds nothing but the landing buffer of kernel-assisted
+	// reduces, so a warm reduction allocates none.
+	mem []member
 
 	// Agreement rounds use their own sequence space and slots: Agree must
 	// run on a broken communicator, below the fail-fast collective path.
@@ -62,6 +68,11 @@ type commState struct {
 	topoHash   uint64
 	topoHashed bool
 
+	// fingerprint is what the selector matches the view by, cached beside
+	// topoHash and dropped whenever that is recomputed (fingerprintLocked);
+	// the zero value (no procs) is "not computed".
+	fingerprint tune.Fingerprint
+
 	// healthSnap is the demotion snapshot last applied to this
 	// communicator's topology hash (nil until the first lookup on a
 	// health-enabled world). When the scorer publishes a new revision,
@@ -84,6 +95,7 @@ func newCommState(w *World, group []int) *commState {
 		slots:      make(map[int]*collSlot),
 		wake:       make([]chan struct{}, len(group)),
 		dogs:       make([]watchdog, len(group)),
+		mem:        make([]member, len(group)),
 		agreeSeqs:  make([]int, len(group)),
 		agreeSlots: make(map[int]*agreeSlot),
 	}

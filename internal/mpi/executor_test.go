@@ -49,9 +49,9 @@ func fanSchedule(n int, size int64) *sched.Schedule {
 }
 
 // warmAllocsPerCall runs `calls` warm calls of one collective on an IG-48
-// world and returns heap allocations per call summed over all ranks (and
-// the two bracketing barriers, amortised).
-func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, rank int) error) float64 {
+// world and returns heap allocations and allocated bytes per call summed
+// over all ranks (and the two bracketing barriers, amortised).
+func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, rank int) error) (allocs, bytes float64) {
 	t.Helper()
 	var m0, m1 runtime.MemStats
 	err := w.Run(func(p *Proc) error {
@@ -86,7 +86,7 @@ func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, ran
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(m1.Mallocs-m0.Mallocs) / float64(calls)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(calls), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(calls)
 }
 
 // TestWarmCollectiveAllocBudget is the allocation gate of the one call
@@ -104,10 +104,19 @@ func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, ran
 // plan and per event record, not per checksum or per metric lookup: with
 // an escaping CRC header and a formatted counter name per copy, the two
 // cells cost 1,354 and 13,954.
+//
+// The hooks value is the member's slot on the communicator, not a per-call
+// allocation (one fewer per rank: the budgets were 140 and 260), and the
+// slot keeps the landing buffer of kernel-assisted reduces between calls:
+// the last bare cell is a 64 KiB allreduce — the tree at chunk = 64 KiB under
+// the shipped table, every interior rank combining its children through a
+// 64 KiB landing buffer — whose warm calls allocate less than half of one
+// such buffer in total.
 func TestWarmCollectiveAllocBudget(t *testing.T) {
-	const budget = 140        // 48 ranks × 2 + per-plan; measured 110–122
-	const guardedBudget = 260 // under 2 × budget; measured 218–227
+	const budget = 90         // 48 ranks + per-plan; measured 61–66
+	const guardedBudget = 190 // measured 158–160
 	const n = 48
+	const landing = "allreduce 64KiB adaptive" // the cell whose bytes are budgeted too
 	bufs := func(size int) [][]byte {
 		out := make([][]byte, n)
 		for r := range out {
@@ -121,6 +130,7 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 		call   func(c *Comm, rank int) error
 	}
 	b4k, b64k, b16k, b16kAll := bufs(4096), bufs(64<<10), bufs(16<<10), bufs(n*16<<10)
+	sum64k := bufs(64 << 10)
 	small, big, reduced, exchanged := bufs(1024), bufs(n*1024), bufs(1024), bufs(n*1024)
 	cells := []cell{
 		{"bcast 4KiB knemcoll", budget, func(c *Comm, r int) error { return c.Bcast(b4k[r], 0, KNEMColl) }},
@@ -136,6 +146,7 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 		{"scatter 1KiB tuned", budget, func(c *Comm, r int) error { return c.Scatter(big[r], small[r], 0, Tuned) }},
 		{"alltoall 1KiB mpich2", budget, func(c *Comm, r int) error { return c.Alltoall(big[r], exchanged[r], MPICH2) }},
 		{"barrier", 8, func(c *Comm, _ int) error { return c.Barrier() }},
+		{landing, budget, func(c *Comm, r int) error { return c.Allreduce(b64k[r], sum64k[r], OpSumInt64, Adaptive) }},
 	}
 	guarded := []cell{
 		{"guarded bcast 64KiB", guardedBudget, func(c *Comm, r int) error { return c.Bcast(b64k[r], 0, Adaptive) }},
@@ -146,10 +157,13 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 	run := func(cells []cell, opts func() []Option) {
 		for _, cell := range cells {
 			w := NewWorld(igWorld(t, "crosssocket", n).Binding(), opts()...)
-			got := warmAllocsPerCall(t, w, 20, cell.call)
-			t.Logf("%-26s %.0f allocs/call over %d ranks", cell.name, got, n)
+			got, bytes := warmAllocsPerCall(t, w, 20, cell.call)
+			t.Logf("%-26s %.0f allocs/call, %.0f B/call over %d ranks", cell.name, got, bytes, n)
 			if got > cell.budget {
 				t.Errorf("%s: %.0f allocations per warm call, budget %.0f", cell.name, got, cell.budget)
+			}
+			if cell.name == landing && bytes > 32<<10 {
+				t.Errorf("%s: %.0f bytes allocated per warm call: a 64 KiB landing buffer is being reallocated", cell.name, bytes)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"distcoll/internal/health"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/trace"
+	"distcoll/internal/tune"
 )
 
 // fastHealth is the test scorer configuration: tiny windows, a scan per
@@ -315,5 +316,74 @@ func TestHealthEscalationShrinks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fpRecorder is a Decider that records the fingerprint of every warm-path
+// query before delegating to the shipped tables.
+type fpRecorder struct {
+	*tune.Selector
+	seen []tune.Fingerprint
+}
+
+func (r *fpRecorder) SelectFP(coll tune.Collective, fp tune.Fingerprint, bytes int64) tune.Decision {
+	r.seen = append(r.seen, fp) // one caller per collective: the plan builder
+	return r.Selector.SelectFP(coll, fp, bytes)
+}
+
+// TestFingerprintCachedWithTopoHash: the selector's identity of a
+// communicator's view is computed once and handed to the selector on every
+// warm Adaptive call (the same backing array, not an equal copy: no pair
+// loop ran), and it is dropped by exactly what drops the topology hash — a
+// health revision touching the communicator, after which it describes the
+// re-wrapped view, and Free.
+func TestFingerprintCachedWithTopoHash(t *testing.T) {
+	b, err := binding.CrossSocket(hwtopo.NewIG(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorld(b, WithHealth(fastHealth()))
+	rec := &fpRecorder{Selector: tune.DefaultSelector()}
+	w.selector = rec
+	bcast := func() tune.Fingerprint {
+		t.Helper()
+		err := w.Run(func(p *Proc) error { return p.Comm().Bcast(make([]byte, 4096), 0, Adaptive) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.seen[len(rec.seen)-1]
+	}
+	st := w.worldComm
+	current := func() tune.Fingerprint {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return tune.FingerprintOf(st.viewLocked())
+	}
+	first, second := bcast(), bcast()
+	if !first.Equal(current()) {
+		t.Fatalf("selector was handed %+v, the view fingerprints to %+v", first, current())
+	}
+	if &first.Hist[0] != &second.Hist[0] {
+		t.Error("second warm call recomputed the fingerprint")
+	}
+
+	st.mu.Lock()
+	class := st.viewLocked().At(0, 4)
+	st.mu.Unlock()
+	demoteEdge(t, w, 0, 4, class)
+	demoted := bcast()
+	if demoted.Equal(first) || !demoted.Equal(current()) {
+		t.Errorf("after a demotion the selector was handed %+v; before %+v, the re-wrapped view %+v", demoted, first, current())
+	}
+	if again := bcast(); &again.Hist[0] != &demoted.Hist[0] {
+		t.Error("warm call after the demotion recomputed the fingerprint")
+	}
+
+	(&Comm{state: st}).Free()
+	if freed := bcast(); !freed.Equal(demoted) || &freed.Hist[0] == &demoted.Hist[0] {
+		t.Error("Free kept the cached fingerprint")
+	}
+	if len(rec.seen) != 5 {
+		t.Errorf("selector consulted %d times for 5 collectives", len(rec.seen))
 	}
 }

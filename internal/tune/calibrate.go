@@ -48,9 +48,11 @@ const calibrateMargin = 1e-3
 // candidates returns the decision candidates for a collective, in
 // preference order (earlier wins a near-tie). The knem tree collectives
 // carry the Fig. 8 hierarchical/linear split and a fixed-chunk pipeline
-// variant; ring collectives have a single distance-aware shape. How the
-// tree or ring is constructed from the view is not a candidate dimension:
-// core's rule fixes it per view, on one machine as on many.
+// variant; allgather has a single distance-aware shape, the ring; allreduce
+// has the ring for the bandwidth regime and, below it, reduce + broadcast
+// over the tree with the same fixed-chunk variant. How the tree or ring is
+// constructed from the view is not a candidate dimension: core's rule fixes
+// it per view, on one machine as on many.
 //
 // MPICH2 (nemesis double copy) is deliberately not a candidate: it runs
 // the same rank-based algorithms as tuned over a strictly slower
@@ -67,6 +69,13 @@ func candidates(coll Collective) []Decision {
 			{Component: ComponentKNEM},
 			{Component: ComponentKNEM, Chunk: 64 << 10},
 			{Component: ComponentKNEM, Linear: true},
+		}
+	case CollAllreduce:
+		return []Decision{
+			{Component: ComponentTuned},
+			{Component: ComponentKNEM},
+			{Component: ComponentKNEM, Tree: true},
+			{Component: ComponentKNEM, Tree: true, Chunk: 64 << 10},
 		}
 	default:
 		return []Decision{

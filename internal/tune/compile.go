@@ -91,6 +91,13 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 		}
 		return baseline.CompileReduce(n, root, bytes, baseline.TunedReduceDecision(n, bytes), tp)
 	case CollAllreduce:
+		if knem && d.Tree {
+			tree, err := knemTree(d, v, root)
+			if err != nil {
+				return nil, err
+			}
+			return core.CompileAllreduceTree(tree, bytes, d.Chunk, align)
+		}
 		if knem {
 			ring, err := core.RingFor(v)
 			if err != nil {

@@ -13,11 +13,13 @@ import (
 // three-tier lookup) and *Overlay (the same plus a learned tier) both
 // implement it.
 type Decider interface {
-	// Select picks the configuration for one collective call over a
-	// communicator whose member distances are m, moving bytes per-rank
-	// bytes.
-	Select(coll Collective, m distance.View, bytes int64) Decision
-	// SelectExplain is Select plus the provenance of the decision.
+	// SelectFP picks the configuration for one collective call over a
+	// communicator with topology fingerprint fp, moving bytes per-rank
+	// bytes. It is the per-call entry point: no view is walked and no
+	// provenance built.
+	SelectFP(coll Collective, fp Fingerprint, bytes int64) Decision
+	// SelectExplain is the same decision for a communicator whose member
+	// distances are m, plus its provenance.
 	SelectExplain(coll Collective, m distance.View, bytes int64) (Decision, string)
 }
 
@@ -71,9 +73,14 @@ func fpKey(f Fingerprint) string {
 	return fmt.Sprintf("%d/%d/%v/%v/%v", f.Procs, f.MaxDist, f.SingleMC, f.Hist, f.AdjHist)
 }
 
-// Select implements Decider.
+// Select is SelectFP over the fingerprint of m.
 func (o *Overlay) Select(coll Collective, m distance.View, bytes int64) Decision {
-	d, _ := o.SelectExplain(coll, m, bytes)
+	return o.SelectFP(coll, FingerprintOf(m), bytes)
+}
+
+// SelectFP implements Decider.
+func (o *Overlay) SelectFP(coll Collective, fp Fingerprint, bytes int64) Decision {
+	d, _ := o.decide(coll, fp, bytes)
 	return d
 }
 
@@ -89,16 +96,21 @@ func (o *Overlay) SelectExplain(coll Collective, m distance.View, bytes int64) (
 // topology per recalibration and must not pay the O(n²) fingerprint loop
 // per query.
 func (o *Overlay) ExplainFP(coll Collective, fp Fingerprint, bytes int64) (Decision, string) {
-	if d, prov, ok := o.base.selectExact(coll, fp, bytes); ok {
-		return d, prov
+	d, src := o.decide(coll, fp, bytes)
+	return d, src.String()
+}
+
+func (o *Overlay) decide(coll Collective, fp Fingerprint, bytes int64) (Decision, source) {
+	if d, src, ok := o.base.selectExact(coll, fp, bytes); ok {
+		return d, src
 	}
 	if d, ok := o.Learned(coll, fp, bytes); ok {
-		return d, "learned"
+		return d, source{tier: "learned"}
 	}
-	if d, prov, ok := o.base.selectClass(coll, fp, bytes); ok {
-		return d, prov
+	if d, src, ok := o.base.selectClass(coll, fp, bytes); ok {
+		return d, src
 	}
-	return Fallback(coll, fp, bytes), "fallback"
+	return Fallback(coll, fp, bytes), source{tier: "fallback"}
 }
 
 // Learned returns the learned-tier decision covering bytes, if any.

@@ -54,7 +54,8 @@ const (
 
 // Decision is one selected configuration: which component to run, whether
 // the distance-aware tree collapses to the linear topology (the Fig. 8
-// hierarchical-vs-linear split), and an optional pipeline chunk override.
+// hierarchical-vs-linear split), an optional pipeline chunk override, and
+// whether allreduce runs over the tree instead of the ring.
 type Decision struct {
 	// Component is the collective implementation: "knemcoll" (the paper's
 	// distance-aware kernel-assisted component), "tuned" (Open MPI tuned
@@ -68,6 +69,13 @@ type Decision struct {
 	// compiled-in policy (core.BroadcastChunk). Only meaningful for
 	// knemcoll tree collectives.
 	Chunk int64 `json:"chunk,omitempty"`
+	// Tree runs a knemcoll allreduce as a reduction up the distance-aware
+	// tree and a pipelined broadcast back down it (core's
+	// CompileAllreduceTree) instead of around the ring; it makes
+	// allreduce a tree collective, so Linear and Chunk apply. A calibrated
+	// dimension the sweep covers, not a user knob: a fixed knemcoll
+	// component still means the ring. Meaningful for allreduce only.
+	Tree bool `json:"tree,omitempty"`
 }
 
 // String renders the decision for logs and the disttune CLI. Only a chunk
@@ -77,9 +85,16 @@ func (d Decision) String() string {
 	if d.Component != ComponentKNEM {
 		return d.Component
 	}
-	shape := ComponentKNEM + "/hier"
-	if d.Linear {
+	var shape string
+	switch {
+	case d.Tree && d.Linear:
+		shape = ComponentKNEM + "/tree/linear"
+	case d.Tree:
+		shape = ComponentKNEM + "/tree"
+	case d.Linear:
 		shape = ComponentKNEM + "/linear"
+	default:
+		shape = ComponentKNEM + "/hier"
 	}
 	if d.Chunk > 0 {
 		return fmt.Sprintf("%s/chunk=%d", shape, d.Chunk)
@@ -92,11 +107,14 @@ func (d Decision) String() string {
 // (collective, view, root, size).
 func (d Decision) CacheKey() string { return d.String() }
 
-// Valid reports whether the decision names a known component.
+// Valid reports whether the decision names a known component, and a tree
+// allreduce only under the one component that has one.
 func (d Decision) Valid() bool {
 	switch d.Component {
-	case ComponentKNEM, ComponentTuned, ComponentMPICH:
+	case ComponentKNEM:
 		return d.Chunk >= 0
+	case ComponentTuned, ComponentMPICH:
+		return d.Chunk >= 0 && !d.Tree
 	default:
 		return false
 	}
@@ -144,8 +162,9 @@ func FingerprintOf(v distance.View) Fingerprint {
 			f.MaxDist = d
 		}
 	}
-	f.Hist = append([]int64(nil), hist[:f.MaxDist+1]...)
-	f.AdjHist = append([]int64(nil), adj[:f.MaxDist+1]...)
+	k := f.MaxDist + 1
+	both := append(append(make([]int64, 0, 2*k), hist[:k]...), adj[:k]...) // one allocation
+	f.Hist, f.AdjHist = both[:k:k], both[k:]
 	f.SingleMC = hist[distance.CrossSocketSameMC] > 0 &&
 		hist[distance.SameSocketCrossMC] == 0 && hist[distance.SameBoard] == 0
 	return f
@@ -226,8 +245,9 @@ type Table struct {
 	RuleSets []RuleSet `json:"rule_sets"`
 }
 
-// Validate checks structural sanity: known collectives, valid decisions,
-// ordered non-overlapping rule ranges covering [0, ∞).
+// Validate checks structural sanity: known collectives, valid decisions
+// (the tree dimension on allreduce only), ordered non-overlapping rule
+// ranges covering [0, ∞).
 func (t *Table) Validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("tune: table has no name")
@@ -247,7 +267,7 @@ func (t *Table) Validate() error {
 		}
 		var next int64
 		for j, r := range rs.Rules {
-			if !r.Decision.Valid() {
+			if !r.Decision.Valid() || (r.Decision.Tree && rs.Coll != CollAllreduce) {
 				return fmt.Errorf("tune: table %s %s rule %d: invalid decision %+v", t.Name, rs.Coll, j, r.Decision)
 			}
 			if r.MinBytes != next {
@@ -312,7 +332,15 @@ func DefaultSelector() *Selector {
 // (the full message for bcast/reduce/allreduce, the per-rank block for
 // allgather).
 func (s *Selector) Select(coll Collective, m distance.View, bytes int64) Decision {
-	d, _ := s.SelectExplain(coll, m, bytes)
+	return s.SelectFP(coll, FingerprintOf(m), bytes)
+}
+
+// SelectFP is Select for a pre-computed fingerprint: what a caller that
+// asks on every collective call (the mpi runtime, which caches the
+// fingerprint on the communicator) uses, because it neither walks the
+// O(n²) pairs of the view nor formats a provenance. It allocates nothing.
+func (s *Selector) SelectFP(coll Collective, fp Fingerprint, bytes int64) Decision {
+	d, _ := s.decide(coll, fp, bytes)
 	return d
 }
 
@@ -327,21 +355,43 @@ func (s *Selector) SelectExplain(coll Collective, m distance.View, bytes int64) 
 // ExplainFP is SelectExplain for a pre-computed fingerprint (tooling
 // that diffs decisions across selectors already holds one).
 func (s *Selector) ExplainFP(coll Collective, fp Fingerprint, bytes int64) (Decision, string) {
-	if d, prov, ok := s.selectExact(coll, fp, bytes); ok {
-		return d, prov
+	d, src := s.decide(coll, fp, bytes)
+	return d, src.String()
+}
+
+// source is where a decision came from: the tier and, for the two table
+// tiers, the rule set that matched. Only the Explain entry points render
+// it; a warm call never formats a provenance it would discard.
+type source struct {
+	tier  string // "table", "learned", "class" or "fallback"
+	table *Table
+	rs    *RuleSet
+}
+
+func (src source) String() string {
+	if src.rs == nil {
+		return src.tier
 	}
-	if d, prov, ok := s.selectClass(coll, fp, bytes); ok {
-		return d, prov
+	return src.tier + ":" + src.table.Name + "/" + src.rs.Binding
+}
+
+// decide is the three-tier match.
+func (s *Selector) decide(coll Collective, fp Fingerprint, bytes int64) (Decision, source) {
+	if d, src, ok := s.selectExact(coll, fp, bytes); ok {
+		return d, src
+	}
+	if d, src, ok := s.selectClass(coll, fp, bytes); ok {
+		return d, src
 	}
 	// Tier 3: the paper's published crossovers.
-	return Fallback(coll, fp, bytes), "fallback"
+	return Fallback(coll, fp, bytes), source{tier: "fallback"}
 }
 
 // selectExact is tier 1: an exact fingerprint hit (same size, same pair
 // and adjacent-rank distance histograms) in the table list.
-func (s *Selector) selectExact(coll Collective, fp Fingerprint, bytes int64) (Decision, string, bool) {
+func (s *Selector) selectExact(coll Collective, fp Fingerprint, bytes int64) (Decision, source, bool) {
 	if s == nil {
-		return Decision{}, "", false
+		return Decision{}, source{}, false
 	}
 	for _, t := range s.tables {
 		for i := range t.RuleSets {
@@ -350,18 +400,18 @@ func (s *Selector) selectExact(coll Collective, fp Fingerprint, bytes int64) (De
 				continue
 			}
 			if d, ok := rs.decide(bytes); ok {
-				return d, fmt.Sprintf("table:%s/%s", t.Name, rs.Binding), true
+				return d, source{"table", t, rs}, true
 			}
 		}
 	}
-	return Decision{}, "", false
+	return Decision{}, source{}, false
 }
 
 // selectClass is tier 2: a machine-class match (same reach and controller
 // structure); among class matches the closest communicator size wins.
-func (s *Selector) selectClass(coll Collective, fp Fingerprint, bytes int64) (Decision, string, bool) {
+func (s *Selector) selectClass(coll Collective, fp Fingerprint, bytes int64) (Decision, source, bool) {
 	if s == nil {
-		return Decision{}, "", false
+		return Decision{}, source{}, false
 	}
 	var best *RuleSet
 	var bestTable *Table
@@ -378,10 +428,10 @@ func (s *Selector) selectClass(coll Collective, fp Fingerprint, bytes int64) (De
 	}
 	if best != nil {
 		if d, ok := best.decide(bytes); ok {
-			return d, fmt.Sprintf("class:%s/%s", bestTable.Name, best.Binding), true
+			return d, source{"class", bestTable, best}, true
 		}
 	}
-	return Decision{}, "", false
+	return Decision{}, source{}, false
 }
 
 func absInt(x int) int {
@@ -396,31 +446,40 @@ func absInt(x int) int {
 // kernel-crossing latency dominates), and on single-controller Zoot the
 // linear topology overtakes the hierarchical tree at 32 KB (Fig. 8: the
 // lone controller saturates on writes whatever the tree shape, so tree
-// depth only adds latency).
+// depth only adds latency). Allreduce is not in the paper; its crossover is
+// the calibrated one of the shipped IG table: reduce + broadcast over the
+// tree (3n−2 ops per chunk, placement-independent) below 128 KB, the ring's
+// balanced memory traffic from there up.
 const (
 	FallbackBcastCrossover     = 16 << 10
 	FallbackAllgatherCrossover = 2 << 10
 	FallbackLinearCrossover    = 32 << 10
+	FallbackAllreduceCrossover = 128 << 10
 )
 
 // Fallback is the rule set used when no decision table matches the
 // topology: the paper's published crossovers, applied to the communicator's
 // fingerprint.
 func Fallback(coll Collective, fp Fingerprint, bytes int64) Decision {
+	if fp.Procs <= 2 {
+		return Decision{Component: ComponentTuned}
+	}
 	switch coll {
 	case CollBcast, CollReduce:
-		if bytes < FallbackBcastCrossover || fp.Procs <= 2 {
+		if bytes < FallbackBcastCrossover {
 			return Decision{Component: ComponentTuned}
 		}
 		return Decision{
 			Component: ComponentKNEM,
 			Linear:    fp.SingleMC && bytes >= FallbackLinearCrossover,
 		}
-	case CollAllgather, CollAllreduce:
-		if bytes < FallbackAllgatherCrossover || fp.Procs <= 2 {
+	case CollAllgather:
+		if bytes < FallbackAllgatherCrossover {
 			return Decision{Component: ComponentTuned}
 		}
 		return Decision{Component: ComponentKNEM}
+	case CollAllreduce:
+		return Decision{Component: ComponentKNEM, Tree: bytes < FallbackAllreduceCrossover}
 	default:
 		return Decision{Component: ComponentTuned}
 	}

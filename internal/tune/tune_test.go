@@ -35,6 +35,9 @@ func TestDecisionString(t *testing.T) {
 		{Decision{Component: ComponentKNEM}, "knemcoll/hier"},
 		{Decision{Component: ComponentKNEM, Linear: true}, "knemcoll/linear"},
 		{Decision{Component: ComponentKNEM, Chunk: 65536}, "knemcoll/hier/chunk=65536"},
+		{Decision{Component: ComponentKNEM, Tree: true}, "knemcoll/tree"},
+		{Decision{Component: ComponentKNEM, Tree: true, Linear: true}, "knemcoll/tree/linear"},
+		{Decision{Component: ComponentKNEM, Tree: true, Chunk: 65536}, "knemcoll/tree/chunk=65536"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
@@ -53,6 +56,9 @@ func TestDecisionString(t *testing.T) {
 	if (Decision{Component: ComponentKNEM, Chunk: -1}).Valid() {
 		t.Error("negative chunk reported valid")
 	}
+	if (Decision{Component: ComponentTuned, Tree: true}).Valid() {
+		t.Error("a tree allreduce under tuned reported valid: only knemcoll has one")
+	}
 }
 
 // TestCacheKeyAllocatesNothing: the plan-cache variant of every decision a
@@ -64,6 +70,8 @@ func TestCacheKeyAllocatesNothing(t *testing.T) {
 	for _, d := range []Decision{
 		{Component: ComponentKNEM},
 		{Component: ComponentKNEM, Linear: true},
+		{Component: ComponentKNEM, Tree: true},
+		{Component: ComponentKNEM, Tree: true, Linear: true},
 		{Component: ComponentTuned},
 		{Component: ComponentMPICH},
 	} {
@@ -166,7 +174,10 @@ func TestFingerprintSameOnEveryRepresentation(t *testing.T) {
 
 // TestOldTableJSONStillLoads: tables written when Decision carried a
 // two_phase flag parse to the same rules — the key is ignored, and what it
-// used to select is now what the view implies.
+// used to select is now what the view implies. The field pin is four since
+// the tree allreduce: `tree` is a dimension the calibrator sweeps and the
+// tables record, like linear and chunk, not a knob a user sets — a fifth
+// field needs the same justification.
 func TestOldTableJSONStillLoads(t *testing.T) {
 	old := `{"name":"old","machine":"igcluster","procs":4,"sizes":[1024],"rule_sets":[{"collective":"bcast",
 		"binding":"contiguous","fingerprint":{"procs":4,"max_dist":8,"single_mc":false,"hist":[0],"adj_hist":[0]},
@@ -178,8 +189,8 @@ func TestOldTableJSONStillLoads(t *testing.T) {
 	if got, want := tab.RuleSets[0].Rules[0].Decision, (Decision{Component: ComponentKNEM, Chunk: 65536}); got != want {
 		t.Errorf("decision = %+v, want %+v", got, want)
 	}
-	if n := reflect.TypeOf(Decision{}).NumField(); n != 3 {
-		t.Errorf("Decision has %d fields, want 3 (component, linear, chunk)", n)
+	if n := reflect.TypeOf(Decision{}).NumField(); n != 4 {
+		t.Errorf("Decision has %d fields, want 4 (component, linear, chunk, tree)", n)
 	}
 }
 
@@ -212,16 +223,22 @@ func TestFallbackCrossovers(t *testing.T) {
 	if d := Fallback(CollBcast, ig, 1<<20); d.Linear {
 		t.Errorf("bcast on IG went linear: %s", d)
 	}
-	// Reduce/allreduce mirror bcast/allgather.
+	// Reduce mirrors bcast.
 	if d := Fallback(CollReduce, ig, 8<<10); d.Component != ComponentTuned {
 		t.Errorf("reduce 8K: %s", d)
 	}
-	if d := Fallback(CollAllreduce, ig, 64<<10); d.Component != ComponentKNEM {
-		t.Errorf("allreduce 64K: %s", d)
+	// Allreduce: the tree below the calibrated crossover, the ring from it.
+	for bytes, want := range map[int64]string{8: "knemcoll/tree", 64 << 10: "knemcoll/tree",
+		FallbackAllreduceCrossover - 1: "knemcoll/tree", FallbackAllreduceCrossover: "knemcoll/hier", 8 << 20: "knemcoll/hier"} {
+		if d := Fallback(CollAllreduce, ig, bytes); d.String() != want {
+			t.Errorf("allreduce %d B: %s, want %s", bytes, d, want)
+		}
 	}
 	// Trivial communicators never go kernel-assisted.
-	if d := Fallback(CollBcast, Fingerprint{Procs: 2}, 1<<20); d.Component != ComponentTuned {
-		t.Errorf("2-rank bcast: %s", d)
+	for _, coll := range Collectives() {
+		if d := Fallback(coll, Fingerprint{Procs: 2}, 1<<20); d.Component != ComponentTuned {
+			t.Errorf("2-rank %s: %s", coll, d)
+		}
 	}
 }
 
@@ -260,6 +277,7 @@ func TestTableValidate(t *testing.T) {
 		{"gap", func(t *Table) { t.RuleSets[0].Rules[1].MinBytes = 2048 }},
 		{"bounded last", func(t *Table) { t.RuleSets[0].Rules[1].MaxBytes = 4096 }},
 		{"bad decision", func(t *Table) { t.RuleSets[0].Rules[0].Decision.Component = "x" }},
+		{"tree on bcast", func(t *Table) { t.RuleSets[0].Rules[1].Decision.Tree = true }},
 		{"zero procs", func(t *Table) { t.RuleSets[0].Fingerprint.Procs = 0 }},
 	}
 	for _, c := range bad {
@@ -426,6 +444,9 @@ func TestCompileForAllDecisions(t *testing.T) {
 			{Component: ComponentKNEM, Linear: true},
 			{Component: ComponentKNEM, Chunk: 4096},
 			{Component: ComponentKNEM, Chunk: 4100}, // not a multiple of the element
+			{Component: ComponentKNEM, Tree: true},
+			{Component: ComponentKNEM, Tree: true, Linear: true},
+			{Component: ComponentKNEM, Tree: true, Chunk: 4100},
 		} {
 			s, err := CompileFor(coll, d, m, 0, 16384, 8)
 			if err != nil {
@@ -535,5 +556,137 @@ func TestCompileForAllDecisions(t *testing.T) {
 	}
 	if _, err := CompileFor("scan", Decision{Component: ComponentTuned}, m, 0, 1024, 0); err == nil {
 		t.Error("CompileFor accepted an unknown collective")
+	}
+}
+
+// TestSelectWarmPathAllocations: SelectFP — what the runtime calls on every
+// Adaptive collective, with the fingerprint it caches on the communicator —
+// allocates nothing, whichever tier answers, on a Selector and through an
+// Overlay's exact tier; Select over a view allocates the fingerprint (one
+// backing array for both histograms) and nothing else. Provenance is built
+// by the Explain entry points only. (Select used to format and discard a
+// provenance string on every call: 5 allocations on a table hit, and the
+// runtime paid them plus the O(n²) fingerprint per warm call.)
+func TestSelectWarmPathAllocations(t *testing.T) {
+	view := func(machineName, bindName string, n int) *distance.Clustered {
+		topo, err := hwtopo.ByName(machineName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := binding.ByName(topo, bindName, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv, err := distance.NewClustered(topo, b.Cores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cv
+	}
+	sel := DefaultSelector()
+	var sink Decision
+	for _, tc := range []struct {
+		name string
+		sel  *Selector
+		v    *distance.Clustered
+		prov string
+	}{
+		{"exact", sel, view("ig", "crosssocket", 48), "table:ig48/crosssocket"},
+		{"class", sel, view("ig", "crosssocket", 13), "class:ig48/contiguous"},
+		{"fallback", nil, view("ig", "crosssocket", 48), "fallback"},
+	} {
+		fp := FingerprintOf(tc.v)
+		for _, coll := range Collectives() {
+			want, prov := tc.sel.ExplainFP(coll, fp, 1024)
+			if prov != tc.prov {
+				t.Errorf("%s %s: provenance %q, want %q", tc.name, coll, prov, tc.prov)
+			}
+			if a := testing.AllocsPerRun(100, func() { sink = tc.sel.SelectFP(coll, fp, 1024) }); a != 0 || sink != want {
+				t.Errorf("%s %s: SelectFP = %s with %v allocations, want %s with 0", tc.name, coll, sink, a, want)
+			}
+			if a := testing.AllocsPerRun(100, func() { sink = tc.sel.Select(coll, tc.v, 1024) }); a > 1 || sink != want {
+				t.Errorf("%s %s: Select = %s with %v allocations, want %s with 1 (the fingerprint)", tc.name, coll, sink, a, want)
+			}
+		}
+	}
+	ov, fp := NewOverlay(sel), FingerprintOf(view("ig", "contiguous", 48))
+	if a := testing.AllocsPerRun(100, func() { sink = ov.SelectFP(CollAllreduce, fp, 1024) }); a != 0 {
+		t.Errorf("Overlay.SelectFP on an exact table hit allocates %v times, want 0", a)
+	}
+}
+
+// TestShippedAllreduceStaysOffTheCliff is the op-count guard of the tree
+// allreduce, and needs no clock: on every shipped (table, binding), at every
+// calibration size below 64 KiB, the selected allreduce is never the ring
+// (n(3n−2) ops whatever the size — the 6.6 ms Adaptive Allreduce 1 KiB that
+// used to own a steady-small round), and wherever the distance-aware
+// component is selected the schedule has at most 3n ops per chunk and no
+// buffer but the callers' send and recv. On the cross-socket IG placement —
+// the benchmark's world — that is every size in the range; each table
+// selects the tree somewhere in it. (tuned still wins some of the range by
+// the model on rank-friendly placements — ig48 contiguous from 8 KiB, zoot16
+// below 2 KiB — and on 16-rank Zoot the ring's crossover is 64 KiB itself.)
+func TestShippedAllreduceStaysOffTheCliff(t *testing.T) {
+	sel := DefaultSelector()
+	for _, tab := range DefaultTables() {
+		topo, err := hwtopo.ByName(tab.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tab.RuleSets {
+			rs := &tab.RuleSets[i]
+			if rs.Coll != CollAllreduce {
+				continue
+			}
+			b, err := binding.ByName(topo, rs.Binding, tab.Procs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := distance.NewClustered(topo, b.Cores())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, n, trees := FingerprintOf(v), v.Size(), 0
+			for _, size := range tab.Sizes {
+				if size >= 64<<10 {
+					continue
+				}
+				d, prov := sel.ExplainFP(CollAllreduce, fp, size)
+				if want := "table:" + tab.Name + "/" + rs.Binding; prov != want {
+					t.Fatalf("%s/%s %d B decided by %s, want %s", tab.Name, rs.Binding, size, prov, want)
+				}
+				if d.Component != ComponentKNEM {
+					if tab.Name == "ig48" && rs.Binding == "crosssocket" {
+						t.Errorf("ig48/crosssocket %d B: %s selected, want the tree", size, d)
+					}
+					continue
+				}
+				if !d.Tree {
+					t.Errorf("%s/%s %d B: the ring selected below its crossover", tab.Name, rs.Binding, size)
+					continue
+				}
+				trees++
+				s, err := CompileFor(CollAllreduce, d, v, 0, size, reduceAlign)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunks := 0
+				for _, op := range s.Ops {
+					chunks = max(chunks, op.Chunk+1)
+				}
+				if len(s.Ops) > 3*n*chunks {
+					t.Errorf("%s/%s %d B (%s): %d ops, want ≤ 3·%d·%d", tab.Name, rs.Binding, size, d, len(s.Ops), n, chunks)
+				}
+				for _, spec := range s.Buffers {
+					if spec.Name != "send" && spec.Name != "recv" {
+						t.Errorf("%s/%s %d B (%s): auxiliary buffer %q on rank %d", tab.Name, rs.Binding, size, d, spec.Name, spec.Rank)
+						break
+					}
+				}
+			}
+			if trees == 0 {
+				t.Errorf("%s/%s: the tree allreduce is selected nowhere below 64 KiB", tab.Name, rs.Binding)
+			}
+		}
 	}
 }
