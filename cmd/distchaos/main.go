@@ -134,7 +134,7 @@ func cmdSweep(args []string) error {
 	size := fs.Int64("size", 4096, "payload / per-rank block bytes")
 	budget := fs.Duration("for", 0, "wall-clock budget (0 = run the whole grid)")
 	cellList := fs.String("cells", "", "comma-separated cells (default: full grid)")
-	collList := fs.String("colls", "", "comma-separated collectives (default: bcast,allgather,allreduce,allreduce-tree,barrier)")
+	collList := fs.String("colls", "", "comma-separated collectives: any of bcast,allgather,reduce,allreduce,allreduce-tree,gather,scatter,alltoall,barrier (default: bcast,allgather,allreduce,allreduce-tree,barrier)")
 	topoList := fs.String("topos", "", "comma-separated topologies (default: cross,contiguous)")
 	integ := fs.Bool("integrity", true, "verify per-chunk checksums and end-to-end digests")
 	repulls := fs.Int("repulls", 12, "integrity re-pull budget per chunk")

@@ -140,12 +140,12 @@ func cmdRun(args []string) error {
 					}
 				}
 				if resilient {
-					rootIdx := rankIndex(comm, *root)
+					rootIdx := comm.RankOf(*root)
 					if rootIdx < 0 {
 						return nil
 					}
 					nc, err := comm.BcastResilient(buf, rootIdx, mpi.Adaptive)
-					if partition.IsPartition(err) || partition.IsFenced(err) {
+					if mpi.Classify(err) == mpi.OutcomePartitioned {
 						return nil // minority rank: fenced out by design
 					}
 					if err != nil {
@@ -165,7 +165,7 @@ func cmdRun(args []string) error {
 				recv := make([]byte, int64(comm.Size())**block)
 				if resilient {
 					nc, _, err := comm.AllgatherResilientContext(context.Background(), send, recv, mpi.Adaptive)
-					if partition.IsPartition(err) || partition.IsFenced(err) {
+					if mpi.Classify(err) == mpi.OutcomePartitioned {
 						return nil
 					}
 					if err != nil {
@@ -245,17 +245,6 @@ func parseRanks(list string, np int) ([]int, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// rankIndex returns world rank wr's index in c, or -1 if it was shrunk
-// away.
-func rankIndex(c *mpi.Comm, wr int) int {
-	for i := 0; i < c.Size(); i++ {
-		if c.WorldRank(i) == wr {
-			return i
-		}
-	}
-	return -1
 }
 
 // cmdVerify replays a captured JSONL trace: the distance matrix is

@@ -169,7 +169,10 @@ type (
 
 // Fault tolerance: deterministic fault injection (transport faults, rank
 // crashes), watchdogged failure detection, and ULFM-style recovery via
-// Comm.Shrink / the *Resilient collectives.
+// Comm.Shrink / Comm.Resilient (any collective, named by a CollectiveCall)
+// and its *Resilient wrappers. ClassifyError maps whatever they return to
+// its ErrorOutcome; recovery's refusals wrap ErrRootLost, ErrSelfFailed or
+// ErrNothingToShrink.
 type (
 	FaultPlan        = fault.Plan
 	FaultInjector    = fault.Injector
@@ -177,6 +180,8 @@ type (
 	RankFailureError = mpi.RankFailureError
 	HangError        = mpi.HangError
 	SendTimeoutError = mpi.SendTimeoutError
+	CollectiveCall   = mpi.Call
+	ErrorOutcome     = mpi.Outcome
 )
 
 // Fault-layer constructors, classifiers, and World options.
@@ -186,10 +191,24 @@ var (
 	IsCrashed           = fault.IsCrashed
 	IsRankFailure       = mpi.IsRankFailure
 	IsHang              = mpi.IsHang
+	ClassifyError       = mpi.Classify
+	ErrRootLost         = mpi.ErrRootLost
+	ErrSelfFailed       = mpi.ErrSelfFailed
+	ErrNothingToShrink  = mpi.ErrNothingToShrink
 	WithFault           = mpi.WithFault
 	WithOpDeadline      = mpi.WithOpDeadline
 	WithSendTimeout     = mpi.WithSendTimeout
 	WithMailboxCapacity = mpi.WithMailboxCapacity
+)
+
+// ClassifyError's outcomes.
+const (
+	OutcomeOK          = mpi.OutcomeOK
+	OutcomeCrashed     = mpi.OutcomeCrashed
+	OutcomePartitioned = mpi.OutcomePartitioned
+	OutcomeExcluded    = mpi.OutcomeExcluded
+	OutcomeHang        = mpi.OutcomeHang
+	OutcomeFailure     = mpi.OutcomeFailure
 )
 
 // Data integrity, consistent failure agreement, and chaos testing

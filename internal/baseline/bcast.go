@@ -13,9 +13,7 @@ type BcastAlgorithm int
 
 const (
 	BcastBinomial BcastAlgorithm = iota
-	BcastBinary
 	BcastChain
-	BcastLinear
 	BcastScatterRecDoubling // van de Geijn: scatter + recursive-doubling allgather
 	BcastScatterRing        // van de Geijn: scatter + ring allgather
 )
@@ -24,12 +22,8 @@ func (a BcastAlgorithm) String() string {
 	switch a {
 	case BcastBinomial:
 		return "binomial"
-	case BcastBinary:
-		return "binary"
 	case BcastChain:
 		return "chain"
-	case BcastLinear:
-		return "linear"
 	case BcastScatterRecDoubling:
 		return "scatter+recdbl"
 	case BcastScatterRing:
@@ -88,7 +82,7 @@ func CompileBcast(alg BcastAlgorithm, n, root int, size, segBytes int64, cfg Tra
 		return nil, err
 	}
 	switch alg {
-	case BcastBinomial, BcastBinary, BcastChain, BcastLinear:
+	case BcastBinomial, BcastChain:
 		tree, err := buildTree(alg, n, root)
 		if err != nil {
 			return nil, err
@@ -105,12 +99,8 @@ func buildTree(alg BcastAlgorithm, n, root int) (*core.Tree, error) {
 	switch alg {
 	case BcastBinomial:
 		return BinomialTree(n, root)
-	case BcastBinary:
-		return BinaryTree(n, root)
 	case BcastChain:
 		return ChainTree(n, root)
-	case BcastLinear:
-		return LinearTree(n, root)
 	default:
 		return nil, fmt.Errorf("baseline: %v is not a tree algorithm", alg)
 	}

@@ -62,28 +62,6 @@ func highestPow2Below(n int) int {
 	return m
 }
 
-// BinaryTree builds a complete binary tree over virtual ranks (tuned's
-// mid-size broadcast topology): v's children are 2v+1 and 2v+2.
-func BinaryTree(n, root int) (*core.Tree, error) {
-	if err := checkTreeArgs(n, root); err != nil {
-		return nil, err
-	}
-	t := newRankTree(n, root)
-	for v := 1; v < n; v++ {
-		t.Parent[rankOf(v, root, n)] = rankOf((v-1)/2, root, n)
-	}
-	for v := 0; v < n; v++ {
-		r := rankOf(v, root, n)
-		for _, cv := range []int{2*v + 1, 2*v + 2} {
-			if cv < n {
-				t.Children[r] = append(t.Children[r], rankOf(cv, root, n))
-			}
-		}
-	}
-	fillWeights(t)
-	return t, nil
-}
-
 // ChainTree builds the pipeline chain (tuned's large-message broadcast
 // topology): virtual rank v's parent is v−1.
 func ChainTree(n, root int) (*core.Tree, error) {
@@ -98,9 +76,6 @@ func ChainTree(n, root int) (*core.Tree, error) {
 	fillWeights(t)
 	return t, nil
 }
-
-// LinearTree is the flat topology: root sends to every rank directly.
-func LinearTree(n, root int) (*core.Tree, error) { return core.NewLinearTree(n, root) }
 
 func newRankTree(n, root int) *core.Tree {
 	t := &core.Tree{

@@ -20,7 +20,7 @@
 package chaos
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -34,7 +34,6 @@ import (
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/integrity"
 	"distcoll/internal/mpi"
-	"distcoll/internal/partition"
 	"distcoll/internal/trace"
 	"distcoll/internal/trace/check"
 	"distcoll/internal/tune"
@@ -91,8 +90,8 @@ type Scenario struct {
 	Seed       int64
 	Ranks      int
 	Topology   string // "cross" | "contiguous" | "zoot"
-	Collective string // "bcast" | "allgather" | "allreduce" | "allreduce-tree" | "barrier"
-	Size       int64  // payload (bcast) or per-rank block (allgather/allreduce)
+	Collective string // a row of the collectives table (oracle.go), or "allreduce-tree"
+	Size       int64  // payload (bcast, reduce, allreduce) or per-rank block
 	Cell       Cell
 	Integrity  bool
 	Repulls    int           // integrity re-pull budget (0 = default)
@@ -247,21 +246,11 @@ func (sc Scenario) op() string {
 }
 
 // decision is what the scenario's collective compiles as on the healthy
-// world communicator; ok is false for barrier, which has no schedule.
+// world communicator (the runtime and the compiler name collectives alike);
+// ok is false for barrier, which has no schedule.
 func (sc Scenario) decision() (coll tune.Collective, d tune.Decision, ok bool) {
-	d.Component = tune.ComponentKNEM
-	switch sc.Collective {
-	case "bcast":
-		return tune.CollBcast, d, true
-	case "allgather":
-		return tune.CollAllgather, d, true
-	case "allreduce":
-		return tune.CollAllreduce, d, true
-	case treeAllreduce:
-		d.Tree = true
-		return tune.CollAllreduce, d, true
-	}
-	return "", d, false
+	d = tune.Decision{Component: tune.ComponentKNEM, Tree: sc.Collective == treeAllreduce}
+	return tune.Collective(sc.op()), d, collectives[sc.op()].want != nil
 }
 
 // worldView resolves the scenario's binding and the distance view of its
@@ -382,6 +371,10 @@ func RunPlan(sc Scenario, plan fault.Plan) *Result {
 		res.violate("config", -1, "need at least 2 ranks, got %d", sc.Ranks)
 		return res
 	}
+	if _, ok := collectives[sc.op()]; !ok {
+		res.violate("config", -1, "unknown collective %q", sc.Collective)
+		return res
+	}
 	if sc.Size <= 0 {
 		sc.Size = defaultSize
 	}
@@ -426,12 +419,7 @@ func RunPlan(sc Scenario, plan fault.Plan) *Result {
 	}
 	res.AgreeCalls = tr.Metrics().Counter("agree.calls").Load()
 	res.Failed = w.Failed()
-	failedSet := make(map[int]bool, len(res.Failed))
-	for _, r := range res.Failed {
-		failedSet[r] = true
-	}
-
-	checkOutcomes(res, sc, outs, failedSet)
+	checkOutcomes(res, sc, outs)
 	checkTraces(res, sc, v, ring, tr)
 	checkRecovery(res, sc, tr)
 	return res
@@ -448,16 +436,13 @@ func checkRecovery(res *Result, sc Scenario, tr *trace.Tracer) {
 	if sc.Cell.CrashOpFrac < 0.75 || res.Fault.Crashes == 0 || res.Completed == 0 {
 		return
 	}
-	switch sc.Collective {
-	case "bcast":
-		// An unpipelined broadcast has a single chunk; "late" does not
-		// exist and a restart moves the same bytes a repair would.
-		if lateCrashOp(sc, 1, sc.Cell.CrashOpFrac) < 1 { // every non-root rank pulls once per chunk
-			return
-		}
-	case "allgather":
-	default:
-		return // allreduce/barrier recover by restart; no ledger to save from
+	if !collectives[sc.op()].ledgered {
+		return // recovers by restart; no ledger to save from
+	}
+	// An unpipelined broadcast has a single chunk; "late" does not exist and
+	// a restart moves the same bytes a repair would.
+	if lateCrashOp(sc, 1, sc.Cell.CrashOpFrac) < 1 { // every non-root rank pulls once per chunk
+		return
 	}
 	mx := tr.Metrics()
 	if saved := mx.Counter("recovery.bytes_saved").Load(); saved <= 0 {
@@ -468,105 +453,34 @@ func checkRecovery(res *Result, sc Scenario, tr *trace.Tracer) {
 	}
 }
 
-// runCollective executes one rank's share of the scenario's collective,
-// resiliently: the built-in self-healing entry points for bcast and
-// allgather, and a shrink-and-retry loop (the same ULFM pattern) for
-// allreduce and barrier.
+// runCollective executes one rank's share of the scenario's collective on
+// the runtime's resilient ladder.
 func runCollective(sc Scenario, p *mpi.Proc) rankOut {
 	comp := mpi.KNEMColl
 	if sc.Collective == treeAllreduce {
 		comp = mpi.Adaptive
 	}
-	n := sc.Ranks
-	switch sc.op() {
-	case "bcast":
-		want := Payload(sc.Seed, 0, sc.Size)
-		buf := make([]byte, sc.Size)
-		if p.Rank() == 0 {
-			copy(buf, want)
-		}
-		nc, err := p.Comm().BcastResilient(buf, 0, comp)
-		if err != nil {
-			return rankOut{err: err}
-		}
-		return rankOut{completed: true, group: nc.Group(), data: buf}
-
-	case "allgather":
-		send := Payload(sc.Seed, p.Rank(), sc.Size)
-		recv := make([]byte, int64(n)*sc.Size)
-		nc, out, err := p.Comm().AllgatherResilient(send, recv, comp)
-		if err != nil {
-			return rankOut{err: err}
-		}
-		return rankOut{completed: true, group: nc.Group(), data: append([]byte(nil), out...)}
-
-	case "allreduce":
-		send := Payload(sc.Seed, p.Rank(), sc.Size)
-		cur := p.Comm()
-		for try := 0; try <= n; try++ {
-			recv := make([]byte, sc.Size)
-			err := cur.Allreduce(send, recv, mpi.OpBXOR, comp)
-			if err == nil {
-				return rankOut{completed: true, group: cur.Group(), data: recv}
-			}
-			next, stop, rerr := recoverStep(cur, err)
-			if stop {
-				return rankOut{err: rerr}
-			}
-			cur = next
-		}
-		return rankOut{err: fmt.Errorf("chaos: allreduce recovery did not converge")}
-
-	case "barrier":
-		cur := p.Comm()
-		for try := 0; try <= n; try++ {
-			err := cur.Barrier()
-			if err == nil {
-				return rankOut{completed: true, group: cur.Group()}
-			}
-			next, stop, rerr := recoverStep(cur, err)
-			if stop {
-				return rankOut{err: rerr}
-			}
-			cur = next
-		}
-		return rankOut{err: fmt.Errorf("chaos: barrier recovery did not converge")}
-
-	default:
-		return rankOut{err: fmt.Errorf("chaos: unknown collective %q", sc.Collective)}
+	nc, out, err := Run(context.Background(), p.Comm(), sc.op(), sc.Seed, sc.Size, comp)
+	if err != nil {
+		return rankOut{err: err}
 	}
-}
-
-// recoverStep decides how the harness's own resilient loop reacts to a
-// failed collective: shrink and retry on rank failures and corruption
-// (mirroring the runtime's built-in loops), retry in place on a uniform
-// corruption verdict with no deaths, stop otherwise.
-func recoverStep(cur *mpi.Comm, err error) (next *mpi.Comm, stop bool, rerr error) {
-	if fault.IsCrashed(err) {
-		return nil, true, err
-	}
-	if !mpi.IsRankFailure(err) && !mpi.IsCorruption(err) && !mpi.IsHang(err) {
-		return nil, true, err
-	}
-	nc, serr := cur.Shrink()
-	if serr != nil {
-		return nil, true, serr
-	}
-	return nc, false, nil
+	return rankOut{completed: true, group: nc.Group(), data: out}
 }
 
 // checkOutcomes verifies the oracle and membership properties over the
 // per-rank outcomes.
-func checkOutcomes(res *Result, sc Scenario, outs []rankOut, failedSet map[int]bool) {
+func checkOutcomes(res *Result, sc Scenario, outs []rankOut) {
 	var refGroup []int
 	refRank := -1
 	for r, out := range outs {
 		if !out.completed {
-			if expectedExclusion(out.err, r, failedSet) {
+			switch kind := mpi.Classify(out.err); {
+			case kind == mpi.OutcomeOK:
+			case expectedExclusion(kind, r, res.Failed):
 				res.Excluded++
-			} else if mpi.IsHang(out.err) {
+			case kind == mpi.OutcomeHang:
 				res.violate("hang", r, "%v", out.err)
-			} else if out.err != nil {
+			default:
 				res.violate("error", r, "%v", out.err)
 			}
 			continue
@@ -586,73 +500,34 @@ func checkOutcomes(res *Result, sc Scenario, outs []rankOut, failedSet map[int]b
 
 		// Oracle: the delivered bytes must match what the survivors'
 		// membership implies.
-		switch sc.op() {
-		case "bcast":
-			if !bytes.Equal(out.data, Payload(sc.Seed, 0, sc.Size)) {
-				res.violate("oracle", r, "broadcast payload corrupted (%d bytes differ)",
-					countDiff(out.data, Payload(sc.Seed, 0, sc.Size)))
-			}
-		case "allgather":
-			if int64(len(out.data)) != int64(len(out.group))*sc.Size {
-				res.violate("oracle", r, "allgather result is %d bytes, want %d",
-					len(out.data), int64(len(out.group))*sc.Size)
-				continue
-			}
-			for i, wr := range out.group {
-				blk := out.data[int64(i)*sc.Size : int64(i+1)*sc.Size]
-				if !bytes.Equal(blk, Payload(sc.Seed, wr, sc.Size)) {
-					res.violate("oracle", r, "allgather block %d (world rank %d) corrupted", i, wr)
-				}
-			}
-		case "allreduce":
-			want := make([]byte, sc.Size)
-			for _, wr := range out.group {
-				mpi.OpBXOR.Combine(want, Payload(sc.Seed, wr, sc.Size))
-			}
-			if !bytes.Equal(out.data, want) {
-				res.violate("oracle", r, "allreduce result corrupted (%d bytes differ)", countDiff(out.data, want))
-			}
+		if err := Verify(sc.op(), sc.Seed, out.group, sc.Size, slices.Index(out.group, r), out.data); err != nil {
+			res.violate("oracle", r, "%v", err)
 		}
 	}
 	// Completing ranks must never include a dead one, and the final group
 	// must only contain ranks that were allowed to survive.
 	for _, wr := range res.Group {
-		if failedSet[wr] {
+		if slices.Contains(res.Failed, wr) {
 			res.violate("membership", wr, "final group %v contains failed rank %d", res.Group, wr)
 		}
 	}
 }
 
-// expectedExclusion classifies per-rank errors that are legitimate
-// outcomes, not harness violations: the rank is dead (crashed), the
-// world marked it failed (corrupting peer), or the operation became
-// unrecoverable because the root was lost.
-func expectedExclusion(err error, rank int, failedSet map[int]bool) bool {
-	if err == nil {
-		return false
-	}
-	if fault.IsCrashed(err) {
+// expectedExclusion reports whether a per-rank error of the given outcome
+// is a legitimate result of the run, not a harness violation: the rank is
+// dead (crashed), its island lost a quorum decision or its stale traffic was
+// fenced (it is out of the membership by design, and the op completes on the
+// surviving component), recovery refused or was exhausted (mpi.Classify's
+// exclusion rule) — or, the harness's own half of the rule, the world marked
+// the rank failed while it was still running (e.g. declared corrupting): its
+// Shrink correctly refuses, its collectives correctly fail, whatever error
+// that surfaces as.
+func expectedExclusion(kind mpi.Outcome, rank int, failed []int) bool {
+	switch kind {
+	case mpi.OutcomeCrashed, mpi.OutcomePartitioned, mpi.OutcomeExcluded:
 		return true
 	}
-	if failedSet[rank] {
-		// Marked failed (e.g. declared corrupting) while still running:
-		// its Shrink correctly refuses, its collectives correctly fail.
-		return true
-	}
-	if partition.IsPartition(err) || partition.IsFenced(err) {
-		// The rank's island lost a quorum decision (or its stale traffic
-		// was fenced): it is out of the membership by design, and the op
-		// completes on the surviving component.
-		return true
-	}
-	if mpi.IsCorruption(err) || mpi.IsRankFailure(err) {
-		// Persistent corruption or failure that exhausted recovery —
-		// refusing to deliver is the integrity layer doing its job. The
-		// run simply did not complete on this rank.
-		return true
-	}
-	s := err.Error()
-	return containsAny(s, "cannot recover", "cannot shrink", "nothing to shrink")
+	return slices.Contains(failed, rank)
 }
 
 // checkTraces runs the structural §IV invariant checks and the metrics
@@ -674,19 +549,9 @@ func checkTraces(res *Result, sc Scenario, m *distance.Clustered, ring *trace.Ri
 	if len(res.Failed) > 0 || res.Attempts != 1 || res.Completed == 0 {
 		return
 	}
-	copies := trace.FilterOp(events, trace.KindCopy, sc.op())
-	switch sc.Collective {
-	case "bcast":
-		if r := check.VerifyBroadcast(copies, m, 0, sc.Size); !r.OK() {
-			for _, v := range r.Violations {
-				res.violate("invariant", -1, "%s", v)
-			}
-		}
-	case "allgather":
-		if r := check.VerifyAllgather(copies, m, sc.Size); !r.OK() {
-			for _, v := range r.Violations {
-				res.violate("invariant", -1, "%s", v)
-			}
+	if structure := collectives[sc.op()].structure; structure != nil {
+		for _, v := range structure(trace.FilterOp(events, trace.KindCopy, sc.op()), m, sc.Size).Violations {
+			res.violate("invariant", -1, "%s", v)
 		}
 	}
 }
@@ -700,25 +565,6 @@ func distinctPlans(events []trace.Event, op string) int {
 		}
 	}
 	return len(ids)
-}
-
-func countDiff(a, b []byte) int {
-	n := 0
-	for i := range a {
-		if i < len(b) && a[i] != b[i] {
-			n++
-		}
-	}
-	return n
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if len(sub) > 0 && bytes.Contains([]byte(s), []byte(sub)) {
-			return true
-		}
-	}
-	return false
 }
 
 // sortedVictims returns a plan's crash victims in deterministic order.

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestPayloadDeterministicAndDistinct(t *testing.T) {
 // every check, including the structural schedule invariants and metrics
 // cross-check.
 func TestCalmRunsAllCollectives(t *testing.T) {
-	for _, coll := range []string{"bcast", "allgather", "allreduce", treeAllreduce, "barrier"} {
+	for _, coll := range columns() {
 		res := RunSeed(Scenario{
 			Seed: 1, Ranks: 6, Collective: coll, Size: 2048,
 			Cell: Cell{Name: "calm"}, Integrity: true,
@@ -70,13 +71,51 @@ func TestCalmRunsAllCollectives(t *testing.T) {
 	}
 }
 
+// columns is every collective the harness can sweep: the rows of the one
+// table plus the tree-allreduce column. A collective is a column because it
+// is a row, not because a switch names it.
+func columns() []string {
+	cols := []string{treeAllreduce}
+	for name := range collectives {
+		cols = append(cols, name)
+	}
+	sort.Strings(cols)
+	return cols
+}
+
+// TestSlowRankClassifiedAlikeOnEveryColumn is the parity the one exclusion
+// rule buys: one rank stalls every op past the watchdog and NOBODY is dead.
+// On every column that is a hang on the ranks that waited for it — never a
+// shrink attempt, never a "nothing to shrink" booked as a legitimate
+// exclusion, which is what the hand-rolled allreduce and barrier loops did
+// while the ladder's columns reported hangs.
+func TestSlowRankClassifiedAlikeOnEveryColumn(t *testing.T) {
+	for _, coll := range columns() {
+		sc := Scenario{Seed: 1, Ranks: 6, Collective: coll, Size: 512,
+			Cell: Cell{Name: "slow-rank"}, OpDeadline: 25 * time.Millisecond}
+		res := RunPlan(sc, fault.Plan{Seed: 1, SlowRanks: map[int]time.Duration{2: 100 * time.Millisecond}})
+		if res.Excluded != 0 || len(res.Failed) != 0 || res.AgreeCalls != 0 {
+			t.Errorf("%s: %d exclusions, failed %v, %d agreement calls with nobody dead",
+				coll, res.Excluded, res.Failed, res.AgreeCalls)
+		}
+		for _, v := range res.Violations {
+			if v.Kind != "hang" {
+				t.Errorf("%s: %s, want nothing but hangs", coll, v)
+			}
+		}
+		if res.Completed+len(res.Violations) != sc.Ranks {
+			t.Errorf("%s: %d completed + %d hung of %d ranks", coll, res.Completed, len(res.Violations), sc.Ranks)
+		}
+	}
+}
+
 // TestCrashRunsRecover: crash scenarios complete on the survivors with a
 // consistent shrunken membership. A victim whose crash-at op index
 // exceeds its schedule's op count never dies (the plan is per schedule
 // op, not per collective) — those runs legitimately keep the full group.
 func TestCrashRunsRecover(t *testing.T) {
 	crashes := int64(0)
-	for _, coll := range []string{"bcast", "allgather", "allreduce", treeAllreduce, "barrier"} {
+	for _, coll := range columns() {
 		for seed := int64(1); seed <= 4; seed++ {
 			res := RunSeed(Scenario{
 				Seed: seed, Ranks: 6, Collective: coll, Size: 1024,
@@ -317,12 +356,6 @@ func TestStringsAndHelpers(t *testing.T) {
 	if got := v.String(); got != "[oracle] rank 2: boom" {
 		t.Errorf("Violation.String() = %q", got)
 	}
-	if !containsAny("cannot shrink now", "nothing", "cannot shrink") {
-		t.Error("containsAny missed a substring")
-	}
-	if containsAny("hello", "x", "") {
-		t.Error("containsAny matched nothing")
-	}
 }
 
 // TestBuildBindingVariants: every named topology resolves; unknown names
@@ -337,6 +370,10 @@ func TestBuildBindingVariants(t *testing.T) {
 		Cell: Cell{Name: "calm"}})
 	if res.OK() || res.Violations[0].Kind != "config" {
 		t.Fatalf("unknown topology produced %v, want config violation", res.Violations)
+	}
+	res = RunSeed(Scenario{Seed: 1, Ranks: 4, Collective: "allscatter", Cell: Cell{Name: "calm"}})
+	if res.OK() || res.Violations[0].Kind != "config" {
+		t.Fatalf("unknown collective produced %v, want config violation", res.Violations)
 	}
 	res = RunSeed(Scenario{Seed: 1, Ranks: 1, Collective: "bcast", Cell: Cell{Name: "calm"}})
 	if res.OK() || res.Violations[0].Kind != "config" {

@@ -25,7 +25,7 @@ package chaos
 // (coarse, 2×-margin) steady-vs-control comparison.
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -170,20 +170,10 @@ func controlWorld(cell HealthCell, slow map[[2]int]time.Duration) (*mpi.World, e
 // bcastOnce runs one verified broadcast over every rank and returns its
 // wall-clock completion time.
 func bcastOnce(w *mpi.World, cell HealthCell, seq int) (time.Duration, error) {
-	want := Payload(int64(seq)+1, 0, cell.Bytes)
 	start := time.Now()
 	err := w.Run(func(p *mpi.Proc) error {
-		buf := make([]byte, cell.Bytes)
-		if p.Rank() == 0 {
-			copy(buf, want)
-		}
-		if err := p.Comm().Bcast(buf, 0, mpi.KNEMColl); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, want) {
-			return fmt.Errorf("rank %d: corrupted payload", p.Rank())
-		}
-		return nil
+		_, err := RunVerified(context.Background(), p.Comm(), "bcast", int64(seq)+1, cell.Bytes, mpi.KNEMColl)
+		return err
 	})
 	return time.Since(start), err
 }

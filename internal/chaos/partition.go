@@ -21,7 +21,7 @@ package chaos
 // a healthy network first and the cut arrives mid-workload.
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -222,33 +222,21 @@ type partRankResult struct {
 }
 
 // runPartitionRound drives one rank from the moment of the cut to its
-// round verdict: resilient broadcasts until either the comm shrinks to
-// the expected winner (survivor), a partition/fence error arrives
+// round verdict: verified resilient broadcasts until either the comm shrinks
+// to the expected winner (survivor), a partition/fence error arrives
 // (minority), or the budget is spent. Returns the comm for the next
 // round. seq numbers keep oracle payloads distinct across ops.
 func runPartitionRound(cell PartitionCell, p *mpi.Proc, cur *mpi.Comm, winner []int, budget int, seq *int) (partRankResult, *mpi.Comm) {
 	for op := 0; op < budget; op++ {
 		*seq++
-		want := Payload(int64(*seq), 0, cell.Bytes)
-		buf := make([]byte, cell.Bytes)
-		root := cur.RankOf(0)
-		if root < 0 {
-			return partRankResult{err: fmt.Errorf("rank %d: root 0 left the comm: %v", p.Rank(), cur.Group())}, cur
-		}
-		if p.Rank() == 0 {
-			copy(buf, want)
-		}
-		nc, err := cur.BcastResilient(buf, root, mpi.Adaptive)
+		nc, err := RunVerified(context.Background(), cur, "bcast", int64(*seq), cell.Bytes, mpi.Adaptive)
 		if err != nil {
-			if partition.IsPartition(err) || partition.IsFenced(err) {
+			if mpi.Classify(err) == mpi.OutcomePartitioned {
 				return partRankResult{detectOps: op + 1, err: err}, cur
 			}
-			return partRankResult{err: fmt.Errorf("rank %d op %d: %v", p.Rank(), op, err)}, cur
+			return partRankResult{err: fmt.Errorf("rank %d op %d: %w", p.Rank(), op, err)}, cur
 		}
 		cur = nc
-		if !bytes.Equal(buf, want) {
-			return partRankResult{err: fmt.Errorf("rank %d op %d: corrupted payload", p.Rank(), op)}, cur
-		}
 		// A shrink keeps the parent's rank order, so the world's successors
 		// list their members ascending, like winner.
 		if slices.Equal(cur.Group(), winner) {
@@ -265,24 +253,15 @@ func runPartitionRound(cell PartitionCell, p *mpi.Proc, cur *mpi.Comm, winner []
 func settleOps(cell PartitionCell, p *mpi.Proc, cur *mpi.Comm, seq *int) error {
 	for op := 0; op < cell.Settle; op++ {
 		*seq++
-		want := Payload(int64(*seq), 0, cell.Bytes)
-		buf := make([]byte, cell.Bytes)
-		root := cur.RankOf(0)
-		if p.Rank() == 0 {
-			copy(buf, want)
-		}
-		nc, err := cur.BcastResilient(buf, root, mpi.Adaptive)
+		nc, err := RunVerified(context.Background(), cur, "bcast", int64(*seq), cell.Bytes, mpi.Adaptive)
 		if err != nil {
-			return fmt.Errorf("rank %d settle op %d: %v", p.Rank(), op, err)
+			return fmt.Errorf("rank %d settle op %d: %w", p.Rank(), op, err)
 		}
 		if nc.Size() != cur.Size() {
 			return fmt.Errorf("rank %d settle op %d: membership moved again (%d → %d)",
 				p.Rank(), op, cur.Size(), nc.Size())
 		}
 		cur = nc
-		if !bytes.Equal(buf, want) {
-			return fmt.Errorf("rank %d settle op %d: corrupted payload", p.Rank(), op)
-		}
 	}
 	return nil
 }
@@ -344,20 +323,10 @@ func RunPartitionCell(cell PartitionCell) *PartitionReport {
 		cur := p.Comm()
 		for op := 0; op < cell.Warmup; op++ {
 			seq++
-			want := Payload(int64(seq), 0, cell.Bytes)
-			buf := make([]byte, cell.Bytes)
-			if p.Rank() == 0 {
-				copy(buf, want)
-			}
-			if err := cur.Bcast(buf, 0, mpi.KNEMColl); err != nil {
+			if _, err := RunVerified(context.Background(), cur, "bcast", int64(seq), cell.Bytes, mpi.KNEMColl); err != nil {
 				warmupDone.Done()
 				round1Done.Done()
-				return fmt.Errorf("rank %d warmup op %d: %v", p.Rank(), op, err)
-			}
-			if !bytes.Equal(buf, want) {
-				warmupDone.Done()
-				round1Done.Done()
-				return fmt.Errorf("rank %d warmup op %d: corrupted payload", p.Rank(), op)
+				return fmt.Errorf("rank %d warmup op %d: %w", p.Rank(), op, err)
 			}
 		}
 		warmupDone.Done()
@@ -462,7 +431,7 @@ func checkPartitionOutcomes(rep *PartitionReport, cell PartitionCell, results []
 		default:
 			if res.err == nil {
 				rep.violate("minority rank %d finished without an error", r)
-			} else if !partition.IsPartition(res.err) && !partition.IsFenced(res.err) {
+			} else if mpi.Classify(res.err) != mpi.OutcomePartitioned {
 				rep.violate("minority rank %d got %v, want PartitionError/FenceError", r, res.err)
 			}
 			if res.detectOps > cell.DetectBudget {

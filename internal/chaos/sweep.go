@@ -14,7 +14,7 @@ type Config struct {
 	Size        int64         // payload / block size (default 4096)
 	Budget      time.Duration // wall-clock bound; 0 = run the whole grid
 	Cells       []Cell        // default DefaultGrid()
-	Collectives []string      // default all five columns (allreduce runs as ring and as tree)
+	Collectives []string      // rows of the collectives table; default five columns (allreduce runs as ring and as tree)
 	Topologies  []string      // default {"cross", "contiguous"}
 	Integrity   bool          // run with integrity verification on
 	Repulls     int           // integrity re-pull budget (0 = default)

@@ -183,27 +183,3 @@ func (c *Comm) AgreeContext(ctx context.Context) ([]int, error) {
 		}
 	}
 }
-
-// agreedSet is Agree's result as a set.
-func (c *Comm) agreedSet(ctx context.Context) (map[int]bool, error) {
-	agreed, err := c.AgreeContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[int]bool, len(agreed))
-	for _, r := range agreed {
-		set[r] = true
-	}
-	return set, nil
-}
-
-// aliveMembers returns the world ranks of group not in the dead set,
-// keeping group order.
-func aliveMembers(group []int, dead map[int]bool) (world []int) {
-	for _, wr := range group {
-		if !dead[wr] {
-			world = append(world, wr)
-		}
-	}
-	return world
-}

@@ -115,7 +115,7 @@ func TestAgreeContextConcurrentShrinkFreeStress(t *testing.T) {
 			}
 			nc, err := cur.ShrinkContext(ctx)
 			if err != nil {
-				if strings.Contains(err.Error(), "nothing to shrink") {
+				if errors.Is(err, ErrNothingToShrink) {
 					time.Sleep(2 * time.Millisecond)
 					continue
 				}

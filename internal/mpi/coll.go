@@ -205,7 +205,7 @@ func (c *Comm) verify(plan *collPlan, a *collArgs) error {
 	if err != nil {
 		a.led.Reset()
 	} else if plan.digests != nil {
-		a.led.markAll(c.state.group)
+		a.led.MarkAll()
 	}
 	return err
 }
@@ -328,7 +328,11 @@ func (m *member) Perform(o *sched.Op) error {
 			o.Bytes, m.dist.At(src, dstRank), o.Mode.String(), time.Since(t0))
 	}
 	if plan.exact && m.a.led != nil {
-		m.a.led.mark(plan.s, o, m.c.state.group)
+		// The one mark: bytes that landed in the member's own ledgered
+		// buffer are held at the offsets they landed at.
+		if dst := &plan.s.Buffers[o.Dst]; dst.Rank == m.c.rank && dst.Name == m.a.d.ledger {
+			m.a.led.MarkHeld(o.DstOff, o.Bytes)
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"distcoll/internal/integrity"
+	"distcoll/internal/recovery"
 	"distcoll/internal/sched"
 	"distcoll/internal/tune"
 )
@@ -31,15 +32,14 @@ type collective struct {
 	// verification is on.
 	digest digestRule
 
-	// repair merges the survivors' ledgers after a shrink and compiles the
-	// delta repair schedule over what is missing (nil when nothing is held
-	// or the repair does not compile), also counting the missing pieces. A
-	// descriptor without one has no ledger: recovery restarts.
+	// ledger names the role whose buffer — the member's output — the
+	// resilient ladder keeps a progress ledger over, and repair merges the
+	// survivors' ledgers after a shrink and compiles the delta repair
+	// schedule over what is missing (nil when nothing is held or the repair
+	// does not compile), also counting the missing pieces. A descriptor
+	// without them recovers by restart.
+	ledger string
 	repair func(c *Comm, vals []any, unit int64) (s *sched.Schedule, missing int)
-
-	// afterShrink re-seats the caller's arguments on the successor
-	// communicator between two rounds of the resilient ladder.
-	afterShrink func(a *collArgs, old, cur []int) error
 }
 
 // role binds one named schedule buffer to a caller buffer.
@@ -77,12 +77,12 @@ var collectives = [...]collective{
 	opBcast: {
 		name: "bcast", coll: tune.CollBcast, decided: true, rooted: true,
 		roles:  []role{{name: "data", recv: true}},
-		digest: digestRoot, repair: bcastRepair, afterShrink: relocateRoot,
+		digest: digestRoot, ledger: "data", repair: bcastRepair,
 	},
 	opAllgather: {
 		name: "allgather", coll: tune.CollAllgather, decided: true,
 		roles:  []role{{name: "send"}, {name: "recv", recv: true, perRank: true}},
-		digest: digestSegments, repair: allgatherRepair, afterShrink: compactRecv,
+		digest: digestSegments, ledger: "recv", repair: allgatherRepair,
 	},
 	opReduce: {
 		name: "reduce", coll: tune.CollReduce, decided: true, rooted: true,
@@ -106,6 +106,23 @@ var collectives = [...]collective{
 	},
 }
 
+// barrier is the descriptor of a Barrier on the resilient ladder: no roles,
+// so no plan — the rendezvous is the whole operation (Comm.run).
+var barrier = collective{name: "barrier"}
+
+// collectiveByName resolves Call.Coll; nil for an unknown name.
+func collectiveByName(name string) *collective {
+	if name == barrier.name {
+		return &barrier
+	}
+	for i := range collectives {
+		if collectives[i].name == name {
+			return &collectives[i]
+		}
+	}
+	return nil
+}
+
 // AlltoallHierarchicalLimit is the block size below which the
 // distance-aware alltoall aggregates at machine leaders
 // (tune.AlltoallHierarchicalLimit, where the compiler reads it).
@@ -121,9 +138,9 @@ type collArgs struct {
 	root       int // communicator rank; 0 when the collective is not rooted
 	comp       Component
 	op         ReduceOp // the reduction operator; zero on copy-only collectives
-	// led is the member's progress ledger and recovering marks the attempt
-	// that follows a shrink; both are set only by the resilient ladder.
-	led        ledger
+	// led is the member's progress ledger (over d's ledgered role), recovering
+	// marks the attempt after a shrink; only the resilient ladder sets them.
+	led        *recovery.ChunkLedger
 	recovering bool
 }
 
@@ -234,6 +251,10 @@ func (d *collective) digests(vals []any, root int) []uint32 {
 // let the last arriver build the shared plan, execute this member's share
 // and vote on the outcome.
 func (c *Comm) run(ctx context.Context, a collArgs) error {
+	if len(a.d.roles) == 0 { // barrier
+		_, _, err := c.coordinateCtx(ctx, nil, nil)
+		return err
+	}
 	_, result, err := c.coordinateCtx(ctx, &a, c.buildPlan)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
 )
 
 // oracles holds, per descriptor name, the serial definition of the
@@ -136,31 +137,81 @@ func TestCollectiveConformance(t *testing.T) {
 	}
 }
 
+// callOf spells a collArgs as the exported generic entry takes it.
+func callOf(a collArgs) Call {
+	return Call{Coll: a.d.name, Send: a.send, Recv: a.recv, Root: a.root, Op: a.op, Comp: a.comp}
+}
+
 // TestCollectiveUniformArgumentError: a bad argument on ONE rank — the
-// last rank's first buffer is an element too long — is every member's
-// error, with the same text, for every descriptor.
+// last rank's first buffer is an element too long, or (rooted entries) its
+// root is out of range — is every member's error, with the same text, for
+// every descriptor and through every entry: the plain call path, the
+// generic resilient entry and the four resilient wrappers. The world has no
+// op deadline, so an entry that rejects the argument locally, before the
+// rendezvous, leaves the other four ranks blocked for good; the test bounds
+// that itself.
 func TestCollectiveUniformArgumentError(t *testing.T) {
 	const n, unit = 5, 64
+	type entry struct {
+		name string
+		call func(c *Comm, a collArgs) error // nil result: the entry does not serve a.d
+	}
+	entries := []entry{
+		{"plain", func(c *Comm, a collArgs) error { return c.run(context.Background(), a) }},
+		{"Resilient", func(c *Comm, a collArgs) error {
+			_, _, err := c.Resilient(context.Background(), callOf(a))
+			return err
+		}},
+		{"wrapper", func(c *Comm, a collArgs) error {
+			switch a.d {
+			case &collectives[opBcast]:
+				_, err := c.BcastResilient(a.recv, a.root, a.comp)
+				return err
+			case &collectives[opAllgather]:
+				_, _, err := c.AllgatherResilient(a.send, a.recv, a.comp)
+				return err
+			}
+			return nil
+		}},
+	}
 	for i := range collectives {
 		d := &collectives[i]
-		w := igWorld(t, "contiguous", n)
-		errs := make([]error, n)
-		_ = w.Run(func(p *Proc) error {
-			r := p.Rank()
-			a := conformanceArgs(d, KNEMColl, n, 1, unit, r)
-			if r == n-1 {
-				if first := &d.roles[0]; first.recv {
-					a.recv = make([]byte, len(a.recv)+8)
-				} else {
-					a.send = make([]byte, len(a.send)+8)
+		for _, e := range entries {
+			for _, bad := range []string{"long buffer", "root out of range"} {
+				if (bad == "root out of range" && !d.rooted) || (e.name == "wrapper" && d.ledger == "") {
+					continue
 				}
-			}
-			errs[r] = p.Comm().run(context.Background(), a)
-			return nil
-		})
-		for r, err := range errs {
-			if err == nil || err.Error() != errs[0].Error() {
-				t.Errorf("%s: rank %d got %v, rank 0 got %v", d.name, r, err, errs[0])
+				w := igWorld(t, "contiguous", n)
+				errs := make([]error, n)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					_ = w.Run(func(p *Proc) error {
+						r := p.Rank()
+						a := conformanceArgs(d, KNEMColl, n, 1, unit, r)
+						switch {
+						case r != n-1:
+						case bad == "root out of range":
+							a.root = n
+						case d.roles[0].recv:
+							a.recv = make([]byte, len(a.recv)+8)
+						default:
+							a.send = make([]byte, len(a.send)+8)
+						}
+						errs[r] = e.call(p.Comm(), a)
+						return nil
+					})
+				}()
+				select {
+				case <-done:
+				case <-time.After(20 * time.Second):
+					t.Fatalf("%s via %s, %s on one rank: the other ranks never returned", d.name, e.name, bad)
+				}
+				for r, err := range errs {
+					if err == nil || err.Error() != errs[0].Error() {
+						t.Errorf("%s via %s, %s: rank %d got %v, rank 0 got %v", d.name, e.name, bad, r, err, errs[0])
+					}
+				}
 			}
 		}
 	}

@@ -451,20 +451,21 @@ func (c *Comm) ShrinkContext(ctx context.Context) (*Comm, error) {
 	me := st.group[c.rank]
 	failed, _ := w.failureWatch()
 	if failed[me] {
-		return nil, fmt.Errorf("mpi: rank %d is itself failed; cannot shrink", me)
+		return nil, fmt.Errorf("mpi: rank %d is itself failed; %w", me, ErrSelfFailed)
 	}
-	agreed, err := c.agreedSet(ctx)
+	agreed, err := c.AgreeContext(ctx) // sorted
 	if err != nil {
 		return nil, err
 	}
-	if agreed[me] {
+	dead := func(wr int) bool { _, found := slices.BinarySearch(agreed, wr); return found }
+	if dead(me) {
 		// The agreement can out-know the local snapshot: e.g. a peer
 		// declared this rank corrupting while it was entering Shrink.
-		return nil, fmt.Errorf("mpi: rank %d is itself failed; cannot shrink", me)
+		return nil, fmt.Errorf("mpi: rank %d is itself failed; %w", me, ErrSelfFailed)
 	}
-	aliveWorld := aliveMembers(st.group, agreed)
+	aliveWorld := slices.DeleteFunc(slices.Clone(st.group), dead) // keeps the parent's rank order
 	if len(aliveWorld) == len(st.group) {
-		return nil, fmt.Errorf("mpi: no failed members in communicator %d; nothing to shrink", st.id)
+		return nil, fmt.Errorf("mpi: no failed members in communicator %d; %w", st.id, ErrNothingToShrink)
 	}
 
 	// The parent's compiled plans are dead with its members: drop them
@@ -479,12 +480,7 @@ func (c *Comm) ShrinkContext(ctx context.Context) (*Comm, error) {
 		w.shrunk[key] = ns
 	}
 	w.smu.Unlock()
-	for nr, wr := range ns.group {
-		if wr == me {
-			return &Comm{state: ns, rank: nr, proc: c.proc}, nil
-		}
-	}
-	return nil, fmt.Errorf("mpi: rank %d missing from shrunken group", me)
+	return &Comm{state: ns, rank: slices.Index(ns.group, me), proc: c.proc}, nil
 }
 
 // splitSpec is the per-rank contribution to a Split.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"distcoll/internal/binding"
 	"distcoll/internal/core"
@@ -30,49 +31,6 @@ const (
 	recoverRetry   = "retry"
 )
 
-// ledger is one member's progress record behind incremental recovery, as
-// the shared path sees it: what the member's completed ops (mark) and
-// verified results (markAll) add to it, and the clear after a failed
-// end-to-end digest. The two shapes wrap the recovery package's ledgers;
-// each descriptor's repair function reads its own shape back.
-type ledger interface {
-	// mark records what op o of schedule s landed in the member's buffer.
-	mark(s *sched.Schedule, o *sched.Op, group []int)
-	// markAll records the whole result held.
-	markAll(group []int)
-	Reset()
-}
-
-// chunkLedger tracks held byte spans of a broadcast payload: every pull
-// into the "data" buffer marks its span. Offsets in the distance-aware
-// broadcast schedule are true payload offsets, so the mark is exact; with
-// integrity on, it runs only after the per-hop checksum verified.
-type chunkLedger struct{ *recovery.ChunkLedger }
-
-func (l chunkLedger) mark(s *sched.Schedule, o *sched.Op, _ []int) {
-	if s.Buffers[o.Dst].Name == "data" {
-		l.MarkHeld(o.DstOff, o.Bytes)
-	}
-}
-
-func (l chunkLedger) markAll([]int) { l.MarkAll() }
-
-// segLedger tracks held allgather segments: a whole block landing at a
-// block-aligned recv offset marks that origin's segment. Origins are
-// recorded as WORLD ranks (group translates the layout index), so the
-// marks survive communicator shrinks.
-type segLedger struct{ *recovery.SegLedger }
-
-func (l segLedger) mark(s *sched.Schedule, o *sched.Op, group []int) {
-	dst := &s.Buffers[o.Dst]
-	block := dst.Bytes / int64(len(group))
-	if dst.Name == "recv" && o.Bytes == block && o.DstOff%block == 0 {
-		l.MarkHeld(group[o.DstOff/block])
-	}
-}
-
-func (l segLedger) markAll(group []int) { l.MarkHeldAll(group) }
-
 // chooseRecovery picks the schedule of a recovery attempt: delta repair
 // when the survivors hold anything worth keeping AND the machine model
 // prices the repair below a fresh run; the full restart schedule otherwise
@@ -97,7 +55,7 @@ func bcastRepair(c *Comm, vals []any, size int64) (*sched.Schedule, int) {
 	holds := make([]*recovery.IntervalSet, len(vals))
 	var held int64
 	for i, v := range vals {
-		holds[i] = recovery.NewSet(v.(*collArgs).led.(chunkLedger).Spans())
+		holds[i] = recovery.NewSet(v.(*collArgs).led.Spans())
 		if i != root {
 			held += holds[i].Total()
 		}
@@ -121,24 +79,21 @@ func bcastRepair(c *Comm, vals []any, size int64) (*sched.Schedule, int) {
 	return repair, missing
 }
 
-// allgatherRepair merges the survivors' segment ledgers: survivors keep
-// the segments they already hold — including segments that reached them
-// via a now-dead forwarder — and only the missing (rank, origin) pairs
-// move, each from its minimum-distance surviving holder. Each ledger lists
-// the WORLD-rank origins whose block the member's receive buffer holds at
-// the current layout (compactRecv keeps that invariant across shrinks).
+// allgatherRepair merges the survivors' ledgers: survivors keep the
+// segments they already hold — including segments that reached them via a
+// now-dead forwarder — and only the missing (rank, origin) pairs move, each
+// from its minimum-distance surviving holder. A member holds origin o's
+// segment when its ledger holds the whole block at o's index of the current
+// layout (collArgs.reseat keeps that invariant across shrinks).
 func allgatherRepair(c *Comm, vals []any, block int64) (*sched.Schedule, int) {
 	n := len(vals)
-	idxOf := make(map[int]int, n)
-	for i, wr := range c.state.group {
-		idxOf[wr] = i
-	}
 	holds := make([][]bool, n)
 	held := 0
 	for i, v := range vals {
 		holds[i] = make([]bool, n)
-		for _, wr := range v.(*collArgs).led.(segLedger).Origins() {
-			if o, ok := idxOf[wr]; ok {
+		led := v.(*collArgs).led
+		for o := range holds[i] {
+			if led.Holds(int64(o)*block, block) {
 				holds[i][o] = true
 				held++
 			}
@@ -177,37 +132,62 @@ func (c *Comm) repairCheaper(repair, full *sched.Schedule) bool {
 	return repair.TotalCopiedBytes() < full.TotalCopiedBytes()
 }
 
-// relocateRoot is the broadcast's after-shrink hook: the root keeps its
-// world rank but may have moved in the survivors' rank space — and must
-// have survived, a dead root being unrecoverable for a broadcast.
-func relocateRoot(a *collArgs, old, cur []int) error {
-	rootWorld := old[a.root]
-	for i, wr := range cur {
-		if wr == rootWorld {
-			a.root = i
-			return nil
+// reseat re-seats the member's arguments on the successor communicator
+// between two rounds of the resilient ladder, driven by the descriptor's
+// roles; rank is the member's rank in cur. A rooted collective's root keeps
+// its world rank and must have survived. Every perRank buffer bound on this
+// member is compacted from old's layout to cur's and truncated: a survivor's
+// block moves to its new, never larger index, so ascending order is safe in
+// place. Of the ledgered role only held blocks move, re-marked where they
+// land in a fresh ledger of the new length — the position invariant repair
+// reads by: a held interval describes the bytes at that offset of the
+// CURRENT layout. A root the first attempt never got to check is left for
+// collective.check to reject.
+func (a *collArgs) reseat(old, cur []int, rank int) error {
+	d := a.d
+	if d.rooted && a.root >= 0 && a.root < len(old) {
+		rootWorld := old[a.root]
+		if a.root = slices.Index(cur, rootWorld); a.root < 0 {
+			op := d.name
+			if op == "bcast" {
+				op = "broadcast" // the text BcastResilient has always had
+			}
+			return fmt.Errorf("mpi: %s root (world rank %d) failed; %w", op, rootWorld, ErrRootLost)
 		}
 	}
-	return fmt.Errorf("mpi: broadcast root (world rank %d) failed; cannot recover", rootWorld)
-}
-
-// compactRecv is the allgather's after-shrink hook. It re-packs the receive
-// buffer: the surviving origins' blocks move from their old layout
-// positions to the new (always ≤) ones, restoring the ledger's position
-// invariant before the next attempt, and recv shrinks to the survivors'
-// layout. Only blocks the ledger actually holds move; dead origins' blocks
-// are simply left behind and overwritten.
-func compactRecv(a *collArgs, old, cur []int) error {
-	block, led := len(a.send), a.led.(segLedger)
-	oldIdx := make(map[int]int, len(old))
-	for i, wr := range old {
-		oldIdx[wr] = i
-	}
-	for ni, wr := range cur {
-		if oi, ok := oldIdx[wr]; ok && oi != ni && led.Holds(wr) {
-			copy(a.recv[ni*block:(ni+1)*block], a.recv[oi*block:(oi+1)*block])
+	for i := range d.roles {
+		r := &d.roles[i]
+		if !r.perRank || (r.atRoot && rank != a.root) {
+			continue
+		}
+		buf := a.buf(r)
+		block := len(buf) / len(old)
+		var led *recovery.ChunkLedger
+		if r.name == d.ledger {
+			led = recovery.NewChunkLedger(int64(len(cur) * block))
+		}
+		oi := 0
+		for ni, wr := range cur {
+			for old[oi] != wr { // cur is old minus the dead, in old's order
+				oi++
+			}
+			if led != nil {
+				if !a.led.Holds(int64(oi*block), int64(block)) {
+					continue
+				}
+				led.MarkHeld(int64(ni*block), int64(block))
+			}
+			copy(buf[ni*block:(ni+1)*block], buf[oi*block:(oi+1)*block])
+		}
+		buf = buf[:len(cur)*block]
+		if r.recv {
+			a.recv = buf
+		} else {
+			a.send = buf
+		}
+		if led != nil {
+			a.led = led
 		}
 	}
-	a.recv = a.recv[:len(cur)*block]
 	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"distcoll/internal/fault"
+	"distcoll/internal/partition"
 )
 
 // RankFailureError reports that a collective (or point-to-point operation)
@@ -97,4 +100,48 @@ type SendTimeoutError struct {
 func (e *SendTimeoutError) Error() string {
 	return fmt.Sprintf("mpi: send %d→%d (tag %d) blocked %v on a full mailbox (capacity %d)",
 		e.Src, e.Dst, e.Tag, e.Timeout, e.Capacity)
+}
+
+// Recovery's three refusals, matched with errors.Is; the error wrapping one
+// names the rank or communicator.
+var (
+	ErrRootLost        = errors.New("cannot recover")    // a rooted collective's root, its payload or destination, died
+	ErrSelfFailed      = errors.New("cannot shrink")     // Shrink's caller is itself marked failed; recovery is the survivors' job
+	ErrNothingToShrink = errors.New("nothing to shrink") // the agreed failed set is empty
+)
+
+// Outcome is what the error of a collective means for the rank that got it.
+type Outcome int
+
+const (
+	OutcomeOK          Outcome = iota // no error
+	OutcomeCrashed                    // the caller's own rank crashed
+	OutcomePartitioned                // a quorum decision left the caller out, or fenced its stale traffic
+	// OutcomeExcluded: the fault model's own "not on this rank" — members died
+	// or kept corrupting data (RankFailureError, CorruptionError: from a plain
+	// collective or an exhausted ladder), the root was lost, Shrink refused.
+	OutcomeExcluded
+	OutcomeHang    // a watchdog or context deadline expired
+	OutcomeFailure // anything else; a severed copy too — evidence for the detector, no verdict on the caller
+)
+
+// Classify maps an error returned by a collective, Shrink or the resilient
+// ladder to its Outcome. It is the one exclusion rule: the ladder's
+// escalation, the chaos harness's expected exclusions and the serve layer's
+// breaker accounting are all written on it.
+func Classify(err error) Outcome {
+	switch {
+	case err == nil:
+		return OutcomeOK
+	case fault.IsCrashed(err):
+		return OutcomeCrashed
+	case partition.IsPartition(err) || partition.IsFenced(err):
+		return OutcomePartitioned
+	case IsRankFailure(err) || IsCorruption(err),
+		errors.Is(err, ErrRootLost), errors.Is(err, ErrSelfFailed), errors.Is(err, ErrNothingToShrink):
+		return OutcomeExcluded
+	case IsHang(err):
+		return OutcomeHang
+	}
+	return OutcomeFailure
 }

@@ -115,6 +115,14 @@ func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, ran
 func TestWarmCollectiveAllocBudget(t *testing.T) {
 	const budget = 90         // 48 ranks + per-plan; measured 61–66
 	const guardedBudget = 190 // measured 158–160
+	// The resilient cells add the member's progress ledger: one allocation per
+	// rank plus the growth of its interval slice — once for a broadcast, whose
+	// chunks land in offset order and coalesce, a few times for an allgather,
+	// whose blocks land in ring order. With a map per rank per call and an
+	// interval insert that allocated twice per mark the four cells cost 207,
+	// 588, 301 and 686. Measured 155, 301, 254 and 398.
+	const bcastResilient, allgatherResilient = 190, 340
+	const guardedBcastResilient, guardedAllgatherResilient = 290, 440
 	const n = 48
 	const landing = "allreduce 64KiB adaptive" // the cell whose bytes are budgeted too
 	bufs := func(size int) [][]byte {
@@ -147,18 +155,34 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 		{"alltoall 1KiB mpich2", budget, func(c *Comm, r int) error { return c.Alltoall(big[r], exchanged[r], MPICH2) }},
 		{"barrier", 8, func(c *Comm, _ int) error { return c.Barrier() }},
 		{landing, budget, func(c *Comm, r int) error { return c.Allreduce(b64k[r], sum64k[r], OpSumInt64, Adaptive) }},
+		{"bcast-resilient 4KiB knemcoll", bcastResilient, func(c *Comm, r int) error {
+			_, err := c.BcastResilient(b4k[r], 0, KNEMColl)
+			return err
+		}},
+		{"allgather-resilient 1KiB knemcoll", allgatherResilient, func(c *Comm, r int) error {
+			_, _, err := c.AllgatherResilient(small[r], big[r], KNEMColl)
+			return err
+		}},
 	}
 	guarded := []cell{
 		{"guarded bcast 64KiB", guardedBudget, func(c *Comm, r int) error { return c.Bcast(b64k[r], 0, Adaptive) }},
 		{"guarded allgather 16KiB", guardedBudget, func(c *Comm, r int) error {
 			return c.Allgather(b16k[r], b16kAll[r], Adaptive)
 		}},
+		{"guarded bcast-resilient 64KiB", guardedBcastResilient, func(c *Comm, r int) error {
+			_, err := c.BcastResilient(b64k[r], 0, KNEMColl)
+			return err
+		}},
+		{"guarded allgather-resilient 16KiB", guardedAllgatherResilient, func(c *Comm, r int) error {
+			_, _, err := c.AllgatherResilient(b16k[r], b16kAll[r], KNEMColl)
+			return err
+		}},
 	}
 	run := func(cells []cell, opts func() []Option) {
 		for _, cell := range cells {
 			w := NewWorld(igWorld(t, "crosssocket", n).Binding(), opts()...)
 			got, bytes := warmAllocsPerCall(t, w, 20, cell.call)
-			t.Logf("%-26s %.0f allocs/call, %.0f B/call over %d ranks", cell.name, got, bytes, n)
+			t.Logf("%-34s %.0f allocs/call, %.0f B/call over %d ranks", cell.name, got, bytes, n)
 			if got > cell.budget {
 				t.Errorf("%s: %.0f allocations per warm call, budget %.0f", cell.name, got, cell.budget)
 			}

@@ -334,28 +334,31 @@ func TestLedgerRaceUnderMidOpFailure(t *testing.T) {
 }
 
 // TestCompactRecvPreservesHeldSegments pins the post-shrink layout fix:
-// held blocks move to their new (smaller) indices, unheld slots are not
-// copied around.
+// held blocks move to their new (smaller) indices and are held THERE, unheld
+// slots are neither copied around nor inherit a stale mark from the block
+// that used to sit at their offset.
 func TestCompactRecvPreservesHeldSegments(t *testing.T) {
 	const block = 4
-	oldGroup := []int{0, 1, 2, 3}
-	newGroup := []int{0, 2, 3} // world rank 1 died
+	oldGroup := []int{0, 1, 2, 3, 4}
+	newGroup := []int{0, 2, 3, 4} // world rank 1 died
 	recv := []byte{
 		0, 0, 0, 0, // origin 0's block
 		1, 1, 1, 1, // origin 1's (dead)
 		2, 2, 2, 2, // origin 2's
-		3, 3, 3, 3, // origin 3's
+		9, 9, 9, 9, // origin 3's: not landed yet
+		4, 4, 4, 4, // origin 4's
 	}
-	led := recovery.NewSegLedger()
-	led.MarkHeld(0)
-	led.MarkHeld(2)
-	led.MarkHeld(3)
-	a := &collArgs{send: make([]byte, block), recv: recv, led: segLedger{led}}
-	if err := compactRecv(a, oldGroup, newGroup); err != nil {
+	led := recovery.NewChunkLedger(int64(len(recv)))
+	for _, o := range []int64{0, 1, 2, 4} {
+		led.MarkHeld(o*block, block)
+	}
+	a := &collArgs{d: &collectives[opAllgather], send: make([]byte, block), recv: recv, led: led}
+	if err := a.reseat(oldGroup, newGroup, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.recv) != len(newGroup)*block {
-		t.Errorf("recv is %d bytes after compaction, want %d", len(a.recv), len(newGroup)*block)
+	if len(a.recv) != len(newGroup)*block || a.led.Size() != int64(len(a.recv)) {
+		t.Errorf("recv is %d bytes and the ledger covers %d after compaction, want %d",
+			len(a.recv), a.led.Size(), len(newGroup)*block)
 	}
 	if !bytes.Equal(recv[0:4], []byte{0, 0, 0, 0}) {
 		t.Errorf("origin 0 block moved: %v", recv[0:4])
@@ -363,7 +366,14 @@ func TestCompactRecvPreservesHeldSegments(t *testing.T) {
 	if !bytes.Equal(recv[4:8], []byte{2, 2, 2, 2}) {
 		t.Errorf("origin 2 block not compacted to index 1: %v", recv[4:8])
 	}
-	if !bytes.Equal(recv[8:12], []byte{3, 3, 3, 3}) {
-		t.Errorf("origin 3 block not compacted to index 2: %v", recv[8:12])
+	if !bytes.Equal(recv[12:16], []byte{4, 4, 4, 4}) {
+		t.Errorf("origin 4 block not compacted to index 3: %v", recv[12:16])
+	}
+	// Index 2 is origin 3's slot now. The old layout held origin 2's block at
+	// that offset; origin 3's never landed, so the slot must read as missing.
+	for ni, want := range []bool{true, true, false, true} {
+		if got := a.led.Holds(int64(ni*block), block); got != want {
+			t.Errorf("after compaction Holds(index %d) = %v, want %v (spans %v)", ni, got, want, a.led.Spans())
+		}
 	}
 }

@@ -2,33 +2,33 @@ package mpi
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"distcoll/internal/fault"
 	"distcoll/internal/recovery"
 )
 
-// This file implements the self-healing entry points: collectives that
-// recover from member failures through a bounded escalation ladder
+// This file implements the self-healing entry points: every collective
+// recovers from member failures through one bounded escalation ladder
 // (DESIGN.md §11):
 //
 //	in-place retry → delta repair → full restart → fail
 //
 // An end-to-end digest mismatch with no deaths is retried on the SAME
 // communicator, at most MaxInPlaceRetries times with exponential backoff.
-// A member failure shrinks the communicator (Agree + Shrink) and then
-// recovers INCREMENTALLY: the survivors exchange their chunk progress
-// ledgers and compile a delta repair plan over only the missing (rank,
-// chunk) pairs — falling back to a full restart on the shrunken
-// communicator when the ledger is empty or the machine model prices
-// repair above a fresh run (delta.go makes that choice uniformly at the
-// recovery rendezvous). Every rung is bounded: the retry budget is
-// explicit, and each shrink removes at least one rank, so repair/restart
-// rounds are bounded by the communicator size. A crashed caller gets its
-// CrashError back unchanged — a dead rank does not recover; recovery is
-// the survivors' job.
+// A member failure shrinks the communicator (Agree + Shrink) and then,
+// where the descriptor keeps a ledger, recovers INCREMENTALLY: the survivors
+// exchange their progress ledgers and compile a delta repair plan over only
+// the missing (rank, chunk) pairs — falling back to a full restart on the
+// shrunken communicator when there is no ledger, it is empty, or the machine
+// model prices repair above a fresh run (delta.go makes that choice
+// uniformly at the recovery rendezvous). Every rung is bounded: the retry
+// budget is explicit, and each shrink removes at least one rank, so
+// repair/restart rounds are bounded by the communicator size. A crashed
+// caller gets its CrashError back unchanged — a dead rank does not recover;
+// recovery is the survivors' job.
 
 // MaxInPlaceRetries bounds in-place retries of a collective that failed a
 // uniform end-to-end digest check with no member dead: each retry re-rolls
@@ -40,36 +40,24 @@ const MaxInPlaceRetries = 3
 // doubling per retry.
 const inPlaceRetryBackoff = 50 * time.Microsecond
 
-// maxRecoveries bounds the shrink-driven recovery rounds: each round
-// removes at least one rank, so a communicator of size n can need at most
-// n-1. In-place retries have their own budget (MaxInPlaceRetries) on top.
-func maxRecoveries(c *Comm) int { return c.Size() }
-
-// recoverable reports whether err means "members died; shrink and retry".
-// A watchdog hang also counts when failures have in fact been detected —
-// the hang may simply have fired on a rank whose failure notification
-// raced the deadline. Corruption errors are recoverable too: a persistent
-// per-hop checksum failure marks the corrupting peer failed (so the
-// shrink path applies), and an end-to-end digest mismatch with no
-// membership change is retried in place.
+// recoverable reports whether err, the uniform outcome of a run on c, means
+// "shrink and retry", as a rule on its classification. Excluded, from a run,
+// is members dying or data failing its checks: a persistent per-hop failure
+// marked the corrupting peer failed, so the shrink path applies (an
+// end-to-end mismatch with nobody dead is retried in place first). A hang
+// counts only when failures have in fact been detected — the watchdog may
+// have fired on a rank whose failure notification raced the deadline; with
+// nobody dead there is nobody to shrink away. A severed copy is partition
+// evidence: the partition rung has already resolved the view, and for a
+// majority caller the minority is now marked failed.
 func recoverable(c *Comm, err error) bool {
-	var rf *RankFailureError
-	if errors.As(err, &rf) {
+	switch Classify(err) {
+	case OutcomeExcluded:
 		return true
-	}
-	if IsCorruption(err) {
-		return true
-	}
-	if fault.IsSevered(err) {
-		// A severed copy is partition evidence. The partition rung has
-		// already resolved the view; for a majority caller the minority
-		// is now marked failed, so shrinking recovers on the surviving
-		// component.
-		return true
-	}
-	if IsHang(err) {
-		failed, _ := c.state.world.failureWatch()
-		return len(deadIn(failed, c.state.group)) > 0
+	case OutcomeHang:
+		return c.anyDead()
+	case OutcomeFailure:
+		return fault.IsSevered(err)
 	}
 	return false
 }
@@ -81,11 +69,13 @@ func recoverable(c *Comm, err error) bool {
 // mismatch, where a retry re-rolls the data path. With any dead member,
 // recovery must shrink instead.
 func retryInPlace(c *Comm, err error) bool {
-	if !IsCorruption(err) {
-		return false
-	}
+	return IsCorruption(err) && !c.anyDead()
+}
+
+// anyDead reports whether a member of c is marked failed.
+func (c *Comm) anyDead() bool {
 	failed, _ := c.state.world.failureWatch()
-	return len(deadIn(failed, c.state.group)) == 0
+	return slices.ContainsFunc(c.state.group, func(wr int) bool { return failed[wr] })
 }
 
 // retryBudget tracks the in-place rung of the escalation ladder. Every
@@ -151,17 +141,18 @@ func (b *retryBudget) spend(ctx context.Context, op string, cause error) error {
 }
 
 // resilient is the one escalation ladder, run by every member with its own
-// arguments a: run the collective; retry in place on a uniform digest
-// mismatch; on member failures shrink, re-seat the arguments through the
-// descriptor's after-shrink hook, and run the recovery attempt — delta
-// repair where the descriptor keeps a ledger, a restart otherwise. ctx
-// bounds the recovery machinery: the agreement round inside Shrink and the
-// recovery rendezvous, the two phases that block on every survivor showing
-// up and so can wedge indefinitely when one never does, return a HangError
-// once it expires. The first-run data path keeps the world watchdog as its
-// hang bound. Returns the communicator that finally completed the
-// operation and the (possibly shrunken) recv buffer.
+// arguments a, for every descriptor and the barrier (Comm.Resilient states
+// the contract): run; retry in place on a uniform digest mismatch; on member
+// failures shrink, re-seat the arguments (collArgs.reseat) and run the
+// recovery attempt — delta repair where the descriptor keeps a ledger, a
+// restart otherwise. ctx bounds the recovery machinery: the agreement round
+// inside Shrink and the recovery rendezvous block on every survivor showing
+// up, so can wedge when one never does, and return a HangError once it
+// expires. The first-run data path keeps the world watchdog as its bound.
 func (c *Comm) resilient(ctx context.Context, a collArgs) (*Comm, []byte, error) {
+	if a.d.ledger != "" {
+		a.led = recovery.NewChunkLedger(int64(len(a.d.bound(&a, a.d.ledger, true))))
+	}
 	cur := c
 	budget := newRetryBudget(uint64(c.state.id)<<32 | uint64(c.rank))
 	for try := 0; ; try++ {
@@ -181,7 +172,9 @@ func (c *Comm) resilient(ctx context.Context, a collArgs) (*Comm, []byte, error)
 		if perr := cur.partitionRung(err); perr != nil {
 			return cur, nil, perr
 		}
-		if fault.IsCrashed(err) || !recoverable(cur, err) || try >= maxRecoveries(c)+MaxInPlaceRetries {
+		// Each shrink removes at least one rank, so c can need at most
+		// Size()-1 of them; in-place retries have their own budget on top.
+		if !recoverable(cur, err) || try >= c.Size()+MaxInPlaceRetries {
 			return cur, nil, err
 		}
 		if retryInPlace(cur, err) {
@@ -197,23 +190,46 @@ func (c *Comm) resilient(ctx context.Context, a collArgs) (*Comm, []byte, error)
 		if serr != nil {
 			return cur, nil, serr
 		}
-		if herr := a.d.afterShrink(&a, cur.state.group, next.state.group); herr != nil {
-			return next, nil, herr
+		if rerr := a.reseat(cur.state.group, next.state.group, next.rank); rerr != nil {
+			return next, nil, rerr
 		}
 		cur, a.recovering = next, true
 	}
 }
 
-// BcastResilient broadcasts like Bcast but survives member failures: when
-// the collective fails because ranks died, every survivor shrinks to the
-// same successor communicator (whose distance-aware tree is rebuilt over
-// the survivors' own distance view) and recovers incrementally — missing chunks are pulled from the
-// minimum-distance survivors that already hold them, per the exchanged
-// progress ledgers, with a full restart as fallback. root is given in c's
-// rank space and must survive — a dead root is unrecoverable for a
-// broadcast. Returns the communicator that finally completed the
-// operation: its rank space is the survivors'. A caller whose own rank
-// crashed gets its CrashError back.
+// Call names one collective call for Comm.Resilient, by value: the
+// arguments of the plain entry point of the same name.
+type Call struct {
+	Coll       string // "bcast", "allgather", "reduce", "allreduce", "gather", "scatter", "alltoall" or "barrier"
+	Send, Recv []byte // Recv is Bcast's buffer; unused roles stay nil
+	Root       int    // communicator rank of a rooted collective's root, else 0
+	Op         ReduceOp
+	Comp       Component
+}
+
+// Resilient runs any collective, or a barrier, so that it survives member
+// failures: when it fails because ranks died, every survivor shrinks to the
+// same successor communicator (its distance-aware topology rebuilt over the
+// survivors' own distance view) and runs it again there. Bcast and Allgather
+// recover incrementally — what a survivor already holds, whoever forwarded
+// it, is served from the minimum-distance holder per the exchanged progress
+// ledgers, with a full restart as fallback; the other collectives restart.
+// Root must survive: a dead root is ErrRootLost on every survivor.
+// Buffers are sized for c; after a recovery the survivors' layout occupies
+// the front of every Size()·block buffer — compacted in place, so a Scatter
+// root's or Alltoall's SEND buffer is modified too — and the shortened recv
+// is the second result. The first is the communicator that completed the
+// operation. A caller whose own rank crashed gets its CrashError back;
+// arguments are checked at the rendezvous, with one error for every member.
+func (c *Comm) Resilient(ctx context.Context, call Call) (*Comm, []byte, error) {
+	d := collectiveByName(call.Coll)
+	if d == nil {
+		return c, nil, fmt.Errorf("mpi: unknown collective %q", call.Coll)
+	}
+	return c.resilient(ctx, collArgs{d: d, send: call.Send, recv: call.Recv, root: call.Root, comp: call.Comp, op: call.Op})
+}
+
+// BcastResilient is Bcast on the resilient ladder (Comm.Resilient).
 func (c *Comm) BcastResilient(buf []byte, root int, comp Component) (*Comm, error) {
 	return c.BcastResilientContext(context.Background(), buf, root, comp)
 }
@@ -221,26 +237,14 @@ func (c *Comm) BcastResilient(buf []byte, root int, comp Component) (*Comm, erro
 // BcastResilientContext is BcastResilient with a caller-supplied
 // deadline on the recovery machinery (see Comm.resilient).
 func (c *Comm) BcastResilientContext(ctx context.Context, buf []byte, root int, comp Component) (*Comm, error) {
-	if root < 0 || root >= c.Size() {
-		return c, fmt.Errorf("mpi: bcast root %d out of range", root)
-	}
-	led := recovery.NewChunkLedger(int64(len(buf)))
-	if c.rank == root {
-		led.MarkAll() // the root's caller buffer is the payload
-	}
-	cur, _, err := c.resilient(ctx, collArgs{d: &collectives[opBcast], recv: buf, root: root, comp: comp, led: chunkLedger{led}})
+	cur, _, err := c.resilient(ctx, collArgs{d: &collectives[opBcast], recv: buf, root: root, comp: comp})
 	return cur, err
 }
 
-// AllgatherResilient gathers like Allgather but survives member failures.
-// recv must be sized for c (c.Size()·len(send) bytes); after a recovery
-// the result occupies the first newComm.Size()·len(send) bytes, in the
-// shrunken communicator's rank order, and is returned as the second
-// result. Recovery is incremental like BcastResilient's: after each
-// shrink the receive buffer is compacted to the survivors' layout, and
-// segments a survivor already holds — whoever forwarded them — are served
-// from that survivor instead of being re-gathered. The final communicator
-// is returned like BcastResilient.
+// AllgatherResilient is Allgather on the resilient ladder (Comm.Resilient).
+// recv must be sized for c (c.Size()·len(send) bytes); after a recovery the
+// result occupies the first newComm.Size()·len(send) bytes, in the shrunken
+// communicator's rank order, and is returned as the second result.
 func (c *Comm) AllgatherResilient(send, recv []byte, comp Component) (*Comm, []byte, error) {
 	return c.AllgatherResilientContext(context.Background(), send, recv, comp)
 }
@@ -248,9 +252,5 @@ func (c *Comm) AllgatherResilient(send, recv []byte, comp Component) (*Comm, []b
 // AllgatherResilientContext is AllgatherResilient with a caller-supplied
 // deadline on the recovery machinery, like BcastResilientContext.
 func (c *Comm) AllgatherResilientContext(ctx context.Context, send, recv []byte, comp Component) (*Comm, []byte, error) {
-	if len(recv) != c.Size()*len(send) {
-		return c, nil, fmt.Errorf("mpi: allgather recv buffer is %d bytes, want %d", len(recv), c.Size()*len(send))
-	}
-	return c.resilient(ctx, collArgs{d: &collectives[opAllgather], send: send, recv: recv, comp: comp,
-		led: segLedger{recovery.NewSegLedger()}})
+	return c.resilient(ctx, collArgs{d: &collectives[opAllgather], send: send, recv: recv, comp: comp})
 }

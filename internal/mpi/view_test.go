@@ -247,7 +247,7 @@ func TestNoTableClusterCommStaysLinear(t *testing.T) {
 		} else {
 			led.MarkAll()
 		}
-		vals[r] = &collArgs{d: &collectives[opBcast], root: root, led: chunkLedger{led}}
+		vals[r] = &collArgs{d: &collectives[opBcast], root: root, led: led}
 	}
 	c := &Comm{state: st, rank: 0}
 	var missing int

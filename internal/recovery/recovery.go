@@ -1,20 +1,20 @@
-// Package recovery holds the chunk progress ledgers behind the runtime's
+// Package recovery holds the progress ledger behind the runtime's
 // incremental recovery (DESIGN.md §11). The paper's collectives pipeline
 // large messages chunk-by-chunk along distance-aware trees and rings; when
 // a member dies mid-flight, most survivors already hold most of the
-// payload. The ledgers record exactly which byte spans of a broadcast (or
-// which origins' segments of an allgather) each rank verifiably holds, so
-// the resilient wrappers can exchange them after Agree+Shrink and compile
-// a delta repair plan over only the missing (rank, chunk) pairs instead of
-// re-paying the full message.
+// payload. A ledger records exactly which byte spans of its output buffer
+// (a broadcast payload, an allgather's receive buffer) a rank verifiably
+// holds, so the resilient ladder can exchange them after Agree+Shrink and
+// compile a delta repair plan over only the missing (rank, chunk) pairs
+// instead of re-paying the full message.
 //
 // The package is a leaf (standard library only): internal/core imports it
 // to type repair-plan inputs, internal/mpi to maintain the live ledgers.
 //
-// Broadcast progress is tracked as byte intervals, not chunk indices: the
+// Progress is tracked as byte intervals, not chunk or block indices: the
 // pipeline chunk size is a function of the tree depth, so it changes when
-// the communicator shrinks, and only absolute offsets stay comparable
-// across recovery rounds.
+// the communicator shrinks, and only offsets into the member's own buffer
+// stay comparable across recovery rounds.
 package recovery
 
 import (
@@ -67,8 +67,16 @@ func (s *IntervalSet) Add(off, n int64) {
 		}
 		j++
 	}
-	merged := Interval{Off: off, Len: end - off}
-	s.iv = append(s.iv[:i], append([]Interval{merged}, s.iv[j:]...)...)
+	// Replace s.iv[i:j] by the merged interval in place: every mark of a
+	// pipelined collective lands here, so nothing is allocated unless the
+	// set has to grow past its capacity.
+	if i == j {
+		s.iv = append(s.iv, Interval{})
+		copy(s.iv[i+1:], s.iv[i:])
+	} else {
+		s.iv = append(s.iv[:i+1], s.iv[j:]...)
+	}
+	s.iv[i] = Interval{Off: off, Len: end - off}
 }
 
 // Contains reports whether the whole span [off, off+n) is held. The empty
@@ -119,18 +127,18 @@ func (s *IntervalSet) Missing(size int64) []Interval {
 // Clear empties the set.
 func (s *IntervalSet) Clear() { s.iv = s.iv[:0] }
 
-// ChunkLedger is one rank's thread-safe progress ledger over a contiguous
-// payload of Size bytes (a broadcast buffer): the spans that have landed
-// and — when integrity verification is on — passed their per-hop
-// checksums. Completion callbacks from many schedule ops and the recovery
-// control path touch it concurrently.
+// ChunkLedger is one rank's thread-safe progress ledger over its output
+// buffer of Size bytes: the spans that have landed and — when integrity
+// verification is on — passed their per-hop checksums. The member's own
+// goroutine marks it op by op; the recovery rendezvous reads every
+// member's from the last arriver's goroutine, hence the mutex.
 type ChunkLedger struct {
 	mu   sync.Mutex
 	size int64
 	set  IntervalSet
 }
 
-// NewChunkLedger creates an empty ledger over a size-byte payload.
+// NewChunkLedger creates an empty ledger over a size-byte buffer.
 func NewChunkLedger(size int64) *ChunkLedger {
 	if size < 0 {
 		size = 0
@@ -148,8 +156,8 @@ func (l *ChunkLedger) MarkHeld(off, n int64) {
 	l.mu.Unlock()
 }
 
-// MarkAll records the whole payload held (the broadcast root's source
-// buffer, or a receiver whose end-to-end digest verified).
+// MarkAll records the whole buffer held (a receiver whose end-to-end
+// digests verified).
 func (l *ChunkLedger) MarkAll() {
 	l.mu.Lock()
 	l.set.Clear()
@@ -185,65 +193,4 @@ func (l *ChunkLedger) HeldBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.set.Total()
-}
-
-// SegLedger is one rank's thread-safe allgather segment ledger: the set
-// of contributing WORLD ranks whose block this rank verifiably holds in
-// its receive buffer. Origins are world ranks so entries survive
-// communicator shrinks (a comm-rank index is renumbered by Shrink); the
-// position invariant — origin o's block lives at the CURRENT communicator
-// index of o — is maintained by the resilient wrapper, which compacts the
-// receive buffer after every shrink.
-type SegLedger struct {
-	mu   sync.Mutex
-	held map[int]bool
-}
-
-// NewSegLedger creates an empty segment ledger.
-func NewSegLedger() *SegLedger {
-	return &SegLedger{held: make(map[int]bool)}
-}
-
-// MarkHeld records origin's block as held.
-func (l *SegLedger) MarkHeld(origin int) {
-	l.mu.Lock()
-	l.held[origin] = true
-	l.mu.Unlock()
-}
-
-// MarkHeldAll records every listed origin as held (a receiver whose
-// end-to-end digests all verified).
-func (l *SegLedger) MarkHeldAll(origins []int) {
-	l.mu.Lock()
-	for _, o := range origins {
-		l.held[o] = true
-	}
-	l.mu.Unlock()
-}
-
-// Reset forgets everything — the response to a failed end-to-end digest.
-func (l *SegLedger) Reset() {
-	l.mu.Lock()
-	l.held = make(map[int]bool)
-	l.mu.Unlock()
-}
-
-// Holds reports whether origin's block is held.
-func (l *SegLedger) Holds(origin int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.held[origin]
-}
-
-// Origins returns the held origins in ascending order — the row this rank
-// contributes to the survivors' ledger exchange.
-func (l *SegLedger) Origins() []int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]int, 0, len(l.held))
-	for o := range l.held {
-		out = append(out, o)
-	}
-	sort.Ints(out)
-	return out
 }

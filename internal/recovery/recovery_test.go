@@ -161,37 +161,67 @@ func TestChunkLedger(t *testing.T) {
 	}
 }
 
-func TestSegLedger(t *testing.T) {
-	l := NewSegLedger()
-	l.MarkHeld(3)
-	l.MarkHeld(7)
-	l.MarkHeld(3)
-	if got := l.Origins(); !intsEqual(got, []int{3, 7}) {
-		t.Fatalf("Origins = %v", got)
+// TestChunkLedgerBlockMarks is the allgather's use of the one ledger: whole
+// blocks of the receive buffer land in ring order, not offset order, a block
+// counts as held only once every byte of it is, and neighbouring blocks
+// coalesce without disturbing the per-block answer.
+func TestChunkLedgerBlockMarks(t *testing.T) {
+	const block, n = 64, 8
+	l := NewChunkLedger(n * block)
+	for _, o := range []int64{3, 7, 3, 4} {
+		l.MarkHeld(o*block, block)
 	}
-	if !l.Holds(3) || l.Holds(5) {
-		t.Fatalf("Holds wrong")
+	l.MarkHeld(5*block, block/2) // a pipelined half block
+	for o, want := range [n]bool{3: true, 4: true, 7: true} {
+		if got := l.Holds(int64(o)*block, block); got != want {
+			t.Errorf("Holds(block %d) = %v, want %v (spans %v)", o, got, want, l.Spans())
+		}
 	}
-	l.MarkHeldAll([]int{1, 2})
-	if got := l.Origins(); !intsEqual(got, []int{1, 2, 3, 7}) {
-		t.Fatalf("Origins after MarkHeldAll = %v", got)
+	if got := l.Spans(); !spansEqual(got, []Interval{{3 * block, 2*block + block/2}, {7 * block, block}}) {
+		t.Errorf("spans = %v", got)
 	}
-	l.Reset()
-	if got := l.Origins(); len(got) != 0 {
-		t.Fatalf("Origins after Reset = %v", got)
+	l.MarkHeld(5*block+block/2, block/2)
+	if !l.Holds(5*block, block) || !l.Holds(3*block, 3*block) {
+		t.Errorf("completed block not held: %v", l.Spans())
 	}
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// TestIntervalSetAllocations: a mark is on the path of every op of a
+// resilient collective. Once the set has capacity, adjacent, merging and
+// bridging Adds reuse it, and the lookups allocate nothing at all.
+func TestIntervalSetAllocations(t *testing.T) {
+	s := &IntervalSet{}
+	for i := int64(0); i < 16; i++ {
+		s.Add(i*100, 10) // 16 disjoint intervals: the capacity the runs below reuse
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	if got := testing.AllocsPerRun(50, func() {
+		s.Clear()
+		for i := int64(0); i < 16; i += 2 {
+			s.Add(i*100, 10) // disjoint, ascending
 		}
+		for i := int64(15); i > 0; i -= 2 {
+			s.Add(i*100, 10) // disjoint, inserted between
+		}
+		for i := int64(0); i < 16; i++ {
+			s.Add(i*100+10, 10) // adjacent: extends in place
+		}
+		s.Add(0, 1600) // merges everything
+	}); got != 0 {
+		t.Errorf("Add on a set with capacity allocates %.0f times per run, want 0", got)
 	}
-	return true
+	if !spansEqual(s.Spans(), []Interval{{0, 1600}}) {
+		t.Fatalf("spans after the merging run = %v", s.Spans())
+	}
+	l := NewChunkLedger(1600)
+	l.MarkHeld(100, 200)
+	if got := testing.AllocsPerRun(50, func() {
+		if !s.Contains(40, 1000) || s.Contains(1500, 200) || !l.Holds(150, 100) || l.Holds(0, 150) {
+			t.Fatal("wrong containment answer")
+		}
+		l.MarkHeld(150, 150)
+	}); got != 0 {
+		t.Errorf("Contains/Holds/merging MarkHeld allocate %.0f times per run, want 0", got)
+	}
 }
 
 // TestChunkLedgerConcurrent is the ledger half of the satellite race
@@ -235,32 +265,5 @@ func TestChunkLedgerConcurrent(t *testing.T) {
 	l.MarkAll()
 	if !l.Holds(0, size) {
 		t.Fatalf("ledger unusable after concurrent churn: %v", l.Spans())
-	}
-}
-
-func TestSegLedgerConcurrent(t *testing.T) {
-	l := NewSegLedger()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for o := 0; o < 64; o++ {
-				l.MarkHeld(o*8 + w)
-				_ = l.Holds(o)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			_ = l.Origins()
-		}
-	}()
-	wg.Wait()
-	if len(l.Origins()) != 64*8 {
-		t.Fatalf("Origins lost marks: %d", len(l.Origins()))
 	}
 }

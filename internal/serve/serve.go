@@ -26,11 +26,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -539,119 +538,57 @@ func (t *Tenant) procLoop(p *mpi.Proc) error {
 }
 
 // runOp executes one op on one rank, returning its report and the
-// communicator to use for the NEXT op (nil = unchanged). Payloads are
-// chaos oracle bytes, verified on delivery, so a tenant op that
-// "succeeds" has provably moved correct data — the soak's bystander
-// zero-error assertion is a data-integrity assertion, not just an
-// error-code check.
+// communicator to use for the NEXT op (nil = unchanged). Ops are rows of the
+// chaos harness's table of verified collectives, run on the runtime's
+// resilient ladder: payloads are oracle bytes, verified on delivery in the
+// survivors' rank space, so a tenant op that "succeeds" has provably moved
+// correct data — the soak's bystander zero-error assertion is a
+// data-integrity assertion, not just an error-code check.
 func (t *Tenant) runOp(op *tenantOp, p *mpi.Proc, cur *mpi.Comm) (rankDone, *mpi.Comm) {
 	if cur.RankOf(p.Rank()) < 0 {
 		// Shrunk away by an earlier op's recovery.
 		return rankDone{excluded: true}, nil
 	}
-	switch op.req.Kind {
-	case "bcast":
-		root := cur.RankOf(0)
-		if root < 0 {
-			return rankDone{excluded: true}, nil
-		}
-		want := chaos.Payload(op.req.Seed, 0, op.req.Size)
-		buf := make([]byte, op.req.Size)
-		if p.Rank() == 0 {
-			copy(buf, want)
-		}
-		nc, err := cur.BcastResilientContext(op.ctx, buf, root, mpi.Adaptive)
-		if err != nil {
-			return t.classify(p, err), nc
-		}
-		if !bytes.Equal(buf, want) {
-			return rankDone{err: fmt.Errorf("serve: bcast payload corrupted on rank %d", p.Rank())}, nc
-		}
-		return rankDone{completed: true, group: nc.Group()}, nc
-
-	case "allgather":
-		send := chaos.Payload(op.req.Seed, p.Rank(), op.req.Size)
-		recv := make([]byte, int64(cur.Size())*op.req.Size)
-		nc, out, err := cur.AllgatherResilientContext(op.ctx, send, recv, mpi.Adaptive)
-		if err != nil {
-			return t.classify(p, err), nc
-		}
-		group := nc.Group()
-		for i, wr := range group {
-			blk := out[int64(i)*op.req.Size : int64(i+1)*op.req.Size]
-			if !bytes.Equal(blk, chaos.Payload(op.req.Seed, wr, op.req.Size)) {
-				return rankDone{err: fmt.Errorf("serve: allgather block %d (world rank %d) corrupted", i, wr)}, nc
-			}
-		}
-		return rankDone{completed: true, group: group}, nc
-
-	default: // barrier, with the standard shrink-and-retry loop
-		for try := 0; try <= t.ranks; try++ {
-			err := cur.Barrier()
-			if err == nil {
-				return rankDone{completed: true, group: cur.Group()}, cur
-			}
-			if fault.IsCrashed(err) {
-				return rankDone{excluded: true, crashed: true}, cur
-			}
-			if partition.IsPartition(err) || partition.IsFenced(err) {
-				// A fenced minority rank must not try to shrink: it is out
-				// of the membership for good.
-				return t.classify(p, err), cur
-			}
-			if !mpi.IsRankFailure(err) && !mpi.IsCorruption(err) && !mpi.IsHang(err) {
-				return rankDone{err: err}, cur
-			}
-			nc, serr := cur.ShrinkContext(op.ctx)
-			if serr != nil {
-				return t.classify(p, serr), cur
-			}
-			cur = nc
-		}
-		return rankDone{err: fmt.Errorf("serve: barrier recovery did not converge")}, cur
+	nc, err := chaos.RunVerified(op.ctx, cur, op.req.Kind, op.req.Seed, op.req.Size, mpi.Adaptive)
+	if err != nil {
+		return t.classify(p, err), nc
 	}
+	return rankDone{completed: true, group: nc.Group()}, nc
 }
 
-// classify sorts a per-rank op error into the report taxonomy, mirroring
-// the chaos harness's expected-exclusion rule: crashes, self-failure
-// (e.g. the world declared this rank corrupting) and shrink-refusals are
-// legitimate exclusions — the rank is dead or out of the membership, and
-// the op itself may well have completed on the survivors. Anything else
-// (hangs above all) is a real failure, charged to the tenant's breaker.
+// classify sorts a per-rank op error into the report taxonomy on the
+// runtime's one exclusion rule (mpi.Classify): a rank that crashed, was
+// fenced out or saw recovery refuse or run out is a legitimate exclusion —
+// it is dead or out of the membership, and the op itself may well have
+// completed on the survivors. What is the serve layer's own: the partition
+// counters, and the World.Failed() scan for a rank marked failed while still
+// running (e.g. declared corrupting), whatever its error looks like.
+// Anything else (hangs above all) is a real failure, charged to the tenant's
+// breaker.
 func (t *Tenant) classify(p *mpi.Proc, err error) rankDone {
-	if fault.IsCrashed(err) {
+	kind := mpi.Classify(err)
+	switch kind {
+	case mpi.OutcomeCrashed:
 		return rankDone{excluded: true, crashed: true}
-	}
-	// Partition before the Failed() scan: a fenced minority rank is ALSO
-	// marked failed by the majority's quorum decision, and the more
-	// specific classification must win so the isolation counters see it.
-	if partition.IsPartition(err) || partition.IsFenced(err) {
-		// The rank's island lost the quorum decision: it is permanently
-		// out of the membership (fenced at the transport boundary), and
-		// the op itself completes on the majority component. Isolation
-		// accounting, not tenant health.
+	case mpi.OutcomePartitioned:
+		// Before the Failed() scan: a fenced minority rank is ALSO marked
+		// failed by the majority's quorum decision, and the more specific
+		// classification must win so the isolation counters see it. The rank
+		// is permanently out of the membership and the op itself completes
+		// on the majority component: isolation accounting, not tenant health.
 		t.cPartition.Add(1)
 		t.srv.metrics.Counter("serve.partition_errors").Add(1)
 		t.srv.metrics.Gauge(fmt.Sprintf("serve.tenant.%d.partition.epoch", t.id)).
 			Set(float64(t.world.PartitionEpoch()))
 		return rankDone{excluded: true, crashed: true}
 	}
-	for _, r := range t.world.Failed() {
-		if r == p.Rank() {
-			// Marked failed while still running: permanently out. The
-			// crashed flag makes the rank loop drain later ops instead
-			// of re-failing each one.
-			return rankDone{excluded: true, crashed: true}
-		}
+	if slices.Contains(t.world.Failed(), p.Rank()) {
+		// Marked failed while still running: permanently out. The crashed
+		// flag makes the rank loop drain later ops instead of re-failing
+		// each one.
+		return rankDone{excluded: true, crashed: true}
 	}
-	if mpi.IsCorruption(err) || mpi.IsRankFailure(err) {
-		// Persistent corruption/failure that exhausted recovery on this
-		// rank: excluded from the result, not a tenant-health signal.
-		return rankDone{excluded: true}
-	}
-	s := err.Error()
-	if strings.Contains(s, "cannot recover") || strings.Contains(s, "cannot shrink") ||
-		strings.Contains(s, "nothing to shrink") {
+	if kind == mpi.OutcomeExcluded {
 		return rankDone{excluded: true}
 	}
 	return rankDone{err: err}
