@@ -133,8 +133,8 @@ func (st *commState) invalidatePlans() {
 	}
 }
 
-// Free releases the communicator's cached resources: the distance view
-// and topologies held by the communicator state and every compiled plan in
+// Free releases the communicator's cached resources: the distance view,
+// topologies and auxiliary slab held by the communicator state and every compiled plan in
 // the world's cache keyed by its topology. Collectives on other
 // communicators with a *different* member placement are unaffected (their
 // plans hash to different topologies). Using the handle after Free simply
@@ -148,5 +148,6 @@ func (c *Comm) Free() {
 	st.view = nil
 	st.topoHashed = false
 	st.healthSnap = nil
+	st.slab = nil
 	st.mu.Unlock()
 }

@@ -83,8 +83,9 @@ func (c *Comm) AgreeContext(ctx context.Context) ([]int, error) {
 	desc := blockDesc{kind: blockAgree, comm: st.id, a: seq}
 	w.blockEnter(me, desc)
 	defer w.blockExit(me)
-	timeoutC, stop := w.watchdog()
-	defer stop()
+	var dog watchdog
+	timeoutC := dog.arm(w.opDeadline)
+	defer dog.disarm()
 
 	for {
 		// A member the quorum decision left in a minority component must

@@ -27,14 +27,21 @@ func TestAgreeContextCancelMidClosure(t *testing.T) {
 		close(canceled)
 	}()
 	var (
-		mu      sync.Mutex
-		results [][]int
+		mu       sync.Mutex
+		results  [][]int
+		returned sync.WaitGroup // the two canceled calls are over
 	)
+	returned.Add(2)
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 2 {
+			// Not before both canceled calls returned: arriving while one is
+			// still between its arrival and its first wait would close the
+			// round under it, and it would adopt the result.
 			<-canceled
+			returned.Wait()
 		} else {
 			_, aerr := p.Comm().AgreeContext(ctx)
+			returned.Done()
 			var he *HangError
 			if !errors.As(aerr, &he) {
 				t.Errorf("rank %d canceled AgreeContext = %v, want HangError", p.Rank(), aerr)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -54,21 +55,25 @@ const (
 )
 
 // collPlan is the shared execution state of one collective: the compiled
-// schedule, the real backing buffers, KNEM cookies, and the executor's
-// completion state. Cookie cleanup is handled by a reaper: the LAST member to leave
-// execute force-destroys every region, which works on the success path and
-// on every abandonment path (failure, watchdog timeout, crash) alike,
-// since even a crashing member leaves execute.
+// schedule, the real backing buffers, KNEM cookies, the executor's
+// completion state, and the completion barrier, whose last leaver cleans up
+// — on every abandonment path (failure, watchdog timeout, crash) as on
+// success, since even a crashing member leaves.
 type collPlan struct {
 	s       *sched.Schedule
 	op      string // collective name for trace attribution
 	id      int64  // world-unique plan id
 	bufs    [][]byte
 	cookies []knem.Cookie
+	slab    []byte // backs the auxiliary buffers; the communicator's own up to slabCap
 	prog    exec.Progress
-	world   *World
-	members int
+
+	// The completion barrier (Comm.leave): a member votes its local failure
+	// into err (first wins) and counts in leavers; the last decides verdict.
 	leavers atomic.Int32
+	err     atomic.Pointer[error]
+	done    atomic.Int64
+	verdict error
 
 	// End-to-end digests under the descriptor's digest rule (set only when
 	// integrity verification is on): the broadcast origin's payload digest,
@@ -86,34 +91,12 @@ type collPlan struct {
 	exact bool
 }
 
-// notePlanCache emits the Adaptive component's plan_cache event for this
-// plan, tying the selector's decision to the plan id so the trace carries
-// the decision → measured-duration correlation. A nil ad (any fixed
-// component) is a no-op.
-func (p *collPlan) notePlanCache(ad *adecision) {
-	if ad == nil {
-		return
-	}
-	p.world.tracer.PlanCache(string(ad.coll), p.id, ad.bytes, ad.dec.String(), ad.hit)
-}
-
-// reap releases every KNEM region of the plan. Called exactly once, by the
-// last member to leave execute, so no member can still be mid-copy.
-func (p *collPlan) reap() {
-	if p.world == nil {
-		return
-	}
-	for _, cookie := range p.cookies {
-		p.world.dev.ForceDestroy(cookie)
-	}
-	p.world.tracer.PlanReap(p.id, len(p.cookies))
-}
-
 // emptyPlan is the no-op plan for zero-byte collectives.
-func (st *commState) emptyPlan(op string, n int) *collPlan {
-	s := sched.New(n)
-	idx, _ := s.Index() // an op-less schedule over n ≥ 1 ranks is valid
-	return &collPlan{s: s, op: op, prog: exec.NewProgress(idx, st.wake), world: st.world, members: len(st.group)}
+func (st *commState) emptyPlan(op string) *collPlan {
+	if st.emptyIdx == nil {
+		st.emptyIdx, _ = sched.New(len(st.group)).Index() // an op-less schedule over n ≥ 1 ranks is valid
+	}
+	return &collPlan{s: st.emptyIdx.Schedule(), op: op, prog: exec.NewProgress(st.emptyIdx, st.wake)}
 }
 
 // newPlan checks the schedule (once per schedule object: Index memoises
@@ -136,8 +119,6 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 		bufs:    make([][]byte, len(s.Buffers)),
 		cookies: make([]knem.Cookie, len(s.Buffers)),
 		prog:    exec.NewProgress(idx, st.wake),
-		world:   st.world,
-		members: len(st.group),
 	}
 	var aux int64
 	for i, spec := range s.Buffers {
@@ -151,9 +132,16 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 			aux += spec.Bytes
 		}
 	}
-	// One slab for all auxiliary buffers: a rank-based baseline stages
-	// through a bounce buffer per send, thousands per plan.
-	slab := make([]byte, aux)
+	// One slab for all auxiliary buffers (a rank-based baseline stages
+	// through a bounce buffer per send, thousands per plan): the
+	// communicator's, until the last leaver hands it back.
+	if aux > 0 && aux <= slabCap {
+		plan.slab, st.slab = st.slab, nil
+	}
+	if int64(cap(plan.slab)) < aux {
+		plan.slab = make([]byte, aux)
+	}
+	slab := plan.slab[:aux]
 	for i, spec := range s.Buffers {
 		if plan.bufs[i] == nil {
 			plan.bufs[i], slab = slab[:spec.Bytes:spec.Bytes], slab[spec.Bytes:]
@@ -165,28 +153,40 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 }
 
 // runPlan executes this member's share of the plan with its arguments a
-// and synchronizes completion. A member that crashed must NOT join the
-// completion barrier: it is dead, and its absence is precisely what tells
-// the survivors to fail over. The end-to-end digest check runs after this
-// member's share but before the rendezvous, and its verdict is deposited
-// INTO it: the completion barrier doubles as an agreement on the outcome,
-// so either every member observes the digest failure or none does —
-// otherwise the one rank that detected corruption would retry while the
-// others moved on.
+// (exec's one executor, the member's slot as its hooks) and leaves through
+// the completion barrier. The end-to-end digest check runs in between, and
+// its verdict is voted INTO the barrier: leaving doubles as an agreement on
+// the outcome, so either every member observes the digest failure or none
+// does — otherwise the one rank that detected corruption would retry while
+// the others moved on.
 func (c *Comm) runPlan(plan *collPlan, a *collArgs) error {
-	finishBracket := c.opBracket(plan)
-	err := c.execute(plan, a)
-	if fault.IsCrashed(err) {
-		finishBracket(err)
-		return err
+	st := c.state
+	m := &st.mem[c.rank]
+	m.c, m.plan, m.wr, m.a = c, plan, st.group[c.rank], a
+	var t0 time.Time
+	if tr := st.world.tracer; tr.Enabled() {
+		// Copy events carry the distance class of the edge they crossed,
+		// read from the base view in O(1).
+		m.dist = st.baseView()
+		tr.OpBegin(plan.op, plan.id, c.rank, plan.s.TotalCopiedBytes())
+		t0 = time.Now()
 	}
+	err := plan.prog.RunRank(c.rank, m)
 	if err == nil {
 		err = c.verify(plan, a)
 	}
-	if ferr := c.finish(plan, err); err == nil {
-		err = ferr
+	// A finished call leaves nothing in the slot but a landing buffer, and
+	// that only up to the largest pipeline chunk: a bigger one (an
+	// unpipelined reduce of a large message) would be payload-sized memory
+	// held between calls.
+	m.plan, m.a, m.dist = nil, nil, nil
+	if cap(m.scratch) > core.PipelineMaxChunk {
+		m.scratch = nil
 	}
-	finishBracket(err)
+	if verdict := c.leave(plan, err); err == nil {
+		err = verdict
+	}
+	c.opEnd(plan, t0, err)
 	return err
 }
 
@@ -237,47 +237,11 @@ func (c *Comm) verifyDigests(plan *collPlan, a *collArgs) error {
 	return nil
 }
 
-// opBracket emits the OpBegin event for this member and returns the
-// closure emitting the matching OpEnd with the measured duration. On the
-// disabled tracer both halves are no-ops.
-func (c *Comm) opBracket(plan *collPlan) func(error) {
-	tr := c.state.world.tracer
-	if !tr.Enabled() {
-		return func(error) {}
-	}
-	tr.OpBegin(plan.op, plan.id, c.rank, plan.s.TotalCopiedBytes())
-	t0 := time.Now()
-	return func(err error) {
+// opEnd emits the OpEnd matching runPlan's OpBegin, t0 being its time.
+func (c *Comm) opEnd(plan *collPlan, t0 time.Time, err error) {
+	if tr := c.state.world.tracer; tr.Enabled() {
 		tr.OpEnd(plan.op, plan.id, c.rank, time.Since(t0), err)
 	}
-}
-
-// execute runs this member's share of the plan through exec's one executor
-// with the runtime's hooks; the last member to leave reaps the plan.
-func (c *Comm) execute(plan *collPlan, a *collArgs) error {
-	defer func() {
-		if int(plan.leavers.Add(1)) == plan.members {
-			plan.reap()
-		}
-	}()
-	st := c.state
-	m := &st.mem[c.rank]
-	m.c, m.plan, m.wr, m.a = c, plan, st.group[c.rank], a
-	// Copy events carry the distance class of the edge they crossed, read
-	// from the base view in O(1).
-	if st.world.tracer.Enabled() {
-		m.dist = st.baseView()
-	}
-	err := plan.prog.RunRank(c.rank, m)
-	// A finished call leaves nothing in the slot but a landing buffer, and
-	// that only up to the largest pipeline chunk: a bigger one (an
-	// unpipelined reduce of a large message) would be payload-sized memory
-	// held between calls.
-	m.plan, m.a, m.dist = nil, nil, nil
-	if cap(m.scratch) > core.PipelineMaxChunk {
-		m.scratch = nil
-	}
-	return err
 }
 
 // member is one communicator member's run of one plan: the exec.Hooks. It
@@ -286,9 +250,10 @@ type member struct {
 	c       *Comm
 	plan    *collPlan
 	wr      int                 // the member's world rank
-	a       *collArgs           // its arguments: the reduction operator, the progress ledger
+	a       *collArgs           // its arguments, where it deposited them: the reduction operator, the progress ledger
 	scratch []byte              // landing buffer of kernel-assisted reduces (member.move); kept between calls
 	dist    *distance.Clustered // set only while tracing; covers every schedule rank (newPlan)
+	left    atomic.Int64        // generation of the last plan the member left; read by the others' completion waits
 }
 
 // BeforeOp consults the injector. A crash is published to the world (waking
@@ -314,7 +279,7 @@ func (m *member) Perform(o *sched.Op) error {
 		return nil
 	}
 	plan := m.plan
-	tr := plan.world.tracer
+	tr := m.c.state.world.tracer
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now()
@@ -394,10 +359,7 @@ func (m *member) Await(p *exec.Progress, o *sched.Op, d sched.OpID) error {
 func (c *Comm) knemPull(plan *collPlan, wr int, o *sched.Op, dst []byte) error {
 	w := c.state.world
 	cookie, off := plan.cookies[o.Src], o.SrcOff
-	srcW := plan.s.Buffers[o.Src].Rank
-	if srcW >= 0 && srcW < len(c.state.group) {
-		srcW = c.state.group[srcW]
-	}
+	srcW := c.state.group[plan.s.Buffers[o.Src].Rank] // in range: newPlan checked NumRanks
 	if w.integ == nil {
 		return c.transportPull(plan, wr, srcW, cookie, off, dst)
 	}
@@ -502,24 +464,62 @@ func (c *Comm) transportPull(plan *collPlan, wr, srcW int, cookie knem.Cookie, o
 	return fmt.Errorf("mpi: rank %d knem copy failed: %w", wr, err)
 }
 
-// finish is the completion barrier: no member may return (and reuse its
-// buffers) before every member has stopped copying. It is failure-aware —
-// a member that crashed mid-collective never arrives, so the survivors get
-// a RankFailureError here even when their own copies all succeeded.
-//
-// Each member deposits its local outcome (nil, or the execution/digest
-// error it hit), and the rendezvous resolves them to ONE verdict shared
-// by all members: if any member failed, every member returns that error.
-// A collective either completed everywhere or failed everywhere — the
-// uniformity the resilient retry loops rely on.
-func (c *Comm) finish(plan *collPlan, local error) error {
-	_, _, err := c.coordinate(local, func(vals []any) (any, error) {
-		for _, v := range vals {
-			if e, ok := v.(error); ok && e != nil {
-				return nil, e
-			}
-		}
-		return nil, nil
-	})
-	return err
+// leave is the completion barrier: no member may return (and reuse its
+// buffers) before every member has stopped copying. Each member votes its
+// local outcome, and the last to leave resolves the votes to ONE verdict for
+// all: if any member failed, every member returns that error — the
+// uniformity the resilient retry loops rely on. A member that crashed, or
+// that the quorum decision left out, must NOT vote: its absence is what
+// fails the survivors over, even when their own copies all succeeded.
+func (c *Comm) leave(plan *collPlan, local error) error {
+	st := c.state
+	gen := st.seqs[c.rank] // the plan's generation: the member's own entry, which only it advances
+	out := local           // what a member leaving without a vote returns: its crash, or its PartitionError
+	if !fault.IsCrashed(local) {
+		out = st.world.partitionGate(st.group[c.rank])
+	}
+	if out != nil {
+		st.setBroken()
+	} else if local != nil {
+		vote := local
+		plan.err.CompareAndSwap(nil, &vote)
+	}
+	st.mem[c.rank].left.Store(gen)
+	if int(plan.leavers.Add(1)) == len(st.group) {
+		st.closePlan(plan, gen)
+	} else if out == nil {
+		desc := blockDesc{kind: blockSync, comm: st.id, a: int(gen)}
+		out = c.await(context.Background(), desc, &plan.done, 1,
+			func(i int) bool { return st.mem[i].left.Load() >= gen })
+	}
+	if out != nil {
+		return out
+	}
+	return plan.verdict
+}
+
+// closePlan is the last leaver's half, the one point where no member can
+// still be mid-copy: release every KNEM region, decide the verdict (under
+// the lock a waiter gives up on a broken communicator under: the two agree
+// on which came first), hand the slab back after a clean call, clear the record.
+func (st *commState) closePlan(plan *collPlan, gen int64) {
+	for _, cookie := range plan.cookies {
+		st.world.dev.ForceDestroy(cookie)
+	}
+	st.world.tracer.PlanReap(plan.id, len(plan.cookies))
+	failed, _ := st.world.failureWatch()
+	st.mu.Lock()
+	if st.broken {
+		plan.verdict = &RankFailureError{Failed: deadIn(failed, st.group)}
+	} else if vote := plan.err.Load(); vote != nil {
+		plan.verdict = *vote
+	} else if plan.slab != nil && cap(plan.slab) <= slabCap {
+		st.slab = plan.slab
+	}
+	rv := &st.rv[gen&1]
+	rv.plan = nil
+	clear(rv.args)
+	plan.done.Store(1)
+	st.mu.Unlock()
+	st.wakeAll()
 }

@@ -39,7 +39,7 @@ type collective struct {
 	// does not compile), also counting the missing pieces. A descriptor
 	// without them recovers by restart.
 	ledger string
-	repair func(c *Comm, vals []any, unit int64) (s *sched.Schedule, missing int)
+	repair func(c *Comm, args []collArgs, unit int64) (s *sched.Schedule, missing int)
 }
 
 // role binds one named schedule buffer to a caller buffer.
@@ -128,10 +128,9 @@ func collectiveByName(name string) *collective {
 // (tune.AlltoallHierarchicalLimit, where the compiler reads it).
 const AlltoallHierarchicalLimit = tune.AlltoallHierarchicalLimit
 
-// collArgs is one member's contribution to a collective: the value it
-// deposits at the plan-building rendezvous, where the last arriver reads
-// every member's in place, and what the member then runs its share of the
-// plan with. Immutable once deposited.
+// collArgs is one member's contribution to a collective: what it deposits
+// by copy in the rendezvous record, where the last arriver reads every
+// member's in place and the member runs its share of the plan off its own.
 type collArgs struct {
 	d          *collective
 	send, recv []byte
@@ -168,20 +167,17 @@ func (d *collective) bound(a *collArgs, name string, isRoot bool) []byte {
 // a member (before the zero-size shortcut); every role's buffer has the
 // length the unit implies, on every rank it is bound on; a reduction's
 // buffers hold whole elements. It returns the unit size.
-func (d *collective) check(vals []any) (int64, error) {
-	n := int64(len(vals))
-	var a0 *collArgs
-	for _, v := range vals {
-		a, ok := v.(*collArgs)
-		if !ok || a.d != d {
-			return 0, fmt.Errorf("mpi: %s coordination corrupted", d.name)
-		}
-		if a0 == nil {
-			a0 = a
-		}
-		if a.root != a0.root || a.comp != a0.comp || a.op.Name != a0.op.Name || a.recovering != a0.recovering {
+func (d *collective) check(args []collArgs) (int64, error) {
+	n := int64(len(args))
+	a0 := &args[0]
+	for i := range args {
+		a := &args[i]
+		if a.d != d || a.root != a0.root || a.comp != a0.comp || a.op.Name != a0.op.Name || a.recovering != a0.recovering {
 			return 0, d.mismatch()
 		}
+	}
+	if len(d.roles) == 0 {
+		return 0, nil // a barrier
 	}
 	if d.rooted && (a0.root < 0 || int64(a0.root) >= n) {
 		return 0, fmt.Errorf("mpi: %s root %d out of range", d.name, a0.root)
@@ -196,8 +192,8 @@ func (d *collective) check(vals []any) (int64, error) {
 	if elem := a0.op.ElemSize; elem > 1 && unit%elem != 0 {
 		return 0, fmt.Errorf("mpi: %s buffer of %d bytes is not a multiple of element size %d", d.name, unit, elem)
 	}
-	for i, v := range vals {
-		a := v.(*collArgs)
+	for i := range args {
+		a := &args[i]
 		for ri := range d.roles {
 			r := &d.roles[ri]
 			if r.atRoot && i != a0.root {
@@ -233,33 +229,28 @@ func (d *collective) mismatch() error {
 
 // digests computes the end-to-end digests a plan carries, from the clean
 // source buffers before any byte moves.
-func (d *collective) digests(vals []any, root int) []uint32 {
+func (d *collective) digests(args []collArgs, root int) []uint32 {
 	switch d.digest {
 	case digestRoot:
-		return []uint32{integrity.Digest(vals[root].(*collArgs).recv)}
+		return []uint32{integrity.Digest(args[root].recv)}
 	case digestSegments:
-		out := make([]uint32, len(vals))
-		for i, v := range vals {
-			out[i] = integrity.Digest(v.(*collArgs).send)
+		out := make([]uint32, len(args))
+		for i := range args {
+			out[i] = integrity.Digest(args[i].send)
 		}
 		return out
 	}
 	return nil
 }
 
-// run is the one call path of every collective: deposit the arguments,
-// let the last arriver build the shared plan, execute this member's share
-// and vote on the outcome.
+// run is the one call path of every collective: deposit the arguments, let
+// the last arriver build the shared plan, run this member's share of it.
 func (c *Comm) run(ctx context.Context, a collArgs) error {
-	if len(a.d.roles) == 0 { // barrier
-		_, _, err := c.coordinateCtx(ctx, nil, nil)
+	rv, err := c.coordinate(ctx, func(rv *rendezvous) { rv.args[c.rank] = a }, c.buildPlan)
+	if err != nil || rv.plan == nil { // no plan: a barrier, and the rendezvous was all of it
 		return err
 	}
-	_, result, err := c.coordinateCtx(ctx, &a, c.buildPlan)
-	if err != nil {
-		return err
-	}
-	return c.runPlan(result.(*collPlan), &a)
+	return c.runPlan(rv.plan, &rv.args[c.rank])
 }
 
 // buildPlan is the plan-building rendezvous, run exactly once per
@@ -267,42 +258,47 @@ func (c *Comm) run(ctx context.Context, a collArgs) error {
 // check the arguments, pick the schedule (selector or fixed component,
 // through the plan cache) — after a shrink, the cheaper of that and a delta
 // repair over the merged ledgers — and bind the caller buffers to it.
-func (c *Comm) buildPlan(vals []any) (any, error) {
-	d := vals[c.rank].(*collArgs).d // the builder's own deposit
-	unit, err := d.check(vals)
+func (c *Comm) buildPlan(rv *rendezvous) error {
+	args := rv.args
+	d := args[c.rank].d // the builder's own deposit
+	unit, err := d.check(args)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if len(d.roles) == 0 {
+		return nil
 	}
 	if unit == 0 {
-		return c.state.emptyPlan(d.name, len(vals)), nil
+		rv.plan = c.state.emptyPlan(d.name)
+		return nil
 	}
-	a0 := vals[0].(*collArgs)
+	a0 := &args[0]
 	root := a0.root
 	full, ad, err := c.schedule(d, a0.comp, root, unit, a0.op.ElemSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s, op, mode, missing := full, d.name, "", 0
 	if a0.recovering {
-		s, mode, missing = c.chooseRecovery(d, vals, full, unit)
+		s, mode, missing = c.chooseRecovery(d, args, full, unit)
 		if mode == recoverRepair {
 			op += ".repair"
 		}
 	}
 	plan, err := c.state.newPlan(op, s, func(rank int, name string) []byte {
-		return d.bound(vals[rank].(*collArgs), name, rank == root)
+		return d.bound(&args[rank], name, rank == root)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if a0.recovering {
 		moved, fullBytes := s.TotalCopiedBytes(), full.TotalCopiedBytes()
 		c.state.world.tracer.Recovery(d.name, mode, missing, moved, fullBytes, fullBytes-moved)
-	} else {
-		plan.notePlanCache(ad)
+	} else if ad != nil { // the selector decided: tie its decision to the plan id the op_end events will carry
+		c.state.world.tracer.PlanCache(string(ad.coll), plan.id, ad.bytes, ad.dec.String(), ad.hit)
 	}
 	if c.state.world.e2eEnabled() {
-		plan.digests = d.digests(vals, root)
+		plan.digests = d.digests(args, root)
 	}
 	// Per-op ledger marks are exact only where the schedule copies straight
 	// between caller buffers at true payload offsets: the distance-aware
@@ -310,7 +306,8 @@ func (c *Comm) buildPlan(vals []any) (any, error) {
 	// bounce buffers, so for them the whole result is marked held only
 	// after the end-to-end digests verify (Comm.verify).
 	plan.exact = a0.comp == KNEMColl || mode == recoverRepair
-	return plan, nil
+	rv.plan = plan
+	return nil
 }
 
 // Bcast broadcasts the root's buffer to every member. All members must

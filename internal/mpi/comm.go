@@ -1,15 +1,17 @@
 package mpi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distcoll/internal/distance"
 	"distcoll/internal/health"
+	"distcoll/internal/sched"
 	"distcoll/internal/tune"
 )
 
@@ -21,25 +23,32 @@ type commState struct {
 
 	mu sync.Mutex
 
-	// seqs[commRank] counts collectives issued by that member, guarded by
-	// mu; members invoke collectives in the same order (the MPI rule), so
-	// equal seq values identify the same logical collective.
-	seqs  []int
-	slots map[int]*collSlot
+	// seqs[commRank] counts the rendezvous that member has arrived at,
+	// guarded by mu; members invoke collectives in the same order (the MPI
+	// rule), so equal values identify the same logical collective, its
+	// generation. rv: the two generations that can be live at once, by seq&1.
+	seqs []int64
+	rv   [2]rendezvous
 
-	// Per-member parking state, indexed by communicator rank and created
-	// with the communicator. wake is the member's channel in the executor's
-	// wake protocol (exec.Progress): capacity 1, reused by every collective
-	// on the communicator. dogs is the member's watchdog timer, re-armed per
-	// blocking wait instead of allocated; only the member's own goroutine
-	// touches it.
+	// Per-member parking state by communicator rank, created with the
+	// communicator. wake is the member's channel in the one wake protocol
+	// (exec.Progress's): capacity 1, shared by every rendezvous, dependency
+	// and completion wait. dogs is its watchdog timer, re-armed per wait.
 	wake []chan struct{}
 	dogs []watchdog
 	// mem is the member's execution slot: the exec.Hooks value of the
-	// collective it is running, filled in place by Comm.execute. Between
-	// calls it holds nothing but the landing buffer of kernel-assisted
-	// reduces, so a warm reduction allocates none.
+	// collective it is running, filled in place by Comm.runPlan. Between
+	// calls it holds only the landing buffer of kernel-assisted reduces.
 	mem []member
+
+	// slab backs the next plan's auxiliary buffers. One owner at a time: the
+	// communicator between calls, the plan from newPlan until its last
+	// member hands it back (closePlan). Never cleared: no schedule reads an
+	// auxiliary byte before writing it. emptyIdx is every zero-byte plan's
+	// op-less schedule. Only plan builders and last leavers touch either,
+	// and the rendezvous orders those.
+	slab     []byte
+	emptyIdx *sched.Index
 
 	// Agreement rounds use their own sequence space and slots: Agree must
 	// run on a broken communicator, below the fail-fast collective path.
@@ -57,8 +66,7 @@ type commState struct {
 	// topology, member cores), O(n) state on one machine as on a cluster,
 	// built on first use — so a world, split or shrunken communicator all
 	// derive it the same way and nothing in the runtime holds an O(n²)
-	// matrix. Process placement is fixed for a communicator's lifetime;
-	// the trees, rings and schedules built over the view live in the
+	// matrix. The trees, rings and schedules built over it live in the
 	// world's plan cache and nowhere else (the §V-B overhead concern).
 	// Guarded by mu.
 	view *distance.Clustered
@@ -91,8 +99,7 @@ func newCommState(w *World, group []int) *commState {
 		world:      w,
 		id:         w.ncomm.Add(1),
 		group:      group,
-		seqs:       make([]int, len(group)),
-		slots:      make(map[int]*collSlot),
+		seqs:       make([]int64, len(group)),
 		wake:       make([]chan struct{}, len(group)),
 		dogs:       make([]watchdog, len(group)),
 		mem:        make([]member, len(group)),
@@ -101,6 +108,9 @@ func newCommState(w *World, group []int) *commState {
 	}
 	for i := range st.wake {
 		st.wake[i] = make(chan struct{}, 1)
+	}
+	for i := range st.rv {
+		st.rv[i].args = make([]collArgs, len(group))
 	}
 	return st
 }
@@ -151,11 +161,8 @@ func (wd *watchdog) disarm() {
 func (st *commState) setBroken() {
 	st.mu.Lock()
 	st.broken = true
-	hashed, topo := st.topoHashed, st.topoHash
 	st.mu.Unlock()
-	if hashed {
-		st.world.plans.InvalidateTopoOf(topo, st.world.tenant)
-	}
+	st.invalidatePlans()
 }
 
 // baseViewLocked returns the communicator's own distance view, computing
@@ -227,15 +234,25 @@ func (st *commState) viewLocked() distance.View {
 	return base
 }
 
-// collSlot synchronizes one collective call across the communicator.
-type collSlot struct {
-	vals      []any
-	arrivedBy []bool
-	arrived   int
-	left      int
-	ready     chan struct{}
-	result    any
-	err       error
+// slabCap is the most a communicator keeps; a plan needing more allocates.
+const slabCap = 1 << 20
+
+// rendezvous is the record of one generation (from 1) of a communicator's
+// meeting point (DESIGN.md §17). Two suffice: a member arrives at g+2 only
+// after g+1 closed, so after every member arrived at g+1 and is done with g.
+// Guarded by commState.mu until the generation closes, read-only after.
+type rendezvous struct {
+	arrived int          // back to 0 when the last member arrives
+	closed  atomic.Int64 // the last generation closed here: stored by its last arriver, who then wakes the others
+
+	// Typed deposits by communicator rank. A member runs its share of the
+	// plan off its collArgs here (member.a); the last leaver clears them,
+	// so a finished call pins no caller buffer. The first Split makes splits.
+	args   []collArgs
+	splits []splitSpec
+
+	plan *collPlan // what the last arriver built; nil for a barrier or split
+	err  error     // or the error every member returns
 }
 
 // Comm is one process's handle on a communicator. The per-member sequence
@@ -274,90 +291,86 @@ func (c *Comm) Broken() bool {
 	return c.state.broken
 }
 
-// coordinate deposits val, blocks until every member arrived, and returns
-// all members' values plus a result computed exactly once (by the last
-// arriver) from the full value set. A nil build yields a nil result.
-//
-// The wait is failure-aware and watchdogged: if a member that has not yet
-// arrived is marked failed, the rendezvous can never complete, so every
-// waiter returns a RankFailureError and the communicator is marked broken;
-// if the world's op deadline expires first, the waiter returns a HangError
-// with the blocked-rank dump. Detection is event-driven (the world's
-// failure channel), never polled.
-func (c *Comm) coordinate(val any, build func(vals []any) (any, error)) ([]any, any, error) {
-	return c.coordinateCtx(context.Background(), val, build)
-}
-
-// coordinateCtx is coordinate with a caller-supplied deadline for the
-// wait phase: a ctx that expires before the rendezvous completes
-// returns a HangError, like the watchdog. The deposited value stays —
-// the remaining members can still close the rendezvous without the
-// abandoning caller.
-func (c *Comm) coordinateCtx(ctx context.Context, val any, build func(vals []any) (any, error)) ([]any, any, error) {
+// coordinate is the communicator's one rendezvous, behind every collective,
+// Barrier and Split: deposit this member's typed value into the generation's
+// record (under the communicator lock), block until every member arrived
+// (await), and return the record, whose result build computed exactly once,
+// on the last arriver, from all deposits. The deposit of a member that gave
+// up waiting (watchdog, ctx) stays, so the others can still close the
+// generation; until they have it is out of step, and its next call fails
+// fast before depositing anything.
+func (c *Comm) coordinate(ctx context.Context, deposit func(*rendezvous), build func(*rendezvous) error) (*rendezvous, error) {
 	st := c.state
 	w := st.world
-	n := len(st.group)
 	wr := st.group[c.rank]
 
-	// Partition gate first: a caller the quorum decision left outside
-	// the surviving component fails with its PartitionError, never with
-	// the generic broken-communicator error — and the gate's probe
-	// cadence is what bounds detection for workloads that move no
-	// payload bytes.
+	// Partition gate first: a caller the quorum decision left out fails with
+	// its PartitionError, never the generic broken-communicator error — and
+	// the gate's probe cadence bounds detection when no payload bytes move.
 	if err := w.partitionGate(wr); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
+	// The broken check and the arrival share one critical section (await).
 	st.mu.Lock()
 	if st.broken {
 		st.mu.Unlock()
 		failed, _ := w.failureWatch()
-		return nil, nil, &RankFailureError{Failed: deadIn(failed, st.group)}
+		return nil, &RankFailureError{Failed: deadIn(failed, st.group)}
 	}
-	seq := st.seqs[c.rank]
-	st.seqs[c.rank]++
-	slot, ok := st.slots[seq]
-	if !ok {
-		slot = &collSlot{vals: make([]any, n), arrivedBy: make([]bool, n), ready: make(chan struct{})}
-		st.slots[seq] = slot
+	gen := st.seqs[c.rank] + 1
+	if prev := &st.rv[(gen-1)&1]; prev.closed.Load() != gen-1 {
+		st.mu.Unlock()
+		desc := blockDesc{kind: blockSync, comm: st.id, a: int(gen - 1)}
+		return nil, &HangError{Rank: wr, Op: desc.String() + " (out of step: abandoned, still open)", Deadline: w.opDeadline, Dump: w.BlockedDump()}
 	}
-	slot.vals[c.rank] = val
-	slot.arrivedBy[c.rank] = true
-	slot.arrived++
-	last := slot.arrived == n
+	st.seqs[c.rank] = gen
+	rv := &st.rv[gen&1]
+	deposit(rv)
+	rv.arrived++
+	last := rv.arrived == len(st.group)
+	if last {
+		rv.arrived = 0
+	}
 	st.mu.Unlock()
 
 	if last {
-		if build != nil {
-			slot.result, slot.err = build(slot.vals)
-		}
-		close(slot.ready)
-	} else if err := c.awaitSlot(ctx, slot, seq, wr); err != nil {
-		return nil, nil, err
+		rv.plan = nil
+		rv.err = build(rv)
+		rv.closed.Store(gen)
+		st.wakeAll()
+	} else if err := c.await(ctx, blockDesc{kind: blockSync, comm: st.id, a: int(gen)}, &rv.closed, gen,
+		func(i int) bool { return st.seqs[i] >= gen }); err != nil {
+		return nil, err
 	}
-
-	vals, result, err := slot.vals, slot.result, slot.err
-	st.mu.Lock()
-	slot.left++
-	if slot.left == n {
-		delete(st.slots, seq)
-	}
-	st.mu.Unlock()
-	return vals, result, err
+	return rv, rv.err
 }
 
-// awaitSlot blocks until the slot's rendezvous completes, a member failure
-// makes completion impossible, the watchdog deadline expires, or the
-// caller's context is done.
-func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) error {
+// wakeAll offers every member a wake token, after the word it checks was stored.
+func (st *commState) wakeAll() {
+	for _, ch := range st.wake {
+		select {
+		case ch <- struct{}{}:
+		default: // a token is already pending; the waiter will re-check
+		}
+	}
+}
+
+// await parks the calling member until word reads want — a rendezvous
+// generation closing (present(i): member i has arrived) or a plan's verdict
+// being published (member i has left it). Check, then park: whoever stores
+// word offers a token afterwards, and a stale token costs one re-check.
+// Failure-aware and watchdogged: when a member that is not present never
+// will be, every waiter returns a RankFailureError and the communicator is
+// broken; when the op deadline or ctx expires first, a HangError with the
+// blocked-rank dump. Event-driven, never polled.
+func (c *Comm) await(ctx context.Context, desc blockDesc, word *atomic.Int64, want int64, present func(i int) bool) error {
+	if word.Load() == want {
+		return nil
+	}
 	st := c.state
 	w := st.world
-	select {
-	case <-slot.ready:
-		return nil
-	default:
-	}
-	desc := blockDesc{kind: blockSync, comm: st.id, a: seq}
+	wr := st.group[c.rank]
 	w.blockEnter(wr, desc)
 	defer w.blockExit(wr)
 	dog := &st.dogs[c.rank]
@@ -366,36 +379,30 @@ func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) e
 	for {
 		failed, failCh := w.failureWatch()
 		st.mu.Lock()
-		var deadWaiting bool
+		if word.Load() == want {
+			st.mu.Unlock()
+			return nil
+		}
+		// A dead member that is not present never will be, nor a live one
+		// on a broken communicator (it fails fast on the broken check). That
+		// check, presence and word's last step share this lock: permanent.
+		stuck := false
 		for i, g := range st.group {
-			if failed[g] && !slot.arrivedBy[i] {
-				deadWaiting = true
+			if stuck = (failed[g] || st.broken) && !present(i); stuck {
+				st.broken = true
 				break
 			}
 		}
-		// A broken communicator with members still missing can never
-		// complete either: a member that detected corruption (or any
-		// failure) left the collective without arriving, and every member
-		// yet to arrive will fail fast at the coordinate entry check. The
-		// entry check and arrival share one critical section, so observing
-		// broken with arrivals outstanding is permanent.
-		if !deadWaiting && st.broken && slot.arrived < len(st.group) {
-			deadWaiting = true
-		}
-		if deadWaiting {
-			st.broken = true
-			st.mu.Unlock()
-			// A caller the quorum decision fenced reports its partition
-			// verdict, not the generic failure the majority sees.
+		st.mu.Unlock()
+		if stuck {
+			// A fenced caller reports its partition verdict instead.
 			if perr := w.partitionCheck(wr); perr != nil {
 				return perr
 			}
 			return &RankFailureError{Failed: deadIn(failed, st.group)}
 		}
-		st.mu.Unlock()
 		select {
-		case <-slot.ready:
-			return nil
+		case <-st.wake[c.rank]:
 		case <-failCh:
 		case <-timeoutC:
 			if !dog.expired() {
@@ -404,7 +411,7 @@ func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) e
 			st.mu.Lock()
 			var missing []int
 			for i, g := range st.group {
-				if !slot.arrivedBy[i] {
+				if !present(i) {
 					missing = append(missing, g)
 				}
 			}
@@ -420,8 +427,7 @@ func (c *Comm) awaitSlot(ctx context.Context, slot *collSlot, seq int, wr int) e
 // Barrier blocks until every member has entered it. It returns a
 // RankFailureError if a member died instead of arriving.
 func (c *Comm) Barrier() error {
-	_, _, err := c.coordinate(nil, nil)
-	return err
+	return c.run(context.Background(), collArgs{d: &barrier})
 }
 
 // Shrink builds a new communicator over the surviving members of this
@@ -483,55 +489,58 @@ func (c *Comm) ShrinkContext(ctx context.Context) (*Comm, error) {
 	return &Comm{state: ns, rank: slices.Index(ns.group, me), proc: c.proc}, nil
 }
 
-// splitSpec is the per-rank contribution to a Split.
+// splitSpec is the per-rank contribution to a Split and, in child, the
+// last arriver's answer to it.
 type splitSpec struct {
 	color, key, commRank int
+	child                *commState
 }
 
 // Split partitions the communicator by color; within each new
 // communicator members are ordered by (key, old rank), like MPI_Comm_split.
 // A negative color yields a nil communicator for that member.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	_, result, err := c.coordinate(splitSpec{color: color, key: key, commRank: c.rank},
-		func(vals []any) (any, error) {
-			byColor := make(map[int][]splitSpec)
-			for _, v := range vals {
-				s, ok := v.(splitSpec)
-				if !ok {
-					return nil, fmt.Errorf("mpi: split coordination corrupted")
-				}
-				if s.color >= 0 {
-					byColor[s.color] = append(byColor[s.color], s)
-				}
-			}
-			states := make(map[int]*commState)
-			for color, members := range byColor {
-				sort.Slice(members, func(a, b int) bool {
-					if members[a].key != members[b].key {
-						return members[a].key < members[b].key
-					}
-					return members[a].commRank < members[b].commRank
-				})
-				group := make([]int, len(members))
-				for i, m := range members {
-					group[i] = c.state.group[m.commRank]
-				}
-				states[color] = newCommState(c.state.world, group)
-			}
-			return states, nil
-		})
-	if err != nil {
+	rv, err := c.coordinate(context.Background(), func(rv *rendezvous) {
+		if rv.splits == nil {
+			rv.splits = make([]splitSpec, len(c.state.group))
+		}
+		rv.splits[c.rank] = splitSpec{color: color, key: key, commRank: c.rank}
+	}, c.buildSplit)
+	if err != nil || color < 0 {
 		return nil, err
 	}
-	if color < 0 {
-		return nil, nil
-	}
-	states := result.(map[int]*commState)
-	st := states[color]
-	for newRank, wr := range st.group {
-		if wr == c.state.group[c.rank] {
-			return &Comm{state: st, rank: newRank, proc: c.proc}, nil
+	mine := &rv.splits[c.rank]
+	st := mine.child
+	mine.child = nil // nothing in the parent keeps the child alive
+	return &Comm{state: st, rank: slices.Index(st.group, c.state.group[c.rank]), proc: c.proc}, nil
+}
+
+// buildSplit creates the child communicator of every color, once, on the
+// last arriver.
+func (c *Comm) buildSplit(rv *rendezvous) error {
+	order := make([]*splitSpec, 0, len(rv.splits))
+	for i := range rv.splits {
+		if rv.splits[i].color >= 0 {
+			order = append(order, &rv.splits[i])
 		}
 	}
-	return nil, fmt.Errorf("mpi: rank %d missing from split group", c.rank)
+	slices.SortFunc(order, func(a, b *splitSpec) int {
+		return cmp.Or(cmp.Compare(a.color, b.color), cmp.Compare(a.key, b.key), cmp.Compare(a.commRank, b.commRank))
+	})
+	for len(order) > 0 {
+		k := 1
+		for k < len(order) && order[k].color == order[0].color {
+			k++
+		}
+		group := make([]int, k)
+		for i, m := range order[:k] {
+			group[i] = c.state.group[m.commRank]
+		}
+		child := newCommState(c.state.world, group)
+		for _, m := range order[:k] {
+			m.child = child
+		}
+		order = order[k:]
+	}
+	return nil
 }

@@ -86,7 +86,7 @@ func TestCoordinateCtxStuckRecoveryRendezvous(t *testing.T) {
 	defer cancel()
 	if err := w.Run(func(p *Proc) error {
 		if p.Rank() == 0 {
-			_, _, got = p.Comm().coordinateCtx(ctx, 1, nil)
+			got = p.Comm().run(ctx, collArgs{d: &barrier})
 		}
 		return nil
 	}); err != nil {

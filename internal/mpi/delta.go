@@ -21,7 +21,7 @@ import (
 // schedule over only the missing (rank, chunk) pairs, and picks the cheaper
 // of the two under the des/machine cost model. Members then execute the
 // shared plan through the ordinary verified execution path: per-hop
-// checksums, end-to-end digests and the finish outcome vote all apply to
+// checksums, end-to-end digests and the completion vote all apply to
 // repair traffic exactly as they do to first-run traffic.
 
 // Recovery decision modes, as traced by Tracer.Recovery.
@@ -36,11 +36,11 @@ const (
 // prices the repair below a fresh run; the full restart schedule otherwise
 // — always, for a descriptor without a ledger. missing reports the missing
 // pieces the merged ledgers imply.
-func (c *Comm) chooseRecovery(d *collective, vals []any, full *sched.Schedule, unit int64) (*sched.Schedule, string, int) {
+func (c *Comm) chooseRecovery(d *collective, args []collArgs, full *sched.Schedule, unit int64) (*sched.Schedule, string, int) {
 	if d.repair == nil {
 		return full, recoverRestart, 0
 	}
-	repair, missing := d.repair(c, vals, unit)
+	repair, missing := d.repair(c, args, unit)
 	if repair == nil || !c.repairCheaper(repair, full) {
 		return full, recoverRestart, missing
 	}
@@ -50,12 +50,12 @@ func (c *Comm) chooseRecovery(d *collective, vals []any, full *sched.Schedule, u
 // bcastRepair merges the survivors' chunk ledgers: missing chunks are
 // pulled from the minimum-distance survivors that verifiably hold them.
 // missing counts (rank, chunk) pairs.
-func bcastRepair(c *Comm, vals []any, size int64) (*sched.Schedule, int) {
-	root := vals[0].(*collArgs).root
-	holds := make([]*recovery.IntervalSet, len(vals))
+func bcastRepair(c *Comm, args []collArgs, size int64) (*sched.Schedule, int) {
+	root := args[0].root
+	holds := make([]*recovery.IntervalSet, len(args))
 	var held int64
-	for i, v := range vals {
-		holds[i] = recovery.NewSet(v.(*collArgs).led.Spans())
+	for i := range args {
+		holds[i] = recovery.NewSet(args[i].led.Spans())
 		if i != root {
 			held += holds[i].Total()
 		}
@@ -85,13 +85,13 @@ func bcastRepair(c *Comm, vals []any, size int64) (*sched.Schedule, int) {
 // from its minimum-distance surviving holder. A member holds origin o's
 // segment when its ledger holds the whole block at o's index of the current
 // layout (collArgs.reseat keeps that invariant across shrinks).
-func allgatherRepair(c *Comm, vals []any, block int64) (*sched.Schedule, int) {
-	n := len(vals)
+func allgatherRepair(c *Comm, args []collArgs, block int64) (*sched.Schedule, int) {
+	n := len(args)
 	holds := make([][]bool, n)
 	held := 0
-	for i, v := range vals {
+	for i := range args {
 		holds[i] = make([]bool, n)
-		led := v.(*collArgs).led
+		led := args[i].led
 		for o := range holds[i] {
 			if led.Holds(int64(o)*block, block) {
 				holds[i][o] = true

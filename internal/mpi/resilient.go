@@ -63,8 +63,8 @@ func recoverable(c *Comm, err error) bool {
 }
 
 // retryInPlace reports whether the failed collective should be re-run on
-// the SAME communicator: the error was uniform across members (the finish
-// rendezvous guarantees that) and no member of the group is dead, so
+// the SAME communicator: the error was uniform across members (the completion
+// barrier guarantees that) and no member of the group is dead, so
 // there is no one to shrink away — typically an end-to-end digest
 // mismatch, where a retry re-rolls the data path. With any dead member,
 // recovery must shrink instead.
@@ -80,7 +80,7 @@ func (c *Comm) anyDead() bool {
 
 // retryBudget tracks the in-place rung of the escalation ladder. Every
 // member of the communicator reaches identical decisions (used/max
-// counting) because the finish rendezvous made the triggering error
+// counting) because the completion barrier made the triggering error
 // uniform; only the jittered sleep length differs per rank, which is the
 // point — decorrelated retries keep the re-rolled data paths from
 // re-colliding in lockstep.

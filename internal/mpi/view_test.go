@@ -239,20 +239,20 @@ func TestNoTableClusterCommStaysLinear(t *testing.T) {
 	// the recovery rendezvous runs it.
 	const repairSize = 64 << 10
 	chunk := core.BroadcastChunk(repairSize, 2)
-	vals := make([]any, n)
-	for r := range vals {
+	args := make([]collArgs, n)
+	for r := range args {
 		led := recovery.NewChunkLedger(repairSize)
 		if r/16 == 77 {
 			led.MarkHeld(0, chunk)
 		} else {
 			led.MarkAll()
 		}
-		vals[r] = &collArgs{d: &collectives[opBcast], root: root, led: led}
+		args[r] = collArgs{d: &collectives[opBcast], root: root, led: led}
 	}
 	c := &Comm{state: st, rank: 0}
 	var missing int
 	got = allocatedDuring(func() {
-		_, missing = bcastRepair(c, vals, repairSize)
+		_, missing = bcastRepair(c, args, repairSize)
 	})
 	if want := 16 * 3; missing != want {
 		t.Errorf("repair sees %d missing (rank, chunk) pairs, want %d", missing, want)

@@ -604,16 +604,6 @@ func (w *World) BlockedDump() string {
 	return out
 }
 
-// watchdog returns the timeout channel for one blocking operation (nil —
-// never firing — when the watchdog is disabled) and a stop function.
-func (w *World) watchdog() (<-chan time.Time, func()) {
-	if w.opDeadline <= 0 {
-		return nil, func() {}
-	}
-	t := time.NewTimer(w.opDeadline)
-	return t.C, func() { t.Stop() }
-}
-
 // sortedRanks flattens a rank set into sorted order.
 func sortedRanks(set map[int]bool) []int {
 	out := make([]int, 0, len(set))
@@ -761,9 +751,9 @@ func (p *Proc) Recv(src, tag int) ([]byte, error) {
 				blocked = true
 				w.blockEnter(p.rank, desc)
 				defer w.blockExit(p.rank)
-				var stop func()
-				timeoutC, stop = w.watchdog()
-				defer stop()
+				var dog watchdog
+				timeoutC = dog.arm(w.opDeadline)
+				defer dog.disarm()
 			}
 			failed, failCh := w.failureWatch()
 			if failed[src] {

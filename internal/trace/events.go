@@ -196,7 +196,7 @@ func (t *Tracer) OpEnd(op string, plan int64, rank int, dur time.Duration, err e
 		e.Err = err.Error()
 		t.metrics.Counter("ops.failed").Add(1)
 	} else {
-		t.metrics.Histogram("latency." + op).Observe(dur.Seconds())
+		t.metrics.opLatency(op).Observe(dur.Seconds())
 	}
 	t.emit(e)
 }

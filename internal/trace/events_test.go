@@ -295,3 +295,38 @@ func TestDistClassResolvesWithoutFormatting(t *testing.T) {
 		t.Error("DistClass and Counter disagree on bytes.dist.3 after RemovePrefix")
 	}
 }
+
+// TestOpLatencyResolvesWithoutFormatting: every op_end event looks up its
+// collective's latency histogram, so after first use that must neither
+// format "latency.<op>" nor allocate; the histogram is still the registry's
+// own entry under that name, and RemovePrefix does not leave the lookup
+// holding an orphan.
+func TestOpLatencyResolvesWithoutFormatting(t *testing.T) {
+	tr := New()
+	mx := tr.Metrics()
+	tr.OpEnd("bcast", 1, 0, time.Millisecond, nil)
+	if mx.opLatency("bcast") != mx.Histogram("latency.bcast") {
+		t.Fatal("opLatency and Histogram disagree on latency.bcast")
+	}
+	if got := mx.Histogram("latency.bcast").Count(); got != 1 {
+		t.Errorf("latency.bcast holds %d samples after one op_end, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		mx.opLatency("bcast").Observe(1e-3)
+		mx.opLatency("allgather.repair").Observe(1e-3)
+	}); got != 0 {
+		t.Errorf("warm opLatency allocates %.0f times per pair of lookups, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		tr.OpEnd("bcast", 1, 0, time.Millisecond, nil)
+	}); got != 0 {
+		t.Errorf("a sinkless op_end allocates %.0f times, want 0", got)
+	}
+	mx.RemovePrefix("latency.")
+	if got := mx.opLatency("bcast").Count(); got != 0 {
+		t.Errorf("latency.bcast holds %d samples after RemovePrefix, want a fresh histogram", got)
+	}
+	if mx.opLatency("bcast") != mx.Histogram("latency.bcast") {
+		t.Error("opLatency and Histogram disagree on latency.bcast after RemovePrefix")
+	}
+}

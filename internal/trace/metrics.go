@@ -23,6 +23,9 @@ type Metrics struct {
 	// dist caches DistClass's counters by base, class d at index d+1
 	// (unknown at 0), so the two lookups per copy event format no name.
 	dist map[string]*[distance.Max + 2]*Counter
+	// lat caches opLatency's histograms by op name, so an op_end event
+	// formats no name either.
+	lat map[string]*Histogram
 }
 
 // NewMetrics creates an empty registry.
@@ -32,6 +35,7 @@ func NewMetrics() *Metrics {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		dist:     make(map[string]*[distance.Max + 2]*Counter),
+		lat:      make(map[string]*Histogram),
 	}
 }
 
@@ -171,6 +175,7 @@ func (m *Metrics) RemovePrefix(prefix string) {
 		}
 	}
 	clear(m.dist) // only a cache of counters: DistClass resolves again
+	clear(m.lat)  // likewise, of histograms
 }
 
 // DistClass returns the per-distance-class counter "<base>.dist.<d>"
@@ -252,11 +257,35 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if h, ok = m.hists[name]; ok {
+	return m.histogramLocked(name)
+}
+
+func (m *Metrics) histogramLocked(name string) *Histogram {
+	h, ok := m.hists[name]
+	if !ok {
+		h = newHistogram()
+		m.hists[name] = h
+	}
+	return h
+}
+
+// opLatency returns the per-operation latency histogram "latency.<op>":
+// the registry's own entry under that name, resolved without formatting it
+// after first use.
+func (m *Metrics) opLatency(op string) *Histogram {
+	if m == nil {
+		return nil
+	}
+	m.mu.RLock()
+	h := m.lat[op]
+	m.mu.RUnlock()
+	if h != nil {
 		return h
 	}
-	h = newHistogram()
-	m.hists[name] = h
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h = m.histogramLocked("latency." + op)
+	m.lat[op] = h
 	return h
 }
 
