@@ -16,10 +16,10 @@ func (t *Transport) SendReduce(sender, receiver int, src sched.BufID, srcOff int
 		return 0, fmt.Errorf("baseline: reduce send of %d bytes", bytes)
 	}
 	if sender == receiver {
-		return t.emitRecv(sched.Op{
+		return t.emit(sched.Op{
 			Rank: sender, Kind: sched.OpReduce, Mode: sched.ModeLocal,
 			Src: src, SrcOff: srcOff, Dst: dst, DstOff: dstOff, Bytes: bytes,
-		}, deps), nil
+		}, deps, t.lastRecv), nil
 	}
 	if bytes < t.Config.EagerLimit {
 		// Copy-in to the bounce buffer, combining copy-out.
@@ -28,25 +28,25 @@ func (t *Transport) SendReduce(sender, receiver int, src sched.BufID, srcOff int
 		frags := sched.Chunks(bytes, t.Config.FragmentBytes)
 		var lastOut sched.OpID
 		for _, fr := range frags {
-			in := t.emitSend(sched.Op{
+			in := t.emit(sched.Op{
 				Rank: sender, Mode: sched.ModeShm,
 				Src: src, SrcOff: srcOff + fr[0], Dst: bb, DstOff: fr[0], Bytes: fr[1],
-			}, deps)
-			lastOut = t.emitRecv(sched.Op{
+			}, deps, t.lastSend)
+			lastOut = t.emit(sched.Op{
 				Rank: receiver, Kind: sched.OpReduce, Mode: sched.ModeShm,
 				Src: bb, SrcOff: fr[0], Dst: dst, DstOff: dstOff + fr[0], Bytes: fr[1],
-			}, []sched.OpID{in})
+			}, []sched.OpID{in}, t.lastRecv)
 		}
 		return lastOut, nil
 	}
-	rts := t.emitSend(sched.Op{
+	rts := t.emit(sched.Op{
 		Rank: sender, Mode: sched.ModeKnem,
 		Src: src, SrcOff: srcOff, Dst: src, DstOff: srcOff, Bytes: 0,
-	}, deps)
-	return t.emitRecv(sched.Op{
+	}, deps, t.lastSend)
+	return t.emit(sched.Op{
 		Rank: receiver, Kind: sched.OpReduce, Mode: sched.ModeKnem,
 		Src: src, SrcOff: srcOff, Dst: dst, DstOff: dstOff, Bytes: bytes,
-	}, []sched.OpID{rts}), nil
+	}, []sched.OpID{rts}, t.lastRecv), nil
 }
 
 // CompileTreeReduce compiles a sender-driven reduction up an arbitrary
@@ -231,10 +231,10 @@ func compileAllreduceRecDbl(n int, size int64, cfg TransportConfig) (*sched.Sche
 // SendReduceLocal emits a local combining operation (dst = op(dst, src))
 // on rank's receive chain.
 func (t *Transport) SendReduceLocal(rank int, src sched.BufID, srcOff int64, dst sched.BufID, dstOff int64, bytes int64, deps []sched.OpID) sched.OpID {
-	return t.emitRecv(sched.Op{
+	return t.emit(sched.Op{
 		Rank: rank, Kind: sched.OpReduce, Mode: sched.ModeLocal,
 		Src: src, SrcOff: srcOff, Dst: dst, DstOff: dstOff, Bytes: bytes,
-	}, deps)
+	}, deps, t.lastRecv)
 }
 
 // compileAllreduceRing: rank-order ring reduce-scatter into a working

@@ -47,6 +47,7 @@ type Transport struct {
 	s        *sched.Schedule
 	lastSend []sched.OpID // per rank; -1 = none
 	lastRecv []sched.OpID
+	deps     []sched.OpID // emit's scratch
 	bounce   int
 }
 
@@ -62,30 +63,16 @@ func NewTransport(s *sched.Schedule, cfg TransportConfig) *Transport {
 	return &Transport{Config: cfg, s: s, lastSend: mk(), lastRecv: mk()}
 }
 
-func withChain(deps []sched.OpID, chain sched.OpID) []sched.OpID {
-	out := make([]sched.OpID, 0, len(deps)+1)
-	out = append(out, deps...)
-	if chain >= 0 {
-		out = append(out, chain)
+// emit appends op after deps and after the rank's previous op on the given
+// chain (t.lastSend or t.lastRecv), which it then heads.
+func (t *Transport) emit(op sched.Op, deps, chain []sched.OpID) sched.OpID {
+	t.deps = append(t.deps[:0], deps...)
+	if last := chain[op.Rank]; last >= 0 {
+		t.deps = append(t.deps, last)
 	}
-	return out
-}
-
-// emitSend appends a send-side op, chained after the rank's previous
-// send-side op.
-func (t *Transport) emitSend(op sched.Op, deps []sched.OpID) sched.OpID {
-	op.Deps = withChain(deps, t.lastSend[op.Rank])
+	op.Deps = t.deps // AddOp copies
 	id := t.s.AddOp(op)
-	t.lastSend[op.Rank] = id
-	return id
-}
-
-// emitRecv appends a receive-side op, chained after the rank's previous
-// receive-side op.
-func (t *Transport) emitRecv(op sched.Op, deps []sched.OpID) sched.OpID {
-	op.Deps = withChain(deps, t.lastRecv[op.Rank])
-	id := t.s.AddOp(op)
-	t.lastRecv[op.Rank] = id
+	chain[op.Rank] = id
 	return id
 }
 
@@ -98,10 +85,10 @@ func (t *Transport) Send(sender, receiver int, src sched.BufID, srcOff int64, ds
 		return 0, fmt.Errorf("baseline: send of %d bytes", bytes)
 	}
 	if sender == receiver {
-		return t.emitRecv(sched.Op{
+		return t.emit(sched.Op{
 			Rank: sender, Mode: sched.ModeLocal,
 			Src: src, SrcOff: srcOff, Dst: dst, DstOff: dstOff, Bytes: bytes,
-		}, deps), nil
+		}, deps, t.lastRecv), nil
 	}
 	if bytes < t.Config.EagerLimit {
 		return t.sendShm(sender, receiver, src, srcOff, dst, dstOff, bytes, deps), nil
@@ -118,14 +105,14 @@ func (t *Transport) sendShm(sender, receiver int, src sched.BufID, srcOff int64,
 	frags := sched.Chunks(bytes, t.Config.FragmentBytes)
 	var lastOut sched.OpID
 	for _, fr := range frags {
-		in := t.emitSend(sched.Op{
+		in := t.emit(sched.Op{
 			Rank: sender, Mode: sched.ModeShm,
 			Src: src, SrcOff: srcOff + fr[0], Dst: bb, DstOff: fr[0], Bytes: fr[1],
-		}, deps)
-		lastOut = t.emitRecv(sched.Op{
+		}, deps, t.lastSend)
+		lastOut = t.emit(sched.Op{
 			Rank: receiver, Mode: sched.ModeShm,
 			Src: bb, SrcOff: fr[0], Dst: dst, DstOff: dstOff + fr[0], Bytes: fr[1],
-		}, []sched.OpID{in})
+		}, []sched.OpID{in}, t.lastRecv)
 	}
 	return lastOut
 }
@@ -138,21 +125,21 @@ func (t *Transport) sendShm(sender, receiver int, src sched.BufID, srcOff int64,
 // for the data dependencies the caller passes (a sendrecv ring step must
 // pipeline around the ring, not serialize along it).
 func (t *Transport) sendKnem(sender, receiver int, src sched.BufID, srcOff int64, dst sched.BufID, dstOff int64, bytes int64, deps []sched.OpID) sched.OpID {
-	rts := t.emitSend(sched.Op{
+	rts := t.emit(sched.Op{
 		Rank: sender, Mode: sched.ModeKnem,
 		Src: src, SrcOff: srcOff, Dst: src, DstOff: srcOff, Bytes: 0,
-	}, deps)
-	return t.emitRecv(sched.Op{
+	}, deps, t.lastSend)
+	return t.emit(sched.Op{
 		Rank: receiver, Mode: sched.ModeKnem,
 		Src: src, SrcOff: srcOff, Dst: dst, DstOff: dstOff, Bytes: bytes,
-	}, []sched.OpID{rts})
+	}, []sched.OpID{rts}, t.lastRecv)
 }
 
 // LocalCopy emits a local memcpy on rank (receive-side chain: it fills the
 // rank's receive buffer).
 func (t *Transport) LocalCopy(rank int, src sched.BufID, srcOff int64, dst sched.BufID, dstOff int64, bytes int64, deps []sched.OpID) sched.OpID {
-	return t.emitRecv(sched.Op{
+	return t.emit(sched.Op{
 		Rank: rank, Mode: sched.ModeLocal,
 		Src: src, SrcOff: srcOff, Dst: dst, DstOff: dstOff, Bytes: bytes,
-	}, deps)
+	}, deps, t.lastRecv)
 }

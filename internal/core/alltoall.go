@@ -40,6 +40,7 @@ func CompileAlltoallDirect(n int, block int64) (*sched.Schedule, error) {
 		return nil, fmt.Errorf("core: alltoall block %d", block)
 	}
 	s := sched.New(n)
+	s.Grow(n*n, 2*n, n*(n-1)) // n chained copies per rank
 	send := make([]sched.BufID, n)
 	recv := make([]sched.BufID, n)
 	for r := 0; r < n; r++ {
@@ -145,6 +146,10 @@ func CompileAlltoallHierarchical(m distance.View, block int64) (*sched.Schedule,
 	}
 
 	s := sched.New(n)
+	// Ops by phase: n² packs, Σ|c|² intra-cluster pulls, n(k−1) leader
+	// gathers, k(k−1) exchanges, n²−Σ|c|² scatters; the pack chain and the
+	// own-block copies carry one dependency, everything else two.
+	s.Grow(2*n*n+(k-1)*(n+k), 3*n+2*k, 3*n*n-2*n+2*(k-1)*(n+k))
 	send := make([]sched.BufID, n)
 	recv := make([]sched.BufID, n)
 	packed := make([]sched.BufID, n)
@@ -209,11 +214,12 @@ func CompileAlltoallHierarchical(m distance.View, block int64) (*sched.Schedule,
 
 	// Phase 1 — intra-cluster exchange: q pulls its block from every
 	// cluster mate's packed buffer (and keeps its own locally).
+	var two [2]sched.OpID
 	for _, members := range clusters {
 		for _, q := range members {
 			prev := packDone[q]
 			for _, a := range members {
-				deps := []sched.OpID{prev}
+				deps := append(two[:0], prev)
 				if a != q {
 					deps = append(deps, packDone[a])
 				}

@@ -55,32 +55,33 @@ func CompileBroadcast(t *Tree, size int64, chunkBytes int64) (*sched.Schedule, e
 		chunkBytes = BroadcastChunk(size, t.Depth())
 	}
 	n := t.Size()
+	chunks := sched.Chunks(size, chunkBytes)
+	nc := len(chunks)
 	s := sched.New(n)
+	// Every non-root rank pulls every chunk; a pull waits for its parent's
+	// (unless that is the root) and for the rank's previous one.
+	s.Grow((n-1)*nc, n, (n-1-len(t.Children[t.Root]))*nc+(n-1)*(nc-1))
 	buf := make([]sched.BufID, n)
 	for r := 0; r < n; r++ {
 		buf[r] = s.AddBuffer(r, "data", size)
 	}
-	chunks := sched.Chunks(size, chunkBytes)
 
-	// ops[r][c] is rank r's pull of chunk c (root has none).
-	ops := make([][]sched.OpID, n)
+	// ops[r*nc+c] is rank r's pull of chunk c (root has none).
+	ops := make([]sched.OpID, n*nc)
+	var two [2]sched.OpID
 	// Emit in BFS order so parents' ops exist before children reference
 	// them.
-	queue := []int{t.Root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for _, u := range bfsOrder(t) {
 		for _, v := range t.Children[u] {
-			ops[v] = make([]sched.OpID, len(chunks))
 			for c, ch := range chunks {
-				var deps []sched.OpID
+				deps := two[:0]
 				if u != t.Root {
-					deps = append(deps, ops[u][c]) // parent holds chunk c
+					deps = append(deps, ops[u*nc+c]) // parent holds chunk c
 				}
 				if c > 0 {
-					deps = append(deps, ops[v][c-1]) // own engine serialized
+					deps = append(deps, ops[v*nc+c-1]) // own engine serialized
 				}
-				ops[v][c] = s.AddOp(sched.Op{
+				ops[v*nc+c] = s.AddOp(sched.Op{
 					Rank:   v,
 					Mode:   sched.ModeKnem,
 					Src:    buf[u],
@@ -92,7 +93,6 @@ func CompileBroadcast(t *Tree, size int64, chunkBytes int64) (*sched.Schedule, e
 					Deps:   deps,
 				})
 			}
-			queue = append(queue, v)
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -118,14 +118,18 @@ func CompileAllgather(r *Ring, block int64) (*sched.Schedule, error) {
 	}
 	n := r.Size()
 	s := sched.New(n)
+	s.Grow(n*n, 2*n, 2*n*(n-1))
 	sendBuf := make([]sched.BufID, n)
 	recvBuf := make([]sched.BufID, n)
 	for v := 0; v < n; v++ {
 		sendBuf[v] = s.AddBuffer(v, "send", block)
 		recvBuf[v] = s.AddBuffer(v, "recv", int64(n)*block)
 	}
-	// prev[v] is rank v's op at the previous step.
-	prev := make([]sched.OpID, n)
+	// prev[v] is rank v's op at the previous step, origin[v] the owner of
+	// the block it acquired there.
+	ops, ints := make([]sched.OpID, 2*n), make([]int, 2*n)
+	prev, next := ops[:n], ops[n:]
+	origin, nextOrigin := ints[:n], ints[n:]
 	for v := 0; v < n; v++ {
 		prev[v] = s.AddOp(sched.Op{
 			Rank:   v,
@@ -135,15 +139,9 @@ func CompileAllgather(r *Ring, block int64) (*sched.Schedule, error) {
 			DstOff: int64(v) * block,
 			Bytes:  block,
 		})
-	}
-	// origin[v] is the owner of the block v acquired in the previous step.
-	origin := make([]int, n)
-	for v := 0; v < n; v++ {
 		origin[v] = v
 	}
 	for step := 1; step < n; step++ {
-		next := make([]sched.OpID, n)
-		nextOrigin := make([]int, n)
 		for v := 0; v < n; v++ {
 			left := r.Left[v]
 			blk := origin[left]
@@ -160,7 +158,8 @@ func CompileAllgather(r *Ring, block int64) (*sched.Schedule, error) {
 			})
 			nextOrigin[v] = blk
 		}
-		prev, origin = next, nextOrigin
+		prev, next = next, prev
+		origin, nextOrigin = nextOrigin, origin
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: compiled allgather invalid: %w", err)

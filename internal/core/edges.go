@@ -18,8 +18,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"distcoll/internal/distance"
 )
@@ -82,22 +83,20 @@ func allEdges(m distance.View, levels Levels) []Edge {
 // leader (root or minimum rank) of the growing component, producing a
 // minimum-depth tree among minimum-weight spanning trees.
 func sortBroadcastEdges(edges []Edge, root int) {
-	sort.Slice(edges, func(a, b int) bool {
-		ea, eb := edges[a], edges[b]
+	slices.SortFunc(edges, func(ea, eb Edge) int {
 		if ea.Weight != eb.Weight {
-			return ea.Weight < eb.Weight
+			return ea.Weight - eb.Weight
 		}
 		ra, rb := ea.coversRoot(root), eb.coversRoot(root)
-		if ra != rb {
-			return ra
+		switch {
+		case ra && rb:
+			return ea.nonRootVertex(root) - eb.nonRootVertex(root)
+		case ra:
+			return -1
+		case rb:
+			return 1
 		}
-		if ra && rb {
-			return ea.nonRootVertex(root) < eb.nonRootVertex(root)
-		}
-		if ea.U != eb.U {
-			return ea.U < eb.U
-		}
-		return ea.V < eb.V
+		return cmp.Or(ea.U-eb.U, ea.V-eb.V)
 	})
 }
 
@@ -130,20 +129,11 @@ const (
 )
 
 func sortRingEdges(edges []Edge, ordering RingOrdering) {
-	sort.Slice(edges, func(a, b int) bool {
-		ea, eb := edges[a], edges[b]
-		if ea.Weight != eb.Weight {
-			return ea.Weight < eb.Weight
-		}
+	slices.SortFunc(edges, func(ea, eb Edge) int {
+		gap := 0
 		if ordering == RingCanonical {
-			ga, gb := ea.V-ea.U, eb.V-eb.U
-			if ga != gb {
-				return ga < gb
-			}
+			gap = (ea.V - ea.U) - (eb.V - eb.U)
 		}
-		if ea.U != eb.U {
-			return ea.U < eb.U
-		}
-		return ea.V < eb.V
+		return cmp.Or(ea.Weight-eb.Weight, gap, ea.U-eb.U, ea.V-eb.V)
 	})
 }

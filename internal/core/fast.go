@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"distcoll/internal/distance"
 )
@@ -17,74 +17,176 @@ import (
 // the same topology as the literal Algorithms 1 and 2 (asserted by the
 // equivalence tests).
 
-// clusterTree recursively refines rank sets by distance level.
-type clusterNode struct {
-	members  []int // ascending
-	level    int   // distance bound within this cluster
-	children []*clusterNode
+// hierarchy is the ultrametric cluster decomposition of a view in two flat
+// arrays: a pure function of the view, cheap enough to rebuild per tree
+// (nothing memoises it).
+type hierarchy struct {
+	// perm lists the ranks so that every cluster is one contiguous range:
+	// ascending inside a finest cluster, sibling clusters in the order of
+	// their smallest member.
+	perm []int
+	// nodes are the clusters in pre-order; nodes[0] is the whole set.
+	nodes []hierNode
 }
 
-// buildClusterTree decomposes ranks into the ultrametric hierarchy,
-// splitting at the coarsest level first: a node's children are the
-// maximal sub-clusters whose internal distances stay below the level that
-// separates them. levels lists the distinct distances in increasing
-// order.
-func buildClusterTree(m distance.View, members []int, levels []int) *clusterNode {
-	node := &clusterNode{members: members}
-	if len(members) <= 1 || len(levels) <= 1 {
-		// All members within the finest remaining level: a flat cluster.
-		if len(levels) == 1 {
-			node.level = levels[0]
-		}
-		return node
+// hierNode is one cluster: its members are perm[lo:hi], its sub-clusters
+// the nodes i+1, nodes[i+1].end, … below end (none: a finest cluster).
+type hierNode struct{ lo, hi, end int }
+
+// hierBuilder refines perm range by range. Its scratch is shared by every
+// split: a split is over before its sub-ranges are visited.
+type hierBuilder struct {
+	hierarchy
+	v      distance.View
+	label  []int // by rank: its group within the range being split
+	tmp    []int // the range, regrouped
+	start  []int // by group: where it goes in tmp
+	levels []int // the distinct distances of the machine being refined
+	keys   map[int]int
+}
+
+// buildHierarchy decomposes v, splitting at the coarsest level first: a
+// cluster's children are the maximal sub-clusters whose internal distances
+// stay below the level that separates them (transitive, since the metric
+// is an ultrametric). A Clustered view splits its network tiers by
+// coordinate — "distance ≤ 8" is exactly "same rack" — and only the ranks
+// of one machine pairwise; any other view is pairwise throughout. It also
+// returns 3n+1 ints of spent scratch for the caller's own walk.
+func buildHierarchy(v distance.View) (hierarchy, []int) {
+	n := v.Size()
+	// One slab: perm, the three scratch arrays, and room for the levels of
+	// the scale (an overlay can show more: Insert then reallocates).
+	ints := make([]int, 4*n+1, 4*n+1+distance.Max+1)
+	b := hierBuilder{v: v, label: ints[n : 2*n], tmp: ints[2*n : 3*n], start: ints[3*n:], levels: ints[len(ints):]}
+	b.perm = ints[:n:n]
+	for i := range b.perm {
+		b.perm[i] = i
 	}
-	// Partition below the coarsest level: groups with pairwise distance
-	// ≤ levels[len-2] (transitive, since the metric is an ultrametric).
-	thr := levels[len(levels)-2]
-	var groups [][]int
-	assigned := make(map[int]bool, len(members))
-	for _, x := range members {
-		if assigned[x] {
+	b.nodes = make([]hierNode, 0, 2*n-1)
+	tier := len(netTiers)
+	if cv, ok := v.(*distance.Clustered); ok && cv.MultiMachine() {
+		tier = 0
+	}
+	b.split(0, n, tier, nil)
+	return b.hierarchy, ints[n:]
+}
+
+// split decomposes perm[lo:hi]. tier counts the refinements tried so far:
+// the network tiers first (skipped where coordinates cannot split the
+// view), then, inside one machine, the distinct distances found there,
+// coarsest first. A refinement that leaves the range whole is skipped,
+// exactly like an absent distance value.
+func (b *hierBuilder) split(lo, hi, tier int, levels []int) {
+refine:
+	for ; hi-lo > 1; tier++ {
+		groups := 1
+		switch {
+		case tier < len(netTiers):
+			groups = b.groupByKey(lo, hi, netTiers[tier])
+		case tier == len(netTiers):
+			levels = b.distinctLevels(lo, hi)
+		case len(levels) > 1:
+			groups = b.groupBelow(lo, hi, levels[len(levels)-2])
+			levels = levels[:len(levels)-1]
+		default:
+			break refine
+		}
+		if groups == 1 {
 			continue
 		}
-		g := []int{x}
-		assigned[x] = true
-		for _, y := range members {
-			if !assigned[y] && m.At(x, y) <= thr {
-				g = append(g, y)
-				assigned[y] = true
+		b.regroup(lo, hi, groups)
+		i := len(b.nodes)
+		b.nodes = append(b.nodes, hierNode{lo: lo, hi: hi})
+		for lo < hi {
+			end := lo + 1
+			for end < hi && b.label[b.perm[end]] == b.label[b.perm[lo]] {
+				end++
 			}
+			b.split(lo, end, tier+1, levels)
+			lo = end
 		}
-		sort.Ints(g)
-		groups = append(groups, g)
+		b.nodes[i].end = len(b.nodes)
+		return
 	}
-	if len(groups) == 1 {
-		// The coarsest level does not occur inside this cluster.
-		return buildClusterTree(m, members, levels[:len(levels)-1])
-	}
-	node.level = levels[len(levels)-1]
-	for _, g := range groups {
-		node.children = append(node.children, buildClusterTree(m, g, levels[:len(levels)-1]))
-	}
-	return node
+	b.nodes = append(b.nodes, hierNode{lo, hi, len(b.nodes) + 1})
 }
 
-func distinctLevels(m distance.View, levels Levels) []int {
-	if levels == nil {
-		levels = IdentityLevels
+// groupByKey labels perm[lo:hi] by coordinate at one network tier, groups
+// numbered in order of first appearance, and returns their count.
+func (b *hierBuilder) groupByKey(lo, hi int, key func(*distance.Clustered, int) int) int {
+	cv := b.v.(*distance.Clustered)
+	if b.keys == nil {
+		b.keys = make(map[int]int, 8)
 	}
-	seen := make(map[int]bool)
-	n := m.Size()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			seen[levels(m.At(i, j))] = true
+	clear(b.keys)
+	for _, r := range b.perm[lo:hi] {
+		k := key(cv, r)
+		g, ok := b.keys[k]
+		if !ok {
+			g = len(b.keys)
+			b.keys[k] = g
+		}
+		b.label[r] = g
+	}
+	return len(b.keys)
+}
+
+// groupBelow labels perm[lo:hi] by the clusters with pairwise distance
+// ≤ thr, numbered in order of first appearance, and returns their count.
+func (b *hierBuilder) groupBelow(lo, hi, thr int) int {
+	m := b.perm[lo:hi]
+	for _, x := range m {
+		b.label[x] = -1
+	}
+	groups := 0
+	for i, x := range m {
+		if b.label[x] >= 0 {
+			continue
+		}
+		b.label[x] = groups
+		for _, y := range m[i+1:] {
+			if b.label[y] < 0 && b.v.At(x, y) <= thr {
+				b.label[y] = groups
+			}
+		}
+		groups++
+	}
+	return groups
+}
+
+// regroup sorts perm[lo:hi] by label, stably: a range arrives ascending,
+// so every group leaves ascending and the groups in the order of their
+// smallest member.
+func (b *hierBuilder) regroup(lo, hi, groups int) {
+	m, start := b.perm[lo:hi], b.start[:groups+1]
+	clear(start)
+	for _, r := range m {
+		start[b.label[r]+1]++
+	}
+	for g := 1; g < groups; g++ {
+		start[g+1] += start[g]
+	}
+	for _, r := range m {
+		b.tmp[start[b.label[r]]] = r
+		start[b.label[r]]++
+	}
+	copy(m, b.tmp)
+}
+
+// distinctLevels lists the distinct pairwise distances within perm[lo:hi],
+// ascending, in the builder's buffer (an overlay's demoted edges lie above
+// distance.Max, so the values index nothing).
+func (b *hierBuilder) distinctLevels(lo, hi int) []int {
+	m, out := b.perm[lo:hi], b.levels[:0]
+	for i, x := range m {
+		for _, y := range m[i+1:] {
+			d := b.v.At(x, y)
+			if k, ok := slices.BinarySearch(out, d); !ok {
+				out = slices.Insert(out, k, d)
+			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
+	b.levels = out
 	return out
 }
 
@@ -116,58 +218,64 @@ func BuildBroadcastTreeFast(m distance.Matrix, root int, opts TreeOptions) (*Tre
 	return BuildBroadcastTreeHier(transformedMatrix(m, opts.Levels), root, TreeOptions{})
 }
 
-// leaderOf returns the designated leader of a member set: the root if
-// present, else the minimum.
-func leaderOf(members []int, root int) int {
-	leader := members[0]
-	for _, x := range members {
-		if x == root {
-			return root
-		}
-		if x < leader {
-			leader = x
-		}
-	}
-	return leader
+// treeWalk hangs a tree on a hierarchy. Edges go into t.Parent as they are
+// found and into order in attachment order; subs is one stack shared by the
+// whole recursion.
+type treeWalk struct {
+	t     *Tree
+	m     distance.View
+	h     hierarchy
+	root  int
+	order []int
+	subs  []subEntry
 }
 
-// attachTree wires a cluster node and returns its entry vertex and the
-// node's depth when oriented away from it. It mirrors Algorithm 1's
-// level-grouped attachment: the champion sub-cluster — the one containing
-// the root, otherwise the deepest (ties to the smallest entry rank) —
-// keeps its entry, and every other sub-cluster hangs its entry directly
-// under the champion's, in ascending entry order.
-func attachTree(t *Tree, m distance.View, node *clusterNode, root int) (entry, depth int) {
-	if len(node.children) == 0 {
-		leader := leaderOf(node.members, root)
-		for _, x := range node.members {
+// subEntry is a wired sub-cluster: its entry vertex and its depth when
+// oriented away from it.
+type subEntry struct{ entry, depth int }
+
+func (w *treeWalk) link(parent, child int) {
+	w.t.Parent[child] = parent
+	w.t.ParentWeight[child] = w.m.At(parent, child)
+	w.order = append(w.order, child)
+}
+
+// attach wires cluster i and returns its entry vertex and depth. A finest
+// cluster is a star around its leader — the root if present, else its
+// smallest member. Above that it mirrors Algorithm 1's level-grouped
+// attachment: the champion sub-cluster — the one containing the root,
+// otherwise the deepest (ties to the smallest entry rank) — keeps its
+// entry, and every other sub-cluster hangs its entry directly under the
+// champion's, in ascending entry order.
+func (w *treeWalk) attach(i int) (entry, depth int) {
+	node := w.h.nodes[i]
+	if node.end == i+1 {
+		members := w.h.perm[node.lo:node.hi]
+		leader := members[0]
+		if slices.Contains(members, w.root) {
+			leader = w.root
+		}
+		for _, x := range members {
 			if x != leader {
-				t.Parent[x] = leader
-				t.ParentWeight[x] = m.At(leader, x)
-				t.Children[leader] = append(t.Children[leader], x)
+				w.link(leader, x)
 			}
 		}
-		if len(node.members) == 1 {
-			return leader, 0
-		}
-		return leader, 1
+		return leader, min(len(members)-1, 1)
 	}
-	type sub struct {
-		entry, depth int
+	base := len(w.subs)
+	for c := i + 1; c < node.end; c = w.h.nodes[c].end {
+		e, d := w.attach(c)
+		w.subs = append(w.subs, subEntry{e, d})
 	}
-	subs := make([]sub, 0, len(node.children))
-	for _, c := range node.children {
-		e, d := attachTree(t, m, c, root)
-		subs = append(subs, sub{entry: e, depth: d})
-	}
-	sort.Slice(subs, func(a, b int) bool { return subs[a].entry < subs[b].entry })
+	subs := w.subs[base:]
+	slices.SortFunc(subs, func(a, b subEntry) int { return a.entry - b.entry })
 	champ := 0
-	for i := 1; i < len(subs); i++ {
-		if subs[champ].entry == root {
+	for k := 1; k < len(subs); k++ {
+		if subs[champ].entry == w.root {
 			break
 		}
-		if subs[i].entry == root || subs[i].depth > subs[champ].depth {
-			champ = i
+		if subs[k].entry == w.root || subs[k].depth > subs[champ].depth {
+			champ = k
 		}
 	}
 	entry, depth = subs[champ].entry, subs[champ].depth
@@ -175,13 +283,10 @@ func attachTree(t *Tree, m distance.View, node *clusterNode, root int) (entry, d
 		if sb.entry == entry {
 			continue
 		}
-		t.Parent[sb.entry] = entry
-		t.ParentWeight[sb.entry] = m.At(entry, sb.entry)
-		t.Children[entry] = append(t.Children[entry], sb.entry)
-		if sb.depth+1 > depth {
-			depth = sb.depth + 1
-		}
+		w.link(entry, sb.entry)
+		depth = max(depth, sb.depth+1)
 	}
+	w.subs = w.subs[:base]
 	return entry, depth
 }
 
@@ -195,23 +300,4 @@ func attachTree(t *Tree, m distance.View, node *clusterNode, root int) (entry, d
 // of BuildAllgatherRingHier over the transformed dense matrix.
 func BuildAllgatherRingFast(m distance.Matrix, opts RingOptions) (*Ring, error) {
 	return BuildAllgatherRingHier(transformedMatrix(m, opts.Levels), RingOptions{})
-}
-
-// layoutRing flattens the cluster tree: leaves in ascending order,
-// siblings in leader order.
-func layoutRing(node *clusterNode) []int {
-	if len(node.children) == 0 {
-		out := make([]int, len(node.members))
-		copy(out, node.members)
-		sort.Ints(out)
-		return out
-	}
-	subs := make([]*clusterNode, len(node.children))
-	copy(subs, node.children)
-	sort.Slice(subs, func(a, b int) bool { return subs[a].members[0] < subs[b].members[0] })
-	var out []int
-	for _, s := range subs {
-		out = append(out, layoutRing(s)...)
-	}
-	return out
 }

@@ -56,6 +56,17 @@ func subtreeSizes(t *Tree) []int {
 	return sizes
 }
 
+// innerRanks counts the ranks with children.
+func innerRanks(t *Tree) int {
+	in := 0
+	for _, cs := range t.Children {
+		if len(cs) > 0 {
+			in++
+		}
+	}
+	return in
+}
+
 // CompileGather compiles a distance-aware gather: every rank contributes
 // block bytes ("send"); the root's "recv" buffer (n·block) receives them
 // in communicator-rank order.
@@ -68,6 +79,11 @@ func CompileGather(t *Tree, block int64) (*sched.Schedule, error) {
 	}
 	n := t.Size()
 	s := sched.New(n)
+	// Every inner rank stages its own block and pulls each child's region,
+	// waiting for its previous op and, under an inner child, for that
+	// child's last; the root then places n blocks, chained.
+	in := innerRanks(t)
+	s.Grow(in+n-1+n, n+in+1, n-1+in-1+n)
 	send := make([]sched.BufID, n)
 	for r := 0; r < n; r++ {
 		send[r] = s.AddBuffer(r, "send", block)
@@ -77,7 +93,7 @@ func CompileGather(t *Tree, block int64) (*sched.Schedule, error) {
 		s.AddOp(sched.Op{Rank: 0, Mode: sched.ModeLocal, Src: send[0], Dst: recv, Bytes: block})
 		return s, s.Validate()
 	}
-	_, pos := dfsLayout(t)
+	dfs, pos := dfsLayout(t)
 	sizes := subtreeSizes(t)
 
 	// Staging buffers for internal non-root ranks.
@@ -117,6 +133,7 @@ func CompileGather(t *Tree, block int64) (*sched.Schedule, error) {
 		done[i] = -1
 	}
 	// Process ranks bottom-up (reverse BFS).
+	var two [2]sched.OpID
 	order := bfsOrder(t)
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
@@ -131,7 +148,7 @@ func CompileGather(t *Tree, block int64) (*sched.Schedule, error) {
 			Src: send[u], Dst: stageBuf(u), DstOff: ownOff, Bytes: block,
 		})
 		for _, v := range t.Children[u] {
-			deps := []sched.OpID{prev}
+			deps := append(two[:0], prev)
 			if done[v] >= 0 {
 				deps = append(deps, done[v])
 			}
@@ -146,7 +163,6 @@ func CompileGather(t *Tree, block int64) (*sched.Schedule, error) {
 		done[u] = prev
 	}
 	// Final permutation at the root: DFS position → communicator rank.
-	dfs, _ := dfsLayout(t)
 	prev := done[t.Root]
 	for p, r := range dfs {
 		var deps []sched.OpID
@@ -179,6 +195,11 @@ func CompileScatter(t *Tree, block int64) (*sched.Schedule, error) {
 	}
 	n := t.Size()
 	s := sched.New(n)
+	// The root places n blocks, chained; every other rank pulls once from
+	// its parent and, when inner, extracts its own block; the root's own
+	// block is one more copy.
+	in := max(innerRanks(t), 1) // a lone root stages too
+	s.Grow(n+n-1+in-1+1, 1+n+in, n-1+n-1+in-1)
 	send := s.AddBuffer(t.Root, "send", int64(n)*block)
 	recv := make([]sched.BufID, n)
 	for r := 0; r < n; r++ {

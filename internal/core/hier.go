@@ -19,113 +19,26 @@ import (
 // So the network levels of the cluster hierarchy fall out of the per-rank
 // rack/switch/machine coordinates in O(n), and only the intra-machine
 // levels need pairwise scans — O(Σ k²) over per-node group sizes k, not
-// O(n²) over ranks. The resulting cluster tree is handed to the exact
-// attachTree / layoutRing walks the flat builders use, which makes the
+// O(n²) over ranks. The resulting hierarchy (fast.go) is handed to the exact
+// walks the flat builders use — treeWalk.attach for the tree, the
+// hierarchy's own permutation for the ring — which makes the
 // hierarchical output *identical* — member for member, parent for parent
 // — to BuildBroadcastTreeFast / BuildAllgatherRingFast over the
 // flattened matrix (asserted by the oracle-equivalence property tests),
 // and therefore identical to the literal Algorithms 1 and 2.
 //
 // Leader election is emergent rather than a separate phase: the entry
-// vertex attachTree computes for each machine's sub-cluster *is* that
+// vertex treeWalk.attach computes for each machine's sub-cluster *is* that
 // node's elected leader — the root on its own machine, elsewhere the
 // deterministic champion (deepest subtree, ties to the smallest rank).
 // Every inter-node edge of the tree connects two such leaders.
 
-// netTiers are the network levels of the structural decomposition, from
-// the coarsest: ranks with equal keys at one tier are split by the next.
-var netTiers = []struct {
-	level int
-	key   func(cv *distance.Clustered, rank int) int
-}{
-	{distance.CrossRack, (*distance.Clustered).RackIndex},
-	{distance.CrossSwitch, (*distance.Clustered).SwitchIndex},
-	{distance.SameSwitch, (*distance.Clustered).MachineIndex},
-}
-
-// hierClusterTree builds the full ultrametric cluster hierarchy for a
-// view. Clustered views use the sparse structural walk; anything else
-// (including a dense Matrix) falls back to the pairwise decomposition of
-// the flat builders, which produces the same tree.
-func hierClusterTree(v distance.View) *clusterNode {
-	all := make([]int, v.Size())
-	for i := range all {
-		all[i] = i
-	}
-	if cv, ok := v.(*distance.Clustered); ok {
-		return netClusterNode(cv, all, 0)
-	}
-	return buildClusterTree(v, all, distinctLevels(v, nil))
-}
-
-// netClusterNode decomposes members tier by tier: the first network tier
-// where the set splits becomes a cluster node (single-key tiers are
-// skipped, exactly like absent distance values in the flat
-// decomposition), and sets that reach the machine tier undecomposed are
-// refined by the intra-node pairwise walk over their — small — member
-// sets.
-func netClusterNode(cv *distance.Clustered, members []int, tier int) *clusterNode {
-	for ; tier < len(netTiers); tier++ {
-		groups := groupMembers(members, cv, netTiers[tier].key)
-		if len(groups) > 1 {
-			node := &clusterNode{members: members, level: netTiers[tier].level}
-			for _, g := range groups {
-				node.children = append(node.children, netClusterNode(cv, g, tier+1))
-			}
-			return node
-		}
-	}
-	// One machine: pairwise decomposition over its own distance levels.
-	return buildClusterTree(cv, members, distinctLevelsAmong(cv, members))
-}
-
-// groupMembers partitions members by key, preserving member order inside
-// groups (members arrive ascending, so each group is ascending and
-// groups are ordered by their smallest member). A tier that does not split
-// the set — every network tier, on one machine — yields nil without
-// allocating.
-func groupMembers(members []int, cv *distance.Clustered, key func(*distance.Clustered, int) int) [][]int {
-	split := false
-	for _, r := range members[1:] {
-		if key(cv, r) != key(cv, members[0]) {
-			split = true
-			break
-		}
-	}
-	if !split {
-		return nil
-	}
-	idx := make(map[int]int, 4)
-	var groups [][]int
-	for _, r := range members {
-		k := key(cv, r)
-		g, ok := idx[k]
-		if !ok {
-			g = len(groups)
-			idx[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], r)
-	}
-	return groups
-}
-
-// distinctLevelsAmong lists the distinct pairwise distances within a
-// member subset, ascending.
-func distinctLevelsAmong(v distance.View, members []int) []int {
-	seen := [distance.Max + 1]bool{}
-	for i := 0; i < len(members); i++ {
-		for j := i + 1; j < len(members); j++ {
-			seen[v.At(members[i], members[j])] = true
-		}
-	}
-	var out []int
-	for d, ok := range seen {
-		if ok {
-			out = append(out, d)
-		}
-	}
-	return out
+// netTiers are the coordinates of the structural decomposition, from the
+// coarsest tier: ranks with equal keys at one tier are split by the next.
+var netTiers = []func(cv *distance.Clustered, rank int) int{
+	(*distance.Clustered).RackIndex,
+	(*distance.Clustered).SwitchIndex,
+	(*distance.Clustered).MachineIndex,
 }
 
 // BuildBroadcastTreeHier constructs the hierarchical two-phase broadcast
@@ -147,19 +60,14 @@ func BuildBroadcastTreeHier(v distance.View, root int, opts TreeOptions) (*Tree,
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("core: root %d out of range [0,%d)", root, n)
 	}
-	t := &Tree{
-		Root:         root,
-		Parent:       make([]int, n),
-		Children:     make([][]int, n),
-		ParentWeight: make([]int, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-	}
+	t := newTree(n, root)
 	if n == 1 {
 		return t, nil
 	}
-	attachTree(t, v, hierClusterTree(v), root)
+	h, scratch := buildHierarchy(v)
+	w := treeWalk{t: t, m: v, h: h, root: root, order: scratch[: 0 : n-1], subs: make([]subEntry, 0, 32)}
+	w.attach(0)
+	t.adopt(w.order, scratch[n-1:2*n-1])
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("core: cluster-walk tree construction invalid: %w", err)
 	}
@@ -188,7 +96,10 @@ func BuildAllgatherRingHier(v distance.View, opts RingOptions) (*Ring, error) {
 		r.Right[0], r.Left[0] = 0, 0
 		return r, nil
 	}
-	seq := layoutRing(hierClusterTree(v))
+	// Members of each finest cluster in ascending rank order, sibling
+	// clusters in leader order: the hierarchy's own permutation.
+	h, _ := buildHierarchy(v)
+	seq := h.perm
 	for i, v2 := range seq {
 		next := seq[(i+1)%n]
 		r.Right[v2] = next

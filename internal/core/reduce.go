@@ -30,7 +30,7 @@ import (
 // reduction operator's element size; ≤1 means byte-wise): the operator
 // combines chunk by chunk, so no element may straddle two chunks.
 func CompileReduce(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, error) {
-	s, _, _, _, err := reduceUp(t, "acc", size, chunkBytes, align)
+	s, _, _, _, err := reduceUp(t, "acc", 1, size, chunkBytes, align)
 	if err != nil {
 		return nil, err
 	}
@@ -42,11 +42,12 @@ func CompileReduce(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, err
 
 // reduceUp compiles the reduction up the tree that CompileReduce is and
 // CompileAllreduceTree starts with, accumulating into the per-rank buffer
-// named accName. It returns the schedule (not yet validated), the
-// accumulators, the chunk table and last, where last[r][c] is rank r's op
-// completing chunk c of its subtree's partial result; every rank's final
-// op is its last[r][len(chunks)-1].
-func reduceUp(t *Tree, accName string, size, chunkBytes, align int64) (*sched.Schedule, []sched.BufID, [][2]int64, [][]sched.OpID, error) {
+// named accName; passes is how often the finished schedule crosses each tree
+// edge per chunk (1: up only), for the reservation. It returns the schedule
+// (not yet validated), the accumulators, the chunk table and last, where
+// last[r*len(chunks)+c] is rank r's op completing chunk c of its subtree's
+// partial result; every rank's final op is its last one of the last chunk.
+func reduceUp(t *Tree, accName string, passes int, size, chunkBytes, align int64) (*sched.Schedule, []sched.BufID, [][2]int64, []sched.OpID, error) {
 	if err := t.Validate(); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -60,31 +61,31 @@ func reduceUp(t *Tree, accName string, size, chunkBytes, align int64) (*sched.Sc
 		chunkBytes -= chunkBytes % align // 0 (one chunk) when smaller than an element
 	}
 	n := t.Size()
+	chunks := sched.Chunks(size, chunkBytes)
+	nc := len(chunks)
 	s := sched.New(n)
+	// Per chunk: a chained local copy on every rank, then two-dependency
+	// pulls, passes per tree edge.
+	s.Grow((n+passes*(n-1))*nc, 2*n, n*(nc-1)+2*passes*(n-1)*nc)
 	send := make([]sched.BufID, n)
 	acc := make([]sched.BufID, n)
 	for r := 0; r < n; r++ {
 		send[r] = s.AddBuffer(r, "send", size)
 		acc[r] = s.AddBuffer(r, accName, size)
 	}
-	chunks := sched.Chunks(size, chunkBytes)
 
-	last := make([][]sched.OpID, n)
+	last := make([]sched.OpID, n*nc)
 	for r := 0; r < n; r++ {
-		last[r] = make([]sched.OpID, len(chunks))
-		var prev sched.OpID = -1
 		for c, ch := range chunks {
 			var deps []sched.OpID
-			if prev >= 0 {
-				deps = []sched.OpID{prev}
+			if c > 0 {
+				deps = []sched.OpID{last[r*nc+c-1]}
 			}
-			id := s.AddOp(sched.Op{
+			last[r*nc+c] = s.AddOp(sched.Op{
 				Rank: r, Mode: sched.ModeLocal,
 				Src: send[r], SrcOff: ch[0], Dst: acc[r], DstOff: ch[0], Bytes: ch[1],
 				Chunk: c, Deps: deps,
 			})
-			last[r][c] = id
-			prev = id
 		}
 	}
 
@@ -97,16 +98,15 @@ func reduceUp(t *Tree, accName string, size, chunkBytes, align int64) (*sched.Sc
 		if len(t.Children[u]) == 0 {
 			continue
 		}
-		prev := last[u][len(chunks)-1] // after u's own local copies
+		prev := last[u*nc+nc-1] // after u's own local copies
 		for c, ch := range chunks {
 			for _, v := range t.Children[u] {
-				id := s.AddOp(sched.Op{
+				prev = s.AddOp(sched.Op{
 					Rank: u, Kind: sched.OpReduce, Mode: sched.ModeKnem,
 					Src: acc[v], SrcOff: ch[0], Dst: acc[u], DstOff: ch[0], Bytes: ch[1],
-					Chunk: c, Deps: []sched.OpID{last[v][c], prev},
+					Chunk: c, Deps: []sched.OpID{last[v*nc+c], prev},
 				})
-				prev = id
-				last[u][c] = id
+				last[u*nc+c] = prev
 			}
 		}
 	}
@@ -130,20 +130,21 @@ func reduceUp(t *Tree, accName string, size, chunkBytes, align int64) (*sched.Sc
 // down pull of c depends on, so no partial is overwritten while still in
 // use. Chunk c travels down while c+1 is still being reduced.
 func CompileAllreduceTree(t *Tree, size, chunkBytes, align int64) (*sched.Schedule, error) {
-	s, recv, chunks, have, err := reduceUp(t, "recv", size, chunkBytes, align)
+	s, recv, chunks, have, err := reduceUp(t, "recv", 2, size, chunkBytes, align)
 	if err != nil {
 		return nil, err
 	}
+	nc := len(chunks)
 	for _, u := range bfsOrder(t) {
 		for _, v := range t.Children[u] {
-			prev := have[v][len(chunks)-1] // v's last op of the up phase
+			prev := have[v*nc+nc-1] // v's last op of the up phase
 			for c, ch := range chunks {
 				prev = s.AddOp(sched.Op{
 					Rank: v, Mode: sched.ModeKnem,
 					Src: recv[u], SrcOff: ch[0], Dst: recv[v], DstOff: ch[0], Bytes: ch[1],
-					Chunk: c, Deps: []sched.OpID{have[u][c], prev},
+					Chunk: c, Deps: []sched.OpID{have[u*nc+c], prev},
 				})
-				have[v][c] = prev
+				have[v*nc+c] = prev
 			}
 		}
 	}
@@ -153,14 +154,13 @@ func CompileAllreduceTree(t *Tree, size, chunkBytes, align int64) (*sched.Schedu
 	return s, nil
 }
 
+// bfsOrder lists the ranks breadth-first from the root (the slice is its
+// own queue).
 func bfsOrder(t *Tree) []int {
-	order := make([]int, 0, t.Size())
-	queue := []int{t.Root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		queue = append(queue, t.Children[u]...)
+	order := make([]int, 1, t.Size())
+	order[0] = t.Root
+	for i := 0; i < len(order); i++ {
+		order = append(order, t.Children[order[i]]...)
 	}
 	return order
 }
@@ -180,6 +180,9 @@ func CompileAllreduce(r *Ring, size int64, align int64) (*sched.Schedule, error)
 	}
 	n := r.Size()
 	s := sched.New(n)
+	// n chained copies per rank, then n−1 steps of a two-dependency and
+	// n−1 of a three-dependency pull.
+	s.Grow(n*(3*n-2), 2*n, 6*n*(n-1))
 	send := make([]sched.BufID, n)
 	work := make([]sched.BufID, n)
 	for v := 0; v < n; v++ {
@@ -205,52 +208,44 @@ func CompileAllreduce(r *Ring, size int64, align int64) (*sched.Schedule, error)
 	}
 
 	// Phase 0: per-block local copies of the contribution.
-	copyOp := make([][]sched.OpID, n) // copyOp[v][block]
+	copyOp := make([]sched.OpID, n*n) // copyOp[v*n+block]
 	lastOf := make([]sched.OpID, n)   // engine chain per rank
 	for v := 0; v < n; v++ {
-		copyOp[v] = make([]sched.OpID, n)
-		var prev sched.OpID = -1
 		for b := 0; b < n; b++ {
 			var deps []sched.OpID
-			if prev >= 0 {
-				deps = []sched.OpID{prev}
+			if b > 0 {
+				deps = []sched.OpID{lastOf[v]}
 			}
-			id := s.AddOp(sched.Op{
+			lastOf[v] = s.AddOp(sched.Op{
 				Rank: v, Mode: sched.ModeLocal,
 				Src: send[v], SrcOff: offs[b], Dst: work[v], DstOff: offs[b], Bytes: lens[b],
 				Deps: deps,
 			})
-			copyOp[v][b] = id
-			prev = id
+			copyOp[v*n+b] = lastOf[v]
 		}
-		lastOf[v] = prev
 	}
 
 	// Phase 1 — reduce-scatter: at step st, rank v pulls the partial of
 	// block Left^st(v) from its left neighbor and combines it with its own
 	// accumulator for that block. After n−1 steps v holds the fully
 	// reduced block Right(v).
-	rsOp := make([][]sched.OpID, n) // rsOp[v][step], step 1..n-1
-	for v := 0; v < n; v++ {
-		rsOp[v] = make([]sched.OpID, n)
-	}
+	rsOp := make([]sched.OpID, n*n) // rsOp[v*n+step], step 1..n-1
 	for st := 1; st < n; st++ {
 		for v := 0; v < n; v++ {
 			b := leftAt(v, st)
 			left := r.Left[v]
 			// The left neighbor's partial for block b was produced by its
 			// step st−1 op (or its initial copy when st == 1).
-			srcReady := copyOp[left][b]
+			srcReady := copyOp[left*n+b]
 			if st > 1 {
-				srcReady = rsOp[left][st-1]
+				srcReady = rsOp[left*n+st-1]
 			}
-			id := s.AddOp(sched.Op{
+			lastOf[v] = s.AddOp(sched.Op{
 				Rank: v, Kind: sched.OpReduce, Mode: sched.ModeKnem,
 				Src: work[left], SrcOff: offs[b], Dst: work[v], DstOff: offs[b], Bytes: lens[b],
 				Chunk: st, Deps: []sched.OpID{srcReady, lastOf[v]},
 			})
-			rsOp[v][st] = id
-			lastOf[v] = id
+			rsOp[v*n+st] = lastOf[v]
 		}
 	}
 
@@ -260,28 +255,23 @@ func CompileAllreduce(r *Ring, size int64, align int64) (*sched.Schedule, error)
 	// v's stale partial of that block, so it must also wait until the
 	// right neighbor has consumed that partial (its phase-1 step-st pull):
 	// a WAR dependency the forward chain does not imply.
-	prevAg := make([]sched.OpID, n)
-	origin := make([]int, n)
-	for v := 0; v < n; v++ {
-		prevAg[v] = rsOp[v][n-1]
-		origin[v] = r.Right[v]
-	}
+	prevAg, next := lastOf, make([]sched.OpID, n) // phase 1 ended on each rank's step n−1
+	ints := make([]int, 2*n)
+	origin, nextOrigin := ints[:n], ints[n:]
+	copy(origin, r.Right)
 	for st := 1; st < n; st++ {
-		next := make([]sched.OpID, n)
-		nextOrigin := make([]int, n)
 		for v := 0; v < n; v++ {
 			left := r.Left[v]
 			b := origin[left]
-			deps := []sched.OpID{prevAg[left], prevAg[v], rsOp[r.Right[v]][st]}
-			id := s.AddOp(sched.Op{
+			next[v] = s.AddOp(sched.Op{
 				Rank: v, Mode: sched.ModeKnem,
 				Src: work[left], SrcOff: offs[b], Dst: work[v], DstOff: offs[b], Bytes: lens[b],
-				Chunk: n - 1 + st, Deps: deps,
+				Chunk: n - 1 + st, Deps: []sched.OpID{prevAg[left], prevAg[v], rsOp[r.Right[v]*n+st]},
 			})
-			next[v] = id
 			nextOrigin[v] = b
 		}
-		prevAg, origin = next, nextOrigin
+		prevAg, next = next, prevAg
+		origin, nextOrigin = nextOrigin, origin
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: compiled allreduce invalid: %w", err)

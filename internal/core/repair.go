@@ -53,6 +53,7 @@ func CompileBcastRepair(m distance.View, size, chunkBytes int64, holds []*recove
 
 	last := make([]sched.OpID, n) // each rank's latest op, for engine serialization
 	hasLast := make([]bool, n)
+	var two [2]sched.OpID                   // dependency scratch: AddOp copies
 	acquired := make(map[[2]int]sched.OpID) // (rank, chunk) acquired within this plan
 
 	for ci, ch := range chunks {
@@ -79,7 +80,7 @@ func CompileBcastRepair(m distance.View, size, chunkBytes int64, holds []*recove
 					}
 				}
 			}
-			var deps []sched.OpID
+			deps := two[:0]
 			if id, ok := acquired[[2]int{bestH, ci}]; ok {
 				deps = append(deps, id)
 			}
@@ -151,6 +152,7 @@ func CompileAllgatherRepair(m distance.View, block int64, holds [][]bool) (*sche
 	}
 	last := make([]sched.OpID, n)
 	hasLast := make([]bool, n)
+	var two [2]sched.OpID                   // dependency scratch: AddOp copies
 	acquired := make(map[[2]int]sched.OpID) // (rank, origin) acquired within this plan
 
 	chain := func(v int, id sched.OpID, origin int) {
@@ -201,7 +203,7 @@ func CompileAllgatherRepair(m distance.View, block int64, holds [][]bool) (*sche
 					}
 				}
 			}
-			var deps []sched.OpID
+			deps := two[:0]
 			if id, ok := acquired[[2]int{bestH, o}]; ok {
 				deps = append(deps, id)
 			}

@@ -57,7 +57,7 @@ func BuildAllgatherRing(m distance.View, opts RingOptions) (*Ring, error) {
 
 	dsu := unionfind.New(n, -1)
 	deg := make([]int, n)
-	adj := make([][]int, n)
+	adj := make([][2]int, n) // the fan-out constraint: at most two neighbors
 	accepted := 0
 	for _, e := range edges {
 		if accepted == n-1 {
@@ -75,8 +75,8 @@ func BuildAllgatherRing(m distance.View, opts RingOptions) (*Ring, error) {
 			})
 		}
 		dsu.Union(e.U, e.V)
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+		adj[e.U][deg[e.U]] = e.V
+		adj[e.V][deg[e.V]] = e.U
 		deg[e.U]++
 		deg[e.V]++
 		accepted++
@@ -104,17 +104,12 @@ func BuildAllgatherRing(m distance.View, opts RingOptions) (*Ring, error) {
 		levels = IdentityLevels
 	}
 	r.Closing = Edge{U: head, V: tail, Weight: levels(m.At(head, tail))}
-	adj[head] = append(adj[head], tail)
-	adj[tail] = append(adj[tail], head)
+	adj[head][1], adj[tail][1] = tail, head
 
 	// Orient the cycle deterministically: start at rank 0 and walk toward
 	// its smaller-ranked neighbor.
 	weight := func(a, b int) int { return levels(m.At(a, b)) }
-	prev, cur := -1, 0
-	next := adj[0][0]
-	if adj[0][1] < next {
-		next = adj[0][1]
-	}
+	cur, next := 0, min(adj[0][0], adj[0][1])
 	for i := 0; i < n; i++ {
 		r.Right[cur] = next
 		r.Left[next] = cur
@@ -123,8 +118,7 @@ func BuildAllgatherRing(m distance.View, opts RingOptions) (*Ring, error) {
 		if nn == cur {
 			nn = adj[next][1]
 		}
-		prev, cur, next = cur, next, nn
-		_ = prev
+		cur, next = next, nn
 	}
 	return r, nil
 }

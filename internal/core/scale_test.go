@@ -126,9 +126,9 @@ func TestHierConstruction10k(t *testing.T) {
 }
 
 // TestHierConstruction10kAllocs pins the per-call allocation count of a
-// repeat construction over a prebuilt view: the tree builder's footprint
-// is O(n) slices plus the per-machine decompositions, far below anything
-// quadratic.
+// repeat construction over a prebuilt view: the hierarchy is two arrays,
+// the tree five, the walks share one scratch slab, and nothing is
+// allocated per rank, per machine or per cluster.
 func TestHierConstruction10kAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-rank construction suite skipped in -short mode")
@@ -148,10 +148,9 @@ func TestHierConstruction10kAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Dense construction would need ≥ n allocations for matrix rows alone
-	// (10240) before any pairwise work; the sparse path stays well under
-	// n: O(machines) cluster nodes plus O(1) slices per rank-set split.
-	if limit := float64(6 * n); bytesPerRun > limit {
+	// Measured 17 (10,240 ranks on 640 machines under 16 switches) plus a
+	// quarter: one allocation per machine would read 657.
+	if limit := 22.0; bytesPerRun > limit {
 		t.Errorf("tree construction does %.0f allocs/run, limit %.0f", bytesPerRun, limit)
 	}
 	t.Logf("tree construction: %.0f allocs/run", bytesPerRun)

@@ -38,6 +38,35 @@ type TreeOptions struct {
 	RecordTrace bool
 }
 
+// newTree returns n parentless ranks rooted at root.
+func newTree(n, root int) *Tree {
+	ints := make([]int, 2*n)
+	t := &Tree{Root: root, Parent: ints[:n:n], ParentWeight: ints[n:], Children: make([][]int, n)}
+	for i := range t.Parent {
+		t.Parent[i] = -1
+	}
+	return t
+}
+
+// adopt fills Children from Parent: every rank's children in the order
+// they appear in order, all rows carved from one slab (a childless rank
+// keeps nil). count is n ints of scratch.
+func (t *Tree) adopt(order, count []int) {
+	clear(count)
+	for _, c := range order {
+		count[t.Parent[c]]++
+	}
+	slab := make([]int, len(order))
+	for p, k := range count {
+		if k > 0 {
+			t.Children[p], slab = slab[:0:k], slab[k:]
+		}
+	}
+	for _, c := range order {
+		t.Children[t.Parent[c]] = append(t.Children[t.Parent[c]], c)
+	}
+}
+
 // BuildBroadcastTree runs Algorithm 1 on the distance view: a Kruskal
 // minimum spanning tree with the root-aware edge ordering, rooted at root.
 //
@@ -61,15 +90,7 @@ func BuildBroadcastTree(m distance.View, root int, opts TreeOptions) (*Tree, err
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("core: root %d out of range [0,%d)", root, n)
 	}
-	t := &Tree{
-		Root:         root,
-		Parent:       make([]int, n),
-		Children:     make([][]int, n),
-		ParentWeight: make([]int, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-	}
+	t := newTree(n, root)
 	if n == 1 {
 		return t, nil
 	}
@@ -327,20 +348,14 @@ func NewLinearTree(n, root int) (*Tree, error) {
 	if root < 0 || root >= n {
 		return nil, fmt.Errorf("core: root %d out of range [0,%d)", root, n)
 	}
-	t := &Tree{
-		Root:         root,
-		Parent:       make([]int, n),
-		Children:     make([][]int, n),
-		ParentWeight: make([]int, n),
-	}
+	t := newTree(n, root)
+	t.Children[root] = make([]int, 0, n-1)
 	for r := 0; r < n; r++ {
-		if r == root {
-			t.Parent[r] = -1
-			continue
+		if r != root {
+			t.Parent[r] = root
+			t.ParentWeight[r] = 1
+			t.Children[root] = append(t.Children[root], r)
 		}
-		t.Parent[r] = root
-		t.ParentWeight[r] = 1
-		t.Children[root] = append(t.Children[root], r)
 	}
 	return t, nil
 }

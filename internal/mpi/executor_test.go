@@ -52,10 +52,18 @@ func fanSchedule(n int, size int64) *sched.Schedule {
 
 // warmAllocsPerCall runs `calls` warm calls of one collective on an IG-48
 // world and returns heap allocations and allocated bytes per call summed
-// over all ranks (and the two bracketing barriers, amortised).
+// over all ranks (and the two bracketing barriers, amortised): the smallest
+// of three measurements, because MemStats is process-wide and counts what
+// the Go runtime allocates for itself. A rank that parks in a select takes
+// one 96-byte sudog per case from a cache that every GC cycle empties and
+// that grows whenever more goroutines park at once than before — which a
+// loaded host arranges at will (up to 6 "allocations" per Barrier in 5 of 60
+// worlds beside three spinning processes, every one of them that select).
+// Nothing of the runtime's repeats in all three windows; anything the call
+// path itself allocates does.
 func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, rank int) error) (allocs, bytes float64) {
 	t.Helper()
-	var m0, m1 runtime.MemStats
+	var m0, m1 [3]runtime.MemStats
 	err := w.Run(func(p *Proc) error {
 		c := p.Comm()
 		for i := 0; i < 3; i++ { // warm: plan cache, topology, map growth
@@ -63,32 +71,40 @@ func warmAllocsPerCall(t *testing.T, w *World, calls int, call func(c *Comm, ran
 				return err
 			}
 		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			runtime.ReadMemStats(&m0)
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		for i := 0; i < calls; i++ {
-			if err := call(c, p.Rank()); err != nil {
+		for k := range m0 {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			runtime.ReadMemStats(&m1)
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(&m0[k])
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			for i := 0; i < calls; i++ {
+				if err := call(c, p.Rank()); err != nil {
+					return err
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(&m1[k])
+			}
 		}
 		return c.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(m1.Mallocs-m0.Mallocs) / float64(calls), float64(m1.TotalAlloc-m0.TotalAlloc) / float64(calls)
+	best := 0
+	for k := range m0 {
+		if m1[k].Mallocs-m0[k].Mallocs < m1[best].Mallocs-m0[best].Mallocs {
+			best = k
+		}
+	}
+	return float64(m1[best].Mallocs-m0[best].Mallocs) / float64(calls), float64(m1[best].TotalAlloc-m0[best].TotalAlloc) / float64(calls)
 }
 
 // TestWarmCollectiveAllocBudget is the allocation gate of the one call

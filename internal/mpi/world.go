@@ -138,9 +138,10 @@ type World struct {
 	failCh chan struct{}
 
 	// Watchdog bookkeeping: what each rank is currently blocked on, for
-	// the hang diagnostic.
+	// the hang diagnostic. By world rank, zero when it is not blocked: a
+	// fixed slice, so that parking never allocates.
 	bmu     sync.Mutex
-	blocked map[int]blockEntry
+	blocked []blockEntry
 
 	// Communicator identity and the shrink registry: survivors of a
 	// failure derive the same shrunken communicator state from (parent
@@ -284,7 +285,7 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 		mail:       make([]atomic.Pointer[chan message], n*n),
 		failed:     make(map[int]bool),
 		failCh:     make(chan struct{}),
-		blocked:    make(map[int]blockEntry),
+		blocked:    make([]blockEntry, n),
 		shrunk:     make(map[string]*commState),
 		done:       make(chan struct{}),
 	}
@@ -575,7 +576,7 @@ func (w *World) blockEnter(rank int, what blockDesc) {
 
 func (w *World) blockExit(rank int) {
 	w.bmu.Lock()
-	delete(w.blocked, rank)
+	w.blocked[rank] = blockEntry{}
 	w.bmu.Unlock()
 }
 
@@ -583,14 +584,11 @@ func (w *World) blockExit(rank int) {
 // rank, what it is blocked on, and for how long.
 func (w *World) BlockedDump() string {
 	w.bmu.Lock()
-	ranks := make([]int, 0, len(w.blocked))
-	for r := range w.blocked {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	parts := make([]string, 0, len(ranks))
-	for _, r := range ranks {
-		e := w.blocked[r]
+	var parts []string
+	for r, e := range w.blocked {
+		if e.since.IsZero() {
+			continue
+		}
 		parts = append(parts, fmt.Sprintf("rank %d in %s for %v", r, e.what, time.Since(e.since).Round(time.Millisecond)))
 	}
 	w.bmu.Unlock()

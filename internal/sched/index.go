@@ -4,13 +4,20 @@ package sched
 // rank and per op, computed once per Schedule object (Schedule.Index) and
 // shared by every run of it. Holding an Index also certifies that the
 // schedule passed Validate.
+//
+// Both relations are in CSR form — one offset array and one value array
+// each, built by count-then-fill — so an index costs a constant number of
+// allocations whatever the schedule's rank and op counts.
 type Index struct {
-	s       *Schedule
-	rankOps [][]int32 // per rank: the ops it executes, in program order
-	// waiters[id] are the ranks, other than the executing one, that run an
-	// op depending on op id: each is owed one notification when id completes
-	// (the paper's §IV-C cross-rank synchronisations, at most one per rank).
-	waiters [][]int32
+	s *Schedule
+	// rankOps[rankStart[r]:rankStart[r+1]] are the ops rank r executes, in
+	// program order.
+	rankStart, rankOps []int32
+	// waiters[waitStart[id]:waitStart[id+1]] are the ranks, other than the
+	// executing one, that run an op depending on op id, ascending: each is
+	// owed one notification when id completes (the paper's §IV-C cross-rank
+	// synchronisations, at most one per rank).
+	waitStart, waiters []int32
 }
 
 // Index returns the schedule's execution index, validating the schedule and
@@ -24,22 +31,56 @@ func (s *Schedule) Index() (*Index, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	ix := &Index{s: s, rankOps: make([][]int32, s.NumRanks), waiters: make([][]int32, len(s.Ops))}
+	nr, n := s.NumRanks, len(s.Ops)
+	// Every count goes two slots above its key, so that after the prefix
+	// sum start[k+1] is where k's run begins; filling advances it to where
+	// the run ends, which is where k+1's begins (as des does for dependents).
+	offs := make([]int32, nr+2+n+2)
+	rankStart, waitStart := offs[:nr+2], offs[nr+2:]
+	for i := range s.Ops {
+		rankStart[s.Ops[i].Rank+2]++
+	}
+	for r := 2; r < len(rankStart); r++ {
+		rankStart[r] += rankStart[r-1]
+	}
+	ix := &Index{s: s, rankOps: make([]int32, n)}
 	for i := range s.Ops {
 		r := s.Ops[i].Rank
-		ix.rankOps[r] = append(ix.rankOps[r], int32(i))
+		ix.rankOps[rankStart[r+1]] = int32(i)
+		rankStart[r+1]++
 	}
-	// Rank by rank, so a repeated (op, waiting rank) pair is always adjacent.
-	for r, ops := range ix.rankOps {
-		for _, id := range ops {
+	ix.rankStart = rankStart[:nr+1]
+
+	// Rank by rank, so that a repeated (op, waiting rank) pair is adjacent
+	// and one mark per op — the last rank counted, negated while filling —
+	// tells a repeat from a new waiter.
+	mark := make([]int32, n)
+	for r := int32(0); int(r) < nr; r++ {
+		for _, id := range ix.RankOps(int(r)) {
 			for _, d := range s.Ops[id].Deps {
-				w := ix.waiters[d]
-				if s.Ops[d].Rank != r && (len(w) == 0 || w[len(w)-1] != int32(r)) {
-					ix.waiters[d] = append(w, int32(r))
+				if s.Ops[d].Rank != int(r) && mark[d] != r+1 {
+					mark[d] = r + 1
+					waitStart[d+2]++
 				}
 			}
 		}
 	}
+	for i := 2; i < len(waitStart); i++ {
+		waitStart[i] += waitStart[i-1]
+	}
+	ix.waiters = make([]int32, waitStart[n+1])
+	for r := int32(0); int(r) < nr; r++ {
+		for _, id := range ix.RankOps(int(r)) {
+			for _, d := range s.Ops[id].Deps {
+				if s.Ops[d].Rank != int(r) && mark[d] != -r-1 {
+					mark[d] = -r - 1
+					ix.waiters[waitStart[d+1]] = r
+					waitStart[d+1]++
+				}
+			}
+		}
+	}
+	ix.waitStart = waitStart[:n+1]
 	s.index.Store(ix)
 	return ix, nil
 }
@@ -50,11 +91,13 @@ func (ix *Index) Schedule() *Schedule { return ix.s }
 // RankOps returns the ids of the ops rank executes, in program order (nil
 // for a rank the schedule does not know).
 func (ix *Index) RankOps(rank int) []int32 {
-	if rank < 0 || rank >= len(ix.rankOps) {
+	if rank < 0 || rank+1 >= len(ix.rankStart) {
 		return nil
 	}
-	return ix.rankOps[rank]
+	return ix.rankOps[ix.rankStart[rank]:ix.rankStart[rank+1]]
 }
 
 // Waiters returns the ranks to notify when op id completes.
-func (ix *Index) Waiters(id OpID) []int32 { return ix.waiters[id] }
+func (ix *Index) Waiters(id OpID) []int32 {
+	return ix.waiters[ix.waitStart[id]:ix.waitStart[id+1]]
+}

@@ -50,110 +50,9 @@ func TestEveryCompilerEmitsProgramOrder(t *testing.T) {
 		checked++
 	}
 
-	sizes := []int64{1, 63, 4096, 300001, 1 << 20}
 	ig := hwtopo.NewIG()
 	for _, n := range []int{1, 2, 5, 16, 48} {
-		b, err := binding.Random(ig, n, int64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := distance.NewMatrix(ig, b.Cores())
-		ring, err := core.BuildAllgatherRing(m, core.RingOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots := map[int]bool{0: true, n / 2: true, n - 1: true}
-		pow2 := n&(n-1) == 0 // the recursive-doubling baselines need it
-		for _, size := range sizes {
-			tag := fmt.Sprintf("n=%d size=%d", n, size)
-			for root := range roots {
-				tree, err := core.BuildBroadcastTree(m, root, core.TreeOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rtag := fmt.Sprintf("%s root=%d", tag, root)
-				for _, chunk := range []int64{0, 4096} {
-					s, err := core.CompileBroadcast(tree, size, chunk)
-					check("core bcast "+rtag, s, err)
-					s, err = core.CompileReduce(tree, size, chunk, 0)
-					check("core reduce "+rtag, s, err)
-				}
-				if size <= 4096 { // gather/scatter stage n·block bytes per rank
-					s, err := core.CompileGather(tree, size)
-					check("core gather "+rtag, s, err)
-					s, err = core.CompileScatter(tree, size)
-					check("core scatter "+rtag, s, err)
-				}
-				for alg := baseline.BcastBinomial; alg <= baseline.BcastScatterRing; alg++ {
-					if alg == baseline.BcastScatterRecDoubling && !pow2 {
-						continue
-					}
-					for _, seg := range []int64{0, 8192} {
-						s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
-						check(fmt.Sprintf("baseline bcast %v %s", alg, rtag), s, err)
-					}
-				}
-				s, err := baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.NemesisSM())
-				check("baseline reduce "+rtag, s, err)
-			}
-			if size <= 300001 {
-				s, err := core.CompileAllgather(ring, size)
-				check("core allgather "+tag, s, err)
-				for alg := baseline.AllgatherRing; alg <= baseline.AllgatherBruck; alg++ {
-					if alg == baseline.AllgatherRecDoubling && !pow2 {
-						continue
-					}
-					s, err := baseline.CompileAllgather(alg, n, size, baseline.SMKnemBTL())
-					check(fmt.Sprintf("baseline allgather %v %s", alg, tag), s, err)
-				}
-			}
-			for _, align := range []int64{1, 8} {
-				if size%align != 0 {
-					continue
-				}
-				s, err := core.CompileAllreduce(ring, size, align)
-				check("core allreduce "+tag, s, err)
-				for alg := baseline.AllreduceRecDoubling; alg <= baseline.AllreduceRing; alg++ {
-					if alg == baseline.AllreduceRecDoubling && !pow2 {
-						continue
-					}
-					s, err := baseline.CompileAllreduce(alg, n, size, align, baseline.NemesisSM())
-					check(fmt.Sprintf("baseline allreduce %v %s", alg, tag), s, err)
-				}
-			}
-			if size <= 4096 {
-				s, err := core.CompileAlltoallHierarchical(m, size)
-				check("core alltoall hier "+tag, s, err)
-				s, err = core.CompileAlltoallDirect(n, size)
-				check("core alltoall direct "+tag, s, err)
-				s, err = baseline.CompileAlltoallPairwise(n, size, baseline.SMKnemBTL())
-				check("baseline alltoall "+tag, s, err)
-			}
-
-			// Delta repair: random verified holdings; the root (rank 0) holds
-			// everything, as a surviving broadcast root does.
-			rng := rand.New(rand.NewSource(size + int64(n)))
-			holds := make([]*recovery.IntervalSet, n)
-			segs := make([][]bool, n)
-			for r := 0; r < n; r++ {
-				holds[r] = recovery.NewSet(nil)
-				if r == 0 {
-					holds[r].Add(0, size)
-				} else if off := rng.Int63n(size); rng.Intn(3) > 0 {
-					holds[r].Add(off, rng.Int63n(size-off)+1)
-				}
-				segs[r] = make([]bool, n)
-				for o := range segs[r] {
-					segs[r][o] = o == r || rng.Intn(2) == 0
-				}
-			}
-			s, err := core.CompileBcastRepair(m, size, 0, holds)
-			check("core bcast repair "+tag, s, err)
-			if size <= 4096 {
-				s, err = core.CompileAllgatherRepair(m, size, segs)
-				check("core allgather repair "+tag, s, err)
-			}
-		}
+		everyCompiler(t, ig, n, int64(n), []int64{1, 63, 4096, 300001, 1 << 20}, check)
 	}
 
 	// Every decision the selector can make, flat and clustered (two-phase
@@ -189,4 +88,115 @@ func TestEveryCompilerEmitsProgramOrder(t *testing.T) {
 		}
 	}
 	t.Logf("%d schedules checked", checked)
+}
+
+// everyCompiler hands check one schedule from every compiler of core,
+// baseline and core/repair.go, for n ranks placed at random (seed) on topo,
+// at each message size: every root, chunking, algorithm and alignment the
+// compiler takes.
+func everyCompiler(t *testing.T, topo *hwtopo.Topology, n int, seed int64, sizes []int64, check func(name string, s *sched.Schedule, err error)) {
+	t.Helper()
+	b, err := binding.Random(topo, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := distance.NewMatrix(topo, b.Cores())
+	ring, err := core.BuildAllgatherRing(m, core.RingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := map[int]bool{0: true, n / 2: true, n - 1: true}
+	pow2 := n&(n-1) == 0 // the recursive-doubling baselines need it
+	for _, size := range sizes {
+		tag := fmt.Sprintf("%s n=%d size=%d", topo.Name, n, size)
+		for root := range roots {
+			tree, err := core.BuildBroadcastTree(m, root, core.TreeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtag := fmt.Sprintf("%s root=%d", tag, root)
+			for _, chunk := range []int64{0, 4096} {
+				s, err := core.CompileBroadcast(tree, size, chunk)
+				check("core bcast "+rtag, s, err)
+				s, err = core.CompileReduce(tree, size, chunk, 0)
+				check("core reduce "+rtag, s, err)
+				s, err = core.CompileAllreduceTree(tree, size, chunk, 0)
+				check("core allreduce tree "+rtag, s, err)
+			}
+			if size <= 4096 { // gather/scatter stage n·block bytes per rank
+				s, err := core.CompileGather(tree, size)
+				check("core gather "+rtag, s, err)
+				s, err = core.CompileScatter(tree, size)
+				check("core scatter "+rtag, s, err)
+			}
+			for alg := baseline.BcastBinomial; alg <= baseline.BcastScatterRing; alg++ {
+				if alg == baseline.BcastScatterRecDoubling && !pow2 {
+					continue
+				}
+				for _, seg := range []int64{0, 8192} {
+					s, err := baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
+					check(fmt.Sprintf("baseline bcast %v %s", alg, rtag), s, err)
+				}
+			}
+			s, err := baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.NemesisSM())
+			check("baseline reduce "+rtag, s, err)
+		}
+		if size <= 300001 {
+			s, err := core.CompileAllgather(ring, size)
+			check("core allgather "+tag, s, err)
+			for alg := baseline.AllgatherRing; alg <= baseline.AllgatherBruck; alg++ {
+				if alg == baseline.AllgatherRecDoubling && !pow2 {
+					continue
+				}
+				s, err := baseline.CompileAllgather(alg, n, size, baseline.SMKnemBTL())
+				check(fmt.Sprintf("baseline allgather %v %s", alg, tag), s, err)
+			}
+		}
+		for _, align := range []int64{1, 8} {
+			if size%align != 0 {
+				continue
+			}
+			s, err := core.CompileAllreduce(ring, size, align)
+			check("core allreduce "+tag, s, err)
+			for alg := baseline.AllreduceRecDoubling; alg <= baseline.AllreduceRing; alg++ {
+				if alg == baseline.AllreduceRecDoubling && !pow2 {
+					continue
+				}
+				s, err := baseline.CompileAllreduce(alg, n, size, align, baseline.NemesisSM())
+				check(fmt.Sprintf("baseline allreduce %v %s", alg, tag), s, err)
+			}
+		}
+		if size <= 4096 {
+			s, err := core.CompileAlltoallHierarchical(m, size)
+			check("core alltoall hier "+tag, s, err)
+			s, err = core.CompileAlltoallDirect(n, size)
+			check("core alltoall direct "+tag, s, err)
+			s, err = baseline.CompileAlltoallPairwise(n, size, baseline.SMKnemBTL())
+			check("baseline alltoall "+tag, s, err)
+		}
+
+		// Delta repair: random verified holdings; the root (rank 0) holds
+		// everything, as a surviving broadcast root does.
+		rng := rand.New(rand.NewSource(size + int64(n)))
+		holds := make([]*recovery.IntervalSet, n)
+		segs := make([][]bool, n)
+		for r := 0; r < n; r++ {
+			holds[r] = recovery.NewSet(nil)
+			if r == 0 {
+				holds[r].Add(0, size)
+			} else if off := rng.Int63n(size); rng.Intn(3) > 0 {
+				holds[r].Add(off, rng.Int63n(size-off)+1)
+			}
+			segs[r] = make([]bool, n)
+			for o := range segs[r] {
+				segs[r][o] = o == r || rng.Intn(2) == 0
+			}
+		}
+		s, err := core.CompileBcastRepair(m, size, 0, holds)
+		check("core bcast repair "+tag, s, err)
+		if size <= 4096 {
+			s, err = core.CompileAllgatherRepair(m, size, segs)
+			check("core allgather repair "+tag, s, err)
+		}
+	}
 }

@@ -117,12 +117,39 @@ type Schedule struct {
 	Buffers  []BufSpec
 	Ops      []Op
 
+	// deps is the arena AddOp copies dependency lists into: every stored
+	// Op.Deps is a capacity-limited window of it, or of an arena it
+	// outgrew (a full arena is replaced, never moved, so windows stay put).
+	deps  []OpID
 	index atomic.Pointer[Index] // see Index; cleared by AddBuffer/AddOp
 }
 
 // New creates an empty schedule for n ranks.
 func New(n int) *Schedule {
 	return &Schedule{NumRanks: n}
+}
+
+// Grow reserves room for ops more operations carrying deps dependencies in
+// total, and bufs more buffers, so that adding them allocates nothing
+// further. It is a capacity hint only: a schedule behaves the same without
+// it or with counts that turn out wrong. Compilers that know their exact
+// counts pass them; an estimate from above is held for the schedule's
+// lifetime.
+func (s *Schedule) Grow(ops, bufs, deps int) {
+	s.Ops = reserve(s.Ops, ops)
+	s.Buffers = reserve(s.Buffers, bufs)
+	if cap(s.deps)-len(s.deps) < deps {
+		s.deps = make([]OpID, 0, deps) // windows into the old arena stay where they are
+	}
+}
+
+// reserve returns s with room for n more elements: exactly that, where
+// slices.Grow would round up to an allocation size class.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // AddBuffer declares a buffer and returns its id.
@@ -132,12 +159,31 @@ func (s *Schedule) AddBuffer(rank int, name string, bytes int64) BufID {
 	return BufID(len(s.Buffers) - 1)
 }
 
-// AddOp appends an operation, assigning and returning its id.
+// AddOp appends an operation, assigning and returning its id. The schedule
+// owns the stored op's dependency list: op.Deps is copied, so the caller
+// may build it in a scratch buffer and reuse that at once, and the stored
+// Deps (nil when op.Deps is empty) has no spare capacity, so appending to
+// it never reaches another op's.
 func (s *Schedule) AddOp(op Op) OpID {
-	op.ID = OpID(len(s.Ops))
-	s.Ops = append(s.Ops, op)
+	id := OpID(len(s.Ops))
+	var deps []OpID
+	if n := len(op.Deps); n > 0 {
+		if cap(s.deps)-len(s.deps) < n {
+			s.deps = make([]OpID, 0, max(2*cap(s.deps), n, 16))
+		}
+		lo := len(s.deps)
+		s.deps = append(s.deps, op.Deps...)
+		deps = s.deps[lo:len(s.deps):len(s.deps)]
+	}
+	// Field by field, not `op` with two fields replaced: storing the
+	// parameter itself would make every caller's Deps literal escape.
+	s.Ops = append(s.Ops, Op{
+		ID: id, Rank: op.Rank, Kind: op.Kind, Mode: op.Mode,
+		Src: op.Src, SrcOff: op.SrcOff, Dst: op.Dst, DstOff: op.DstOff, Bytes: op.Bytes,
+		Chunk: op.Chunk, Deps: deps,
+	})
 	s.index.Store(nil)
-	return op.ID
+	return id
 }
 
 // Buffer returns the spec for id.

@@ -117,7 +117,11 @@ func (o *Overlay) decide(coll Collective, fp Fingerprint, bytes int64) (Decision
 func (o *Overlay) Learned(coll Collective, fp Fingerprint, bytes int64) (Decision, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	for _, r := range o.learned[coll][fpKey(fp)] {
+	byFP := o.learned[coll]
+	if len(byFP) == 0 {
+		return Decision{}, false // nothing learned: do not format the key
+	}
+	for _, r := range byFP[fpKey(fp)] {
 		if r.Covers(bytes) {
 			return r.Decision, true
 		}

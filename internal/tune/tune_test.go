@@ -615,6 +615,35 @@ func TestSelectWarmPathAllocations(t *testing.T) {
 	}
 }
 
+// TestOverlayLearnedMissAllocations: an exact-tier miss consults the learned
+// tier on every warm call of an autotuned world, so it must not format the
+// fingerprint key while nothing has been learned for the collective —
+// whatever was learned for another one.
+func TestOverlayLearnedMissAllocations(t *testing.T) {
+	ov := NewOverlay(DefaultSelector())
+	fp := FingerprintOf(matrixFor(t, "ig", "crosssocket", 13)) // no exact table: class tier
+	if err := ov.SetLearned(CollBcast, fp, Rule{Decision: Decision{Component: ComponentTuned}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, coll := range []Collective{CollAllgather, CollReduce, CollAllreduce} {
+		want, prov := ov.ExplainFP(coll, fp, 1024)
+		if prov != "class:ig48/contiguous" {
+			t.Fatalf("%s: provenance %q, want the class tier", coll, prov)
+		}
+		learned := true
+		if a := testing.AllocsPerRun(100, func() { _, learned = ov.Learned(coll, fp, 1024) }); a != 0 || learned {
+			t.Errorf("%s: Overlay.Learned = %v with %v allocations, want false with 0", coll, learned, a)
+		}
+		var got Decision
+		if a := testing.AllocsPerRun(100, func() { got = ov.SelectFP(coll, fp, 1024) }); a != 0 || got != want {
+			t.Errorf("%s: Overlay.SelectFP = %s with %v allocations, want %s with 0", coll, got, a, want)
+		}
+	}
+	if d, ok := ov.Learned(CollBcast, fp, 1024); !ok || d.Component != ComponentTuned {
+		t.Errorf("the learned bcast rule is not found: %v, %v", d, ok)
+	}
+}
+
 // TestShippedAllreduceStaysOffTheCliff is the op-count guard of the tree
 // allreduce, and needs no clock: on every shipped (table, binding), at every
 // calibration size below 64 KiB, the selected allreduce is never the ring
@@ -686,6 +715,57 @@ func TestShippedAllreduceStaysOffTheCliff(t *testing.T) {
 			}
 			if trees == 0 {
 				t.Errorf("%s/%s: the tree allreduce is selected nowhere below 64 KiB", tab.Name, rs.Binding)
+			}
+		}
+	}
+}
+
+// TestColdCompileAllocBudget pins what a fresh communicator's first call of
+// each collective allocates between its distance view and a runnable plan:
+// tree or ring construction, the compile and the execution index together
+// stay under one constant at 16 ranks as at 48 — for 39 ops as for 6,816 —
+// so anything allocated once per op, per rank or per cluster fails it.
+func TestColdCompileAllocBudget(t *testing.T) {
+	const budget = 40
+	topo := hwtopo.NewIG()
+	for _, n := range []int{16, 48} {
+		b, err := binding.CrossSocket(topo, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv, err := distance.NewClustered(topo, b.Cores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			coll  Collective
+			d     Decision
+			bytes int64
+		}{
+			{CollBcast, Decision{Component: ComponentKNEM}, 256 << 10}, // pipelined: 16 chunks
+			{CollAllgather, Decision{Component: ComponentKNEM}, 4096},
+			{CollReduce, Decision{Component: ComponentKNEM}, 256 << 10},
+			{CollAllreduce, Decision{Component: ComponentKNEM}, 4096},
+			{CollAllreduce, Decision{Component: ComponentKNEM, Tree: true}, 256 << 10},
+			{CollGather, Decision{Component: ComponentKNEM}, 4096},
+			{CollScatter, Decision{Component: ComponentKNEM}, 4096},
+			{CollAlltoall, Decision{Component: ComponentKNEM}, 256},
+			{CollAlltoall, Decision{Component: ComponentKNEM}, 4096},
+		} {
+			ops := 0
+			a := testing.AllocsPerRun(5, func() {
+				s, err := CompileFor(tc.coll, tc.d, cv, n/3, tc.bytes, ReduceAlign)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Index(); err != nil {
+					t.Fatal(err)
+				}
+				ops = len(s.Ops)
+			})
+			t.Logf("n=%d %s %v %d B: %d ops, %.0f allocations", n, tc.coll, tc.d, tc.bytes, ops, a)
+			if a > budget {
+				t.Errorf("n=%d %s %v %d B (%d ops): %.0f allocations cold, budget %d", n, tc.coll, tc.d, tc.bytes, ops, a, budget)
 			}
 		}
 	}
