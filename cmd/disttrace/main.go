@@ -255,12 +255,7 @@ func cmdVerify(args []string) error {
 		usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(args[0])
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	events, err := trace.ReadJSONL(f)
+	events, err := readTrace(args[0])
 	if err != nil {
 		return err
 	}
@@ -276,15 +271,16 @@ func cmdVerify(args []string) error {
 
 // cmdHealth replays a captured JSONL trace through the gray-failure
 // scorer offline: the same copy timings the online scorer would see in
-// a live world, fed in trace order, then the scorer's state rendered as
-// a report — which edges scored, their ratios against the class
-// baselines, and what would have been demoted, probed, or escalated.
+// a live world, fed in trace order and scanned at every plan_reap (one
+// per collective, as online), then the scorer's state rendered as a
+// report — which edges scored, their ratios against the class baselines,
+// and what would have been demoted, probed, or escalated.
 func cmdHealth(args []string) error {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
 	window := fs.Int("window", 16, "per-edge sample window")
 	minSamples := fs.Int("min-samples", 8, "samples before an edge is judged")
 	demoteRatio := fs.Float64("demote-ratio", 4, "demote at ratio × class baseline")
-	strikes := fs.Int("strikes", 2, "consecutive failing scans before demotion")
+	strikes := fs.Int("strikes", 2, "consecutive collectives over the ratio before demotion")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -292,12 +288,7 @@ func cmdHealth(args []string) error {
 		usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	events, err := trace.ReadJSONL(f)
+	events, err := readTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -320,12 +311,7 @@ func cmdChrome(args []string) error {
 		usage()
 		os.Exit(2)
 	}
-	in, err := os.Open(args[0])
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	events, err := trace.ReadJSONL(in)
+	events, err := readTrace(args[0])
 	if err != nil {
 		return err
 	}
@@ -340,23 +326,28 @@ func cmdChrome(args []string) error {
 	return out.Close()
 }
 
-// matrixFromMeta rebuilds the process-distance matrix from the trace's
-// meta record ("machine=<name> bind=<name> np=<n>").
-func matrixFromMeta(events []trace.Event) (distance.Matrix, error) {
-	metas := trace.Filter(events, trace.KindMeta)
-	if len(metas) == 0 {
-		return nil, fmt.Errorf("trace has no meta record; cannot rebuild the distance matrix")
-	}
-	var machine, bindName string
-	var np int
-	if _, err := fmt.Sscanf(metas[0].Det, "machine=%s bind=%s np=%d", &machine, &bindName, &np); err != nil {
-		return nil, fmt.Errorf("unparseable meta record %q: %w", metas[0].Det, err)
-	}
-	topo, err := hwtopo.ByName(machine)
+// readTrace reads a captured JSONL trace.
+func readTrace(path string) ([]trace.Event, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	bind, err := binding.ByName(topo, bindName, np, 0)
+	defer f.Close()
+	return trace.ReadJSONL(f)
+}
+
+// matrixFromMeta rebuilds the process-distance matrix from the trace's
+// meta record.
+func matrixFromMeta(events []trace.Event) (distance.Matrix, error) {
+	meta, err := trace.ParseMeta(events)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := hwtopo.ByName(meta.Machine)
+	if err != nil {
+		return nil, err
+	}
+	bind, err := binding.ByName(topo, meta.Binding, meta.Procs, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -173,7 +173,7 @@ func TestHealthReplayFlagsSlowEdge(t *testing.T) {
 			copyEv(0, 4, 500), // the gray-failed relay edge
 			copyEv(0, 8, 10),
 			copyEv(0, 12, 10),
-			trace.Event{Kind: trace.KindOpEnd, Op: "bcast"})
+			trace.Event{Kind: trace.KindPlanReap})
 	}
 	data, err := trace.MarshalJSONL(events)
 	if err != nil {

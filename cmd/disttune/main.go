@@ -279,8 +279,8 @@ func runFit(args []string, out *os.File) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "fit %s: machine=%s bind=%s np=%d (%d copy samples, %d collectives)\n",
-		res.Learned.Name, res.Machine, res.Binding, res.Procs, res.Samples, len(res.Colls))
+	fmt.Fprintf(out, "fit %s: %s (%d copy samples, %d collectives)\n",
+		res.Learned.Name, res.MetaInfo, res.Samples, len(res.Colls))
 	fmt.Fprint(out, res.Model)
 	if res.Learned.Table != nil {
 		dumpTable(out, res.Learned.Table)

@@ -23,10 +23,6 @@ type Config struct {
 	// the stickiness that keeps converged cells from oscillating on
 	// noise. Default 0.05 (5%).
 	Hysteresis float64
-	// Interval triggers a recalibration every Interval op_end events;
-	// 0 disables automatic recalibration (call Recalibrate explicitly).
-	// Default 0: the embedding layer decides the cadence.
-	Interval int
 	// Window bounds each estimator cell and measured-decision window to
 	// the most recent Window samples. Default 64.
 	Window int
@@ -84,8 +80,8 @@ type pendingPlan struct {
 	variant string
 }
 
-// maxPending bounds the plan-correlation map in FIFO order. It is the
-// sole retirement mechanism: entries must NOT be dropped at plan_reap,
+// maxPending bounds the online plan-correlation map in FIFO order. It is
+// the sole retirement mechanism: entries must NOT be dropped at plan_reap,
 // because the runtime reaps a plan when the last member leaves the
 // executor — before any member's op_end is emitted — so every live
 // trace orders plan_reap ahead of the op_end events that close the
@@ -103,6 +99,110 @@ type qcell struct {
 type qstate struct {
 	lastBytes int64 // most recent exact size seen in this bucket
 	measured  map[string]*Window
+}
+
+// medians snapshots the cell's measured median per variant (nil-safe: a
+// cell that never ran has none).
+func (cs *qstate) medians() map[string]float64 {
+	if cs == nil {
+		return nil
+	}
+	med := make(map[string]float64, len(cs.measured))
+	for variant, w := range cs.measured {
+		med[variant] = w.Median()
+	}
+	return med
+}
+
+// priced is one candidate decision of a cell: at its measured median when
+// the cell has one, at the fitted model's price otherwise.
+type priced struct {
+	d        tune.Decision
+	price    float64
+	measured bool
+}
+
+// priceCandidates prices the calibrator's candidates for coll at bytes, in
+// preference order, dropping what the model cannot price. Measurement has
+// priority over the model online and in a replay alike.
+func priceCandidates(pricer *Pricer, coll tune.Collective, bytes int64, med map[string]float64) []priced {
+	var list []priced
+	for _, cand := range tune.Candidates(coll, false) {
+		if m, ok := med[cand.String()]; ok {
+			list = append(list, priced{d: cand, price: m, measured: true})
+		} else if p, err := pricer.Price(coll, cand, 0, bytes, alignOf(coll)); err == nil {
+			list = append(list, priced{d: cand, price: p})
+		}
+	}
+	return list
+}
+
+// alignOf is the element alignment coll's schedules are compiled at.
+func alignOf(coll tune.Collective) int64 {
+	if coll == tune.CollAllreduce {
+		return tune.ReduceAlign
+	}
+	return 0
+}
+
+// fold is the one reading of the event stream, online (Tuner.Emit) and
+// offline (FitTrace): copy events feed the estimator, plan_cache events
+// open a plan→decision correlation that op_end events close with measured
+// durations. It is not self-synchronizing.
+type fold struct {
+	pendingCap   int        // bound of the correlation map
+	collector    *Collector // its window bounds the measured windows too
+	pending      map[int64]pendingPlan
+	pendingOrder []int64
+	cells        map[qcell]*qstate
+}
+
+// newFold bounds the fold for a live stream; a replay passes bounds no
+// smaller than its trace and keeps everything.
+func newFold(window, pendingCap int) fold {
+	return fold{
+		pendingCap: pendingCap,
+		collector:  NewCollector(window),
+		pending:    make(map[int64]pendingPlan),
+		cells:      make(map[qcell]*qstate),
+	}
+}
+
+func (f *fold) emit(e trace.Event) {
+	switch e.Kind {
+	case trace.KindCopy:
+		f.collector.Observe(e.Dist, e.Bytes, float64(e.Dur)/1e9)
+	case trace.KindPlanCache:
+		if e.Plan == 0 {
+			return
+		}
+		if _, ok := f.pending[e.Plan]; !ok {
+			f.pendingOrder = append(f.pendingOrder, e.Plan)
+			if len(f.pendingOrder) > f.pendingCap {
+				delete(f.pending, f.pendingOrder[0])
+				f.pendingOrder = f.pendingOrder[1:]
+			}
+		}
+		f.pending[e.Plan] = pendingPlan{coll: tune.Collective(e.Op), bytes: e.Bytes, variant: e.Det}
+	case trace.KindOpEnd:
+		pp, ok := f.pending[e.Plan]
+		if !ok || e.Err != "" || e.Dur <= 0 {
+			return
+		}
+		k := qcell{coll: pp.coll, bucket: Bucket(pp.bytes)}
+		cs := f.cells[k]
+		if cs == nil {
+			cs = &qstate{measured: make(map[string]*Window)}
+			f.cells[k] = cs
+		}
+		cs.lastBytes = pp.bytes
+		w := cs.measured[pp.variant]
+		if w == nil {
+			w = &Window{}
+			cs.measured[pp.variant] = w
+		}
+		w.Observe(0, float64(e.Dur)/1e9, f.collector.window)
+	}
 }
 
 // Tuner is the online autotuning subsystem: a trace.Sink that feeds copy
@@ -127,11 +227,7 @@ type Tuner struct {
 	fp      tune.Fingerprint
 
 	mu           sync.Mutex
-	collector    *Collector
-	pending      map[int64]pendingPlan
-	pendingOrder []int64
-	cells        map[qcell]*qstate
-	opEnds       int
+	fold         // guarded by mu
 	recalibating bool
 	model        *Model
 	flips        int64
@@ -147,14 +243,13 @@ type Tuner struct {
 // static selector the overlay wraps (nil for fallback-only); decisions
 // flow out through Overlay().
 func NewTuner(base *tune.Selector, v distance.View, cfg Config) *Tuner {
+	cfg = cfg.withDefaults()
 	return &Tuner{
-		cfg:       cfg.withDefaults(),
-		overlay:   tune.NewOverlay(base),
-		view:      v,
-		fp:        tune.FingerprintOf(v),
-		collector: NewCollector(cfg.withDefaults().Window),
-		pending:   make(map[int64]pendingPlan),
-		cells:     make(map[qcell]*qstate),
+		cfg:     cfg,
+		overlay: tune.NewOverlay(base),
+		view:    v,
+		fp:      tune.FingerprintOf(v),
+		fold:    newFold(cfg.Window, maxPending),
 	}
 }
 
@@ -214,61 +309,17 @@ func (t *Tuner) Model() *Model {
 	return t.model
 }
 
-// Emit implements trace.Sink. Copy events feed the estimator; plan_cache
-// events open a plan→decision correlation that op_end events close with
-// measured durations. plan_reap is deliberately ignored: the runtime
-// emits it before the per-rank op_end events (the last member to leave
-// the executor reaps, then every member closes its op bracket), so
-// correlations retire only by FIFO eviction at maxPending. When
-// Config.Interval is set, every Interval op_ends trigger a
-// recalibration inline on the emitting goroutine.
+// Emit implements trace.Sink: the three kinds the fold reads take the
+// tuner's lock, everything else (declare, destroy, op_begin, retry,
+// plan_reap — most of a collective's events) returns without it.
+// Recalibration is never triggered from here: its cadence is the
+// embedder's (Recalibrate).
 func (t *Tuner) Emit(e trace.Event) {
-	var recal bool
-	t.mu.Lock()
 	switch e.Kind {
-	case trace.KindCopy:
-		if e.Dist >= 0 && e.Bytes > 0 && e.Dur > 0 {
-			t.collector.Observe(e.Dist, e.Bytes, float64(e.Dur)/1e9)
-		}
-	case trace.KindPlanCache:
-		if e.Plan != 0 {
-			if _, ok := t.pending[e.Plan]; !ok {
-				t.pendingOrder = append(t.pendingOrder, e.Plan)
-				if len(t.pendingOrder) > maxPending {
-					delete(t.pending, t.pendingOrder[0])
-					t.pendingOrder = t.pendingOrder[1:]
-				}
-			}
-			t.pending[e.Plan] = pendingPlan{
-				coll:    tune.Collective(e.Op),
-				bytes:   e.Bytes,
-				variant: e.Det,
-			}
-		}
-	case trace.KindOpEnd:
-		if pp, ok := t.pending[e.Plan]; ok && e.Err == "" && e.Dur > 0 {
-			k := qcell{coll: pp.coll, bucket: Bucket(pp.bytes)}
-			cs := t.cells[k]
-			if cs == nil {
-				cs = &qstate{measured: make(map[string]*Window)}
-				t.cells[k] = cs
-			}
-			cs.lastBytes = pp.bytes
-			w := cs.measured[pp.variant]
-			if w == nil {
-				w = &Window{}
-				cs.measured[pp.variant] = w
-			}
-			w.Observe(0, float64(e.Dur)/1e9, t.cfg.Window)
-			t.opEnds++
-			if t.cfg.Interval > 0 && t.opEnds >= t.cfg.Interval && !t.recalibating {
-				recal = true
-			}
-		}
-	}
-	t.mu.Unlock()
-	if recal {
-		t.Recalibrate()
+	case trace.KindCopy, trace.KindPlanCache, trace.KindOpEnd:
+		t.mu.Lock()
+		t.fold.emit(e)
+		t.mu.Unlock()
 	}
 }
 
@@ -294,17 +345,10 @@ func (t *Tuner) Recalibrate() []Revision {
 		return nil
 	}
 	t.recalibating = true
-	t.opEnds = 0
 	points := t.collector.Points()
 	snaps := make([]cellSnap, 0, len(t.cells))
 	for k, cs := range t.cells {
-		s := cellSnap{key: k, bytes: cs.lastBytes, med: make(map[string]float64, len(cs.measured))}
-		for variant, w := range cs.measured {
-			if w.Len() > 0 {
-				s.med[variant] = w.Median()
-			}
-		}
-		snaps = append(snaps, s)
+		snaps = append(snaps, cellSnap{key: k, bytes: cs.lastBytes, med: cs.medians()})
 	}
 	t.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool {
@@ -353,31 +397,11 @@ func (t *Tuner) decideCell(pricer *Pricer, s cellSnap) (Revision, bool) {
 	if bytes <= 0 {
 		return Revision{}, false
 	}
-	var align int64
-	if coll == tune.CollAllreduce {
-		align = tune.ReduceAlign
-	}
-	type pc struct {
-		d        tune.Decision
-		price    float64
-		measured bool
-	}
-	var list []pc
-	for _, cand := range tune.Candidates(coll, false) {
-		if med, ok := s.med[cand.String()]; ok {
-			list = append(list, pc{d: cand, price: med, measured: true})
-			continue
-		}
-		price, err := pricer.Price(coll, cand, 0, bytes, align)
-		if err != nil {
-			continue
-		}
-		list = append(list, pc{d: cand, price: price, measured: false})
-	}
+	list := priceCandidates(pricer, coll, bytes, s.med)
 	if len(list) == 0 {
 		return Revision{}, false
 	}
-	var best *pc // measured argmin
+	var best *priced // measured argmin
 	for i := range list {
 		if list[i].measured && (best == nil || list[i].price < best.price) {
 			best = &list[i]
@@ -392,7 +416,7 @@ func (t *Tuner) decideCell(pricer *Pricer, s cellSnap) (Revision, bool) {
 	// model-fit jitter would just ping-pong the shadowed rule between
 	// unmeasured candidates. Exploitation (measured evidence) still
 	// records into the shadowed learned tier below.
-	var probe *pc
+	var probe *priced
 	if !strings.HasPrefix(prov, "table:") {
 		for i := range list {
 			c := &list[i]
@@ -431,7 +455,7 @@ func (t *Tuner) decideCell(pricer *Pricer, s cellSnap) (Revision, bool) {
 		incPrice := math.Inf(1)
 		if med, ok := s.med[incumbent.String()]; ok {
 			incPrice = med
-		} else if p, err := pricer.Price(coll, incumbent, 0, bytes, align); err == nil {
+		} else if p, err := pricer.Price(coll, incumbent, 0, bytes, alignOf(coll)); err == nil {
 			incPrice = p
 		}
 		if chosen.price >= incPrice*(1-t.cfg.Hysteresis) {

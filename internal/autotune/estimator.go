@@ -50,6 +50,8 @@ type Window struct {
 	bytes int64     // sum of sizes of the samples currently in the ring
 	sizes []int64   // ring of sizes matching secs
 	total int       // lifetime sample count
+	med   float64   // Median() of the current ring while medOK
+	medOK bool
 }
 
 // Observe appends one sample of bytes moved in sec seconds, evicting the
@@ -69,15 +71,17 @@ func (w *Window) Observe(bytes int64, sec float64, window int) {
 		w.next = (w.next + 1) % window
 	}
 	w.total++
+	w.medOK = false
 }
 
 // Median returns the median duration of the samples currently in the
-// ring (0 when empty).
+// ring (0 when empty). The copy-and-sort is paid once per change of the
+// ring, not once per call: a health scan asks every window twice.
 func (w *Window) Median() float64 {
-	if len(w.secs) == 0 {
-		return 0
+	if !w.medOK {
+		w.med, w.medOK = Median(w.secs), true
 	}
-	return median(w.secs)
+	return w.med
 }
 
 // Len returns the number of samples currently in the ring.
@@ -92,6 +96,7 @@ func (w *Window) Reset() {
 	w.sizes = w.sizes[:0]
 	w.bytes = 0
 	w.next = 0
+	w.medOK = false
 }
 
 // Point aggregates the ring into one fit point: median duration at the
@@ -103,7 +108,7 @@ func (w *Window) Point() Point {
 	}
 	return Point{
 		Bytes:   w.bytes / int64(n),
-		Seconds: median(w.secs),
+		Seconds: w.Median(),
 		Weight:  n,
 	}
 }

@@ -102,21 +102,22 @@ func theilSen(pts []Point) ClassFit {
 		for i, p := range pts {
 			ys[i] = p.Seconds
 		}
-		return theilSen([]Point{{Bytes: pts[0].Bytes, Seconds: median(ys), Weight: samples}})
+		return theilSen([]Point{{Bytes: pts[0].Bytes, Seconds: Median(ys), Weight: samples}})
 	}
-	slope := math.Max(median(slopes), 0)
+	slope := math.Max(Median(slopes), 0)
 	resid := make([]float64, len(pts))
 	for i, p := range pts {
 		resid[i] = p.Seconds - slope*float64(p.Bytes)
 	}
 	return ClassFit{
-		Alpha:      math.Max(median(resid), 0),
+		Alpha:      math.Max(Median(resid), 0),
 		SecPerByte: slope,
 		Samples:    samples,
 	}
 }
 
-func median(v []float64) float64 {
+// Median returns the median of v (0 when empty) without reordering it.
+func Median(v []float64) float64 {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
 	n := len(s)

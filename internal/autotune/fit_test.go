@@ -3,6 +3,9 @@ package autotune
 import (
 	"math"
 	"testing"
+	"time"
+
+	"distcoll/internal/trace"
 )
 
 func TestBucketEdges(t *testing.T) {
@@ -155,5 +158,50 @@ func TestCollectorFitAcrossBuckets(t *testing.T) {
 	}
 	if f.Samples != 9 {
 		t.Fatalf("samples = %d, want 9", f.Samples)
+	}
+}
+
+// TestWindowMedianFollowsTheRing: the cached median is dropped by every
+// change of the ring — a sample appended, a sample evicted, a reset — and
+// only by those.
+func TestWindowMedianFollowsTheRing(t *testing.T) {
+	w := &Window{}
+	if w.Median() != 0 {
+		t.Errorf("empty window median = %v, want 0", w.Median())
+	}
+	for i, want := range []float64{5, 4, 3, 3} { // ring of 3: {5} {5,3} {5,3,1} then 9 evicts 5
+		w.Observe(64, []float64{5, 3, 1, 9}[i], 3)
+		if got := w.Median(); got != want || w.Median() != want {
+			t.Errorf("after sample %d: median = %v, want %v", i, got, want)
+		}
+	}
+	if p := w.Point(); p.Seconds != 3 || p.Weight != 3 {
+		t.Errorf("Point = %+v, want the ring's median 3 over 3 samples", p)
+	}
+	w.Reset()
+	if w.Median() != 0 || w.Len() != 0 || w.Total() != 4 {
+		t.Errorf("after Reset: median %v, len %d, total %d", w.Median(), w.Len(), w.Total())
+	}
+}
+
+// TestTunerEmitLocksOnlyForFoldedKinds: most of a collective's events are
+// none of the fold's three kinds, and 48 ranks emitting them must not
+// queue on the tuner's lock to do nothing with them.
+func TestTunerEmitLocksOnlyForFoldedKinds(t *testing.T) {
+	tuner := &Tuner{fold: newFold(4, 4)}
+	tuner.mu.Lock()
+	defer tuner.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		for _, k := range []trace.Kind{trace.KindDeclare, trace.KindDestroy, trace.KindOpBegin,
+			trace.KindRetry, trace.KindPlanBuild, trace.KindPlanReap, trace.KindMeta} {
+			tuner.Emit(trace.Event{Kind: k, Plan: 1})
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Emit of an event the fold ignores waited for the tuner's lock")
 	}
 }

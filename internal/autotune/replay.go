@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"distcoll/internal/binding"
@@ -24,18 +25,13 @@ type ReplayConfig struct {
 	// an error (a trace too thin to fit produces garbage parameters, not
 	// a table). Default 1.
 	MinSamples int
-	// Window bounds the estimator cells; default 0 (unbounded — offline
-	// replay wants every sample, not a recency window).
-	Window int
 }
 
 // FitResult is everything a trace fit produces.
 type FitResult struct {
-	Machine string
-	Binding string
-	Procs   int
-	Samples int64
-	Model   *Model
+	trace.MetaInfo // the traced world: Machine, Binding, Procs
+	Samples        int64
+	Model          *Model
 	// Colls are the collectives that appeared in the trace, sorted.
 	Colls []tune.Collective
 	// Learned is the persistence document (model + decided table).
@@ -51,20 +47,15 @@ type FitResult struct {
 // traces from adaptive runs) take priority over model prices, exactly as
 // in the online tuner's exploitation phase.
 func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
-	metas := trace.Filter(events, trace.KindMeta)
-	if len(metas) == 0 {
-		return nil, fmt.Errorf("autotune: trace has no meta record; cannot rebuild the topology")
+	meta, err := trace.ParseMeta(events)
+	if err != nil {
+		return nil, fmt.Errorf("autotune: %w", err)
 	}
-	var machine, bindName string
-	var np int
-	if _, err := fmt.Sscanf(metas[0].Det, "machine=%s bind=%s np=%d", &machine, &bindName, &np); err != nil {
-		return nil, fmt.Errorf("autotune: unparseable meta record %q: %w", metas[0].Det, err)
-	}
-	topo, err := hwtopo.ByName(machine)
+	topo, err := hwtopo.ByName(meta.Machine)
 	if err != nil {
 		return nil, err
 	}
-	bind, err := binding.ByName(topo, bindName, np, 0)
+	bind, err := binding.ByName(topo, meta.Binding, meta.Procs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +65,7 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 	}
 
 	if cfg.Name == "" {
-		cfg.Name = fmt.Sprintf("%s%d-replay", machine, np)
+		cfg.Name = fmt.Sprintf("%s%d-replay", meta.Machine, meta.Procs)
 	}
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = imb.StandardSizes()
@@ -82,53 +73,23 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 	if cfg.MinSamples < 1 {
 		cfg.MinSamples = 1
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = len(events) + 1
-	}
 
-	// Feed the estimator and the plan→decision correlation, mirroring the
-	// online tuner's Emit handling.
-	collector := NewCollector(window)
-	pending := make(map[int64]pendingPlan)
-	type mcell struct {
-		bytes int64
-		secs  map[string][]float64
-	}
-	measured := make(map[qcell]*mcell)
+	// The online tuner's fold, unbounded: a replay wants every sample, not
+	// a recency window, and no bound above the trace's length is ever hit.
+	f := newFold(len(events)+1, len(events)+1)
 	collSeen := make(map[tune.Collective]bool)
 	for _, e := range events {
-		switch e.Kind {
-		case trace.KindCopy:
-			if e.Dist >= 0 && e.Bytes > 0 && e.Dur > 0 {
-				collector.Observe(e.Dist, e.Bytes, float64(e.Dur)/1e9)
-			}
-			if c := tune.Collective(e.Op); validColl(c) {
-				collSeen[c] = true
-			}
-		case trace.KindPlanCache:
-			if c := tune.Collective(e.Op); validColl(c) && e.Plan != 0 {
-				pending[e.Plan] = pendingPlan{coll: c, bytes: e.Bytes, variant: e.Det}
-			}
-		case trace.KindOpEnd:
-			if pp, ok := pending[e.Plan]; ok && e.Err == "" && e.Dur > 0 {
-				k := qcell{coll: pp.coll, bucket: Bucket(pp.bytes)}
-				mc := measured[k]
-				if mc == nil {
-					mc = &mcell{secs: make(map[string][]float64)}
-					measured[k] = mc
-				}
-				mc.bytes = pp.bytes
-				mc.secs[pp.variant] = append(mc.secs[pp.variant], float64(e.Dur)/1e9)
-			}
+		f.emit(e)
+		if c := tune.Collective(e.Op); e.Kind == trace.KindCopy && !collSeen[c] && slices.Contains(tune.Collectives(), c) {
+			collSeen[c] = true
 		}
 	}
-	if collector.Samples() < int64(cfg.MinSamples) {
+	if f.collector.Samples() < int64(cfg.MinSamples) {
 		return nil, fmt.Errorf("autotune: trace yields %d copy samples, need at least %d",
-			collector.Samples(), cfg.MinSamples)
+			f.collector.Samples(), cfg.MinSamples)
 	}
 
-	model := collector.Fit()
+	model := f.collector.Fit()
 	pricer := NewPricer(model, view)
 	fp := tune.FingerprintOf(view)
 	overlay := tune.NewOverlay(nil)
@@ -142,34 +103,18 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 	// Decide every (collective, sweep size): measured median wins where
 	// the trace recorded one, model price otherwise.
 	for _, coll := range colls {
-		var align int64
-		if coll == tune.CollAllreduce {
-			align = tune.ReduceAlign
-		}
 		for _, size := range cfg.Sizes {
-			mc := measured[qcell{coll: coll, bucket: Bucket(size)}]
-			var best tune.Decision
-			bestPrice, found := 0.0, false
-			for _, cand := range tune.Candidates(coll, false) {
-				var price float64
-				if mc != nil && len(mc.secs[cand.String()]) > 0 {
-					price = median(mc.secs[cand.String()])
-				} else {
-					p, err := pricer.Price(coll, cand, 0, size, align)
-					if err != nil {
-						continue
-					}
-					price = p
-				}
-				// Strict < keeps candidate preference order on ties.
-				if !found || price < bestPrice {
-					best, bestPrice, found = cand, price, true
-				}
-			}
-			if !found {
+			list := priceCandidates(pricer, coll, size, f.cells[qcell{coll: coll, bucket: Bucket(size)}].medians())
+			if len(list) == 0 {
 				continue
 			}
-			rule := tune.Rule{MinBytes: size, MaxBytes: nextSize(cfg.Sizes, size), Decision: best}
+			best := list[0]
+			for _, c := range list[1:] {
+				if c.price < best.price { // strict <: candidate preference order on ties
+					best = c
+				}
+			}
+			rule := tune.Rule{MinBytes: size, MaxBytes: nextSize(cfg.Sizes, size), Decision: best.d}
 			if err := overlay.SetLearned(coll, fp, rule); err != nil {
 				return nil, err
 			}
@@ -177,32 +122,21 @@ func FitTrace(events []trace.Event, cfg ReplayConfig) (*FitResult, error) {
 	}
 
 	res := &FitResult{
-		Machine: machine,
-		Binding: bindName,
-		Procs:   np,
-		Samples: collector.Samples(),
-		Model:   model,
-		Colls:   colls,
+		MetaInfo: meta,
+		Samples:  f.collector.Samples(),
+		Model:    model,
+		Colls:    colls,
 	}
 	res.Learned = &Learned{
 		Name:    cfg.Name,
-		Machine: machine,
-		Binding: bindName,
-		Procs:   np,
-		Samples: collector.Samples(),
+		Machine: meta.Machine,
+		Binding: meta.Binding,
+		Procs:   meta.Procs,
+		Samples: f.collector.Samples(),
 		Classes: ClassParams(model),
 		Table:   overlay.LearnedTable(cfg.Name),
 	}
 	return res, nil
-}
-
-func validColl(c tune.Collective) bool {
-	for _, k := range tune.Collectives() {
-		if c == k {
-			return true
-		}
-	}
-	return false
 }
 
 // nextSize returns the next larger sweep size (0 = unbounded after the

@@ -27,6 +27,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,24 +117,19 @@ func (r *HealthReport) String() string {
 	return s
 }
 
-// healthCfg is the cell scorer configuration. Probation and the scan
-// interval are measured in op_end events and every member emits one per
-// collective, so per-collective budgets scale by the world size:
-// Interval=n makes Strikes=2 mean two consecutive *collectives* over
-// the ratio, and DemoteRatio 5 leaves the injected stalls (ratio ≥ 20)
-// a wide margin while scheduler noise under parallel test load — which
-// must persist across a majority of one edge's window AND two
-// collectives to matter — stays below it.
+// healthCfg is the cell scorer configuration, in the scorer's unit —
+// collectives. DemoteRatio 5 leaves the injected stalls (ratio ≥ 20) a
+// wide margin while scheduler noise under parallel test load — which must
+// persist across a majority of one edge's window AND two collectives to
+// matter — stays below it.
 func healthCfg(cell HealthCell) health.Config {
-	n := cell.Ranks
 	return health.Config{
 		Window:       8,
 		MinSamples:   4,
 		DemoteRatio:  5,
 		Strikes:      2,
-		Interval:     n,
-		ProbationOps: cell.ProbationColl * n,
-		ProbationMax: 16 * cell.ProbationColl * n,
+		ProbationOps: cell.ProbationColl,
+		ProbationMax: 16 * cell.ProbationColl,
 	}
 }
 
@@ -200,6 +196,9 @@ const (
 	relayCaller = 4
 	leaderRank  = 4 // slow-leader victim: serves its quad
 )
+
+// relayEdge is the relay link as the scorer keys it (lower rank first).
+var relayEdge = [2]int{relayOwner, relayCaller}
 
 // RunSlowLink executes the slow-link cell.
 func RunSlowLink(cell HealthCell) *HealthReport {
@@ -268,7 +267,7 @@ func RunSlowLink(cell HealthCell) *HealthReport {
 	// Clear the fault; the probation probe must reinstate the edge.
 	w.Injector().SetSlowLink(relayOwner, relayCaller, 0)
 	recovered := func() bool {
-		return s.Reinstates() > 0 && !containsPair(s.Snapshot().Edges(), normPair(relayOwner, relayCaller))
+		return s.Reinstates() > 0 && !slices.Contains(s.Snapshot().Edges(), relayEdge)
 	}
 	for i := 0; i < cell.RecoverOps && !recovered(); i++ {
 		if _, err := bcastOnce(w, cell, seq); err != nil {
@@ -280,7 +279,7 @@ func RunSlowLink(cell HealthCell) *HealthReport {
 	rep.Reinstates = s.Reinstates()
 	if rep.Reinstates == 0 {
 		rep.violate("recovered link never reinstated within %d collectives", cell.RecoverOps)
-	} else if containsPair(s.Snapshot().Edges(), normPair(relayOwner, relayCaller)) {
+	} else if slices.Contains(s.Snapshot().Edges(), relayEdge) {
 		rep.violate("recovered link still demoted after reinstatement: %v", s.Snapshot().Edges())
 	}
 	rep.Revisions = s.Revision()
@@ -321,7 +320,7 @@ func RunSlowLeader(cell HealthCell) *HealthReport {
 			return rep
 		}
 		seq++
-		if ranks := s.DemotedRanks(); containsRank(ranks, leaderRank) {
+		if ranks := s.DemotedRanks(); slices.Contains(ranks, leaderRank) {
 			rep.DemoteAfter = i + 1
 			rep.DemotedRanks = ranks
 			break
@@ -399,29 +398,4 @@ func RunFlap(cell HealthCell) *HealthReport {
 			rep.Revisions, cell.FlapOps, cell.MaxRevs)
 	}
 	return rep
-}
-
-func containsRank(ranks []int, want int) bool {
-	for _, r := range ranks {
-		if r == want {
-			return true
-		}
-	}
-	return false
-}
-
-func containsPair(edges [][2]int, want [2]int) bool {
-	for _, e := range edges {
-		if e == want {
-			return true
-		}
-	}
-	return false
-}
-
-func normPair(a, b int) [2]int {
-	if a > b {
-		return [2]int{b, a}
-	}
-	return [2]int{a, b}
 }

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"distcoll/internal/autotune"
 	"distcoll/internal/distance"
@@ -36,6 +37,8 @@ import (
 )
 
 // Config tunes the gray-failure scorer. Zero values select defaults.
+// Strikes, ProbationOps and ProbationMax are counted in collectives (the
+// scorer's clock, see Emit), whatever the rank count.
 type Config struct {
 	// Window bounds each per-edge, per-size-bucket sample ring
 	// (default 16).
@@ -46,23 +49,17 @@ type Config struct {
 	// DemoteRatio demotes an edge whose median exceeds ratio × the
 	// class-baseline median (default 4).
 	DemoteRatio float64
-	// ReinstateRatio ends a probe successfully when the probed edge's
-	// worst ratio is ≤ this (default 1.5). Ratios between ReinstateRatio
-	// and DemoteRatio keep the probe open — the hysteresis band.
-	ReinstateRatio float64
-	// Strikes is the number of consecutive failing scans before a
-	// demotion fires (default 2).
+	// Strikes is the number of consecutive collectives whose closing scan
+	// must find the edge over DemoteRatio before a demotion fires
+	// (default 2).
 	Strikes int
 	// DemoteTo is the distance class demoted edges are raised to
 	// (default distance.CrossSwitch). Edges already at or above it are
 	// never demoted.
 	DemoteTo int
-	// Interval scans for demotions every Interval op_end events
-	// (default 1).
-	Interval int
-	// ProbationOps is the number of op_end events a fresh demotion
-	// waits before its first probe (default 256). Doubled on every
-	// relapse, capped at ProbationMax (default 8192).
+	// ProbationOps is the number of collectives a fresh demotion waits
+	// before its first probe (default 16). Doubled on every relapse,
+	// capped at ProbationMax (default 512).
 	ProbationOps int
 	ProbationMax int
 	// RankFraction and RankMinEdges control rank-level demotion: a rank
@@ -84,6 +81,11 @@ type Config struct {
 	EscalateRatio float64
 }
 
+// reinstateRatio ends a probe successfully when the probed ladder's worst
+// ratio is ≤ this. Ratios between it and DemoteRatio keep the probe open —
+// the hysteresis band.
+const reinstateRatio = 1.5
+
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 16
@@ -94,23 +96,17 @@ func (c Config) withDefaults() Config {
 	if c.DemoteRatio <= 0 {
 		c.DemoteRatio = 4
 	}
-	if c.ReinstateRatio <= 0 {
-		c.ReinstateRatio = 1.5
-	}
 	if c.Strikes <= 0 {
 		c.Strikes = 2
 	}
 	if c.DemoteTo <= 0 {
 		c.DemoteTo = distance.CrossSwitch
 	}
-	if c.Interval <= 0 {
-		c.Interval = 1
-	}
 	if c.ProbationOps <= 0 {
-		c.ProbationOps = 256
+		c.ProbationOps = 16
 	}
 	if c.ProbationMax <= 0 {
-		c.ProbationMax = 8192
+		c.ProbationMax = 512
 	}
 	if c.RankFraction <= 0 {
 		c.RankFraction = 0.6
@@ -131,6 +127,11 @@ type Revision struct {
 	Rank   int
 }
 
+func edgeRev(action string, k [2]int) Revision { return Revision{Action: action, Edge: k, Rank: -1} }
+func rankRev(action string, r int) Revision {
+	return Revision{Action: action, Edge: [2]int{-1, -1}, Rank: r}
+}
+
 func (r Revision) String() string {
 	if r.Rank >= 0 {
 		return fmt.Sprintf("rev %d: %s rank %d", r.Rev, r.Action, r.Rank)
@@ -138,32 +139,97 @@ func (r Revision) String() string {
 	return fmt.Sprintf("rev %d: %s edge %d-%d", r.Rev, r.Action, r.Edge[0], r.Edge[1])
 }
 
+// ladder is the demotion state machine, written once: an edge and a rank
+// climb the same one. Demoted → (probation expires) probing → reinstated
+// or relapsed; every re-demotion, by relapse or after a reinstatement that
+// did not stick, doubles the probation, so a flapping link converges to
+// long probations instead of plan-thrash.
+type ladder struct {
+	demoted bool
+	probing bool
+	// probation is the current length, in collectives; it never shrinks.
+	probation int64
+	probeAt   int64   // clock at which the next probe opens
+	worst     float64 // ratio that triggered the current demotion
+}
+
+// down reports a demotion in force: demoted and not lifted for a probe
+// (false for the nil ladder of a rank never demoted). The published
+// Snapshot holds exactly the ladders that are down.
+func (l *ladder) down() bool { return l != nil && l.demoted && !l.probing }
+
+// demote enters (or, from an open probe, re-enters) demotion at clock on
+// the evidence of ratio, and reports whether this ladder was demoted
+// before: the first probation is ProbationOps, every later one double the
+// last, capped at ProbationMax.
+func (l *ladder) demote(cfg *Config, clock int64, ratio float64) (again bool) {
+	again = l.probation > 0
+	if again {
+		l.probation = min(l.probation*2, int64(cfg.ProbationMax))
+	} else {
+		l.probation = int64(cfg.ProbationOps)
+	}
+	l.demoted, l.probing, l.worst = true, false, ratio
+	l.probeAt = clock + l.probation
+	return again
+}
+
+// startProbe lifts a demotion whose probation expired for one probe
+// window; the caller resets the samples the probe is judged on.
+func (l *ladder) startProbe(clock int64) bool {
+	if !l.down() || clock < l.probeAt {
+		return false
+	}
+	l.probing = true
+	return true
+}
+
+// verdict judges an open probe on its measured ratio: reinstated at or
+// under reinstateRatio, relapsed (demoted again) at or over DemoteRatio,
+// and in between the probe stays open while the window keeps rolling.
+func (l *ladder) verdict(cfg *Config, clock int64, ratio float64) (reinstated, relapsed bool) {
+	switch {
+	case ratio <= reinstateRatio:
+		l.demoted, l.probing, l.worst = false, false, 0
+		return true, false
+	case ratio >= cfg.DemoteRatio:
+		l.demote(cfg, clock, ratio)
+		return false, true
+	}
+	return false, false
+}
+
 // edgeState tracks one undirected endpoint pair.
 type edgeState struct {
+	ladder
 	class   int // distance class of the underlying edge
 	wins    map[int]*autotune.Window
 	strikes int
-	demoted bool
-	probing bool
 	// srcN counts samples sourced by the lower/higher endpoint. Rank
 	// attribution blames the predominant SOURCE — the endpoint serving
 	// the slow copies — so a sick server's shared edges do not push its
 	// healthy clients over the rank-demotion threshold.
 	srcN [2]int
-	// probation is the current probation length in op_end events;
-	// monotone non-decreasing per edge so flapping converges.
-	probation int64
-	probeAt   int64
-	worst     float64 // ratio that triggered the current demotion
 }
 
-// rankState tracks wholesale rank demotion; same ladder as edges.
-type rankState struct {
-	demoted   bool
-	probing   bool
-	probation int64
-	probeAt   int64
-	worst     float64
+// forget drops the edge's samples and source counts: a probe is judged on
+// what it measures from here on, and an edge of a demoted rank carries no
+// traffic, so anything kept would be permanently stale evidence.
+func (es *edgeState) forget() {
+	es.srcN = [2]int{}
+	for _, w := range es.wins {
+		w.Reset()
+	}
+}
+
+// mirrorCounters names the mirrored counters, in mirrorLocked's order.
+var mirrorCounters = [...]string{"demoted", "reinstated", "probes", "relapses",
+	"rank_demoted", "escalated", "partition_suspects", "revisions"}
+
+// mirror is the scorer's metrics resolved in one registry.
+type mirror struct {
+	counters     [len(mirrorCounters)]*trace.Counter
+	edges, ranks *trace.Gauge
 }
 
 // Scorer is the gray-failure detector: a trace.Sink that maintains
@@ -172,12 +238,16 @@ type rankState struct {
 type Scorer struct {
 	cfg Config
 
+	// snap is the published snapshot (never nil): stored under mu, read
+	// without it — every collective call of every rank reads it.
+	snap atomic.Pointer[Snapshot]
+
 	mu        sync.Mutex
 	edges     map[[2]int]*edgeState
-	ranks     map[int]*rankState
-	clock     int64 // op_end events seen
+	order     [][2]int        // the keys of edges, sorted; nil after a new edge
+	ranks     map[int]*ladder // wholesale rank demotions
+	clock     int64           // collectives (plan_reap events) seen
 	rev       int64
-	snap      *Snapshot
 	samples   int64
 	escalated map[int]bool
 
@@ -185,13 +255,14 @@ type Scorer struct {
 	rankDemotions                           int64
 	escalations                             int64
 
-	partitionSkips int64
+	partitionSkips int64 // scan judgements ceded to the partition detector
 
 	onRevise       []func(Revision)
 	onDead         []func(int)
+	fired          []Revision // this tick's callbacks, queued under mu,
+	dead           []int      // fired by tick after it unlocks
 	partitionKnown func(a, b int) bool
-	metrics        *trace.Metrics
-	prefix         string
+	mirror         *mirror
 }
 
 // NewScorer creates a scorer with cfg (zero values → defaults).
@@ -199,10 +270,10 @@ func NewScorer(cfg Config) *Scorer {
 	s := &Scorer{
 		cfg:       cfg.withDefaults(),
 		edges:     make(map[[2]int]*edgeState),
-		ranks:     make(map[int]*rankState),
+		ranks:     make(map[int]*ladder),
 		escalated: make(map[int]bool),
 	}
-	s.snap = emptySnapshot(s.cfg.DemoteTo)
+	s.snap.Store(emptySnapshot(s.cfg.DemoteTo))
 	return s
 }
 
@@ -233,19 +304,18 @@ func (s *Scorer) SetPartitionSuspect(fn func(a, b int) bool) {
 	s.partitionKnown = fn
 }
 
-// PartitionSkips returns how many scan judgements were ceded to the
-// partition detector.
-func (s *Scorer) PartitionSkips() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partitionSkips
-}
-
 // MirrorMetrics mirrors scorer counters into a metrics registry under
-// prefix (e.g. "health."). Call before attaching the scorer as a sink.
+// prefix (e.g. "health."), resolving every name here, once, rather than
+// on every tick. A later call re-homes the mirror (the serve layer moves
+// it under its tenant prefix); the new counters catch up at the next tick.
 func (s *Scorer) MirrorMetrics(m *trace.Metrics, prefix string) {
-	s.metrics = m
-	s.prefix = prefix
+	mir := &mirror{edges: m.Gauge(prefix + "demoted_edges"), ranks: m.Gauge(prefix + "demoted_ranks")}
+	for i, name := range mirrorCounters {
+		mir.counters[i] = m.Counter(prefix + name)
+	}
+	s.mu.Lock()
+	s.mirror = mir
+	s.mu.Unlock()
 }
 
 // servers reports which endpoints predominantly source this edge's
@@ -269,13 +339,15 @@ func normEdge(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// Emit implements trace.Sink: copy events feed the per-edge windows,
-// op_end events advance the probation clock and trigger scans.
+// Emit implements trace.Sink: copy events feed the per-edge windows, and
+// plan_reap — one per collective, emitted by its last leaver after every
+// copy and before any member returns — is the clock: it advances
+// probation and runs the scan, once per collective on any communicator.
 func (s *Scorer) Emit(e trace.Event) {
 	switch e.Kind {
 	case trace.KindCopy:
 		s.observe(e)
-	case trace.KindOpEnd:
+	case trace.KindPlanReap:
 		s.tick()
 	}
 }
@@ -291,6 +363,7 @@ func (s *Scorer) observe(e trace.Event) {
 	if es == nil {
 		es = &edgeState{class: e.Dist, wins: make(map[int]*autotune.Window)}
 		s.edges[k] = es
+		s.order = nil
 	}
 	b := autotune.Bucket(e.Bytes)
 	w := es.wins[b]
@@ -309,15 +382,13 @@ func (s *Scorer) observe(e trace.Event) {
 }
 
 func (s *Scorer) tick() {
-	var fired []Revision
-	var dead []int
 	s.mu.Lock()
 	s.clock++
-	fired = s.probeStartsLocked(fired)
-	if s.clock%int64(s.cfg.Interval) == 0 {
-		fired, dead = s.scanLocked(fired, dead)
-	}
+	s.probeStartsLocked()
+	s.scanLocked()
 	s.mirrorLocked()
+	fired, dead := s.fired, s.dead
+	s.fired, s.dead = nil, nil
 	s.mu.Unlock()
 	for _, r := range fired {
 		for _, fn := range s.onRevise {
@@ -331,43 +402,71 @@ func (s *Scorer) tick() {
 	}
 }
 
+// reviseLocked publishes one topology-affecting transition: the next
+// revision number, a snapshot rebuilt from the ladders, the callback
+// queued.
+func (s *Scorer) reviseLocked(rv Revision) {
+	s.rev++
+	edges := make(map[[2]int]bool)
+	for k, es := range s.edges {
+		if es.down() {
+			edges[k] = true
+		}
+	}
+	ranks := make(map[int]bool)
+	for r, l := range s.ranks {
+		if l.down() {
+			ranks[r] = true
+		}
+	}
+	s.snap.Store(newSnapshot(s.rev, s.cfg.DemoteTo, edges, ranks))
+	rv.Rev = s.rev
+	s.fired = append(s.fired, rv)
+}
+
+// edgesOfLocked calls fn on every scored edge with r as an endpoint.
+func (s *Scorer) edgesOfLocked(r int, fn func(*edgeState)) {
+	for k, es := range s.edges {
+		if k[0] == r || k[1] == r {
+			fn(es)
+		}
+	}
+}
+
 // probeStartsLocked lifts demotions whose probation expired: the edge
 // (or rank) re-enters the view at its true distance for one probe
-// window, measured from freshly reset sample rings.
-func (s *Scorer) probeStartsLocked(fired []Revision) []Revision {
-	for _, k := range s.sortedEdgesLocked() {
-		es := s.edges[k]
-		if es.demoted && !es.probing && s.clock >= es.probeAt {
-			es.probing = true
-			es.srcN = [2]int{}
-			for _, w := range es.wins {
-				w.Reset()
-			}
+// window, measured from freshly reset sample rings. Only a ladder that is
+// down can start a probe, and those are the snapshot's, already sorted.
+func (s *Scorer) probeStartsLocked() {
+	down := s.snap.Load()
+	for _, k := range down.Edges() {
+		if es := s.edges[k]; es.startProbe(s.clock) {
+			es.forget()
 			s.probes++
-			s.rev++
-			s.rebuildLocked()
-			fired = append(fired, Revision{Rev: s.rev, Action: "probe", Edge: k, Rank: -1})
+			s.reviseLocked(edgeRev("probe", k))
 		}
 	}
-	for _, r := range s.sortedRanksLocked() {
-		rs := s.ranks[r]
-		if rs.demoted && !rs.probing && s.clock >= rs.probeAt {
-			rs.probing = true
-			for k, es := range s.edges {
-				if k[0] == r || k[1] == r {
-					es.srcN = [2]int{}
-					for _, w := range es.wins {
-						w.Reset()
-					}
-				}
-			}
+	for _, r := range down.Ranks() {
+		if s.ranks[r].startProbe(s.clock) {
+			s.edgesOfLocked(r, (*edgeState).forget)
 			s.probes++
-			s.rev++
-			s.rebuildLocked()
-			fired = append(fired, Revision{Rev: s.rev, Action: "rank-probe", Edge: [2]int{-1, -1}, Rank: r})
+			s.reviseLocked(rankRev("rank-probe", r))
 		}
 	}
-	return fired
+}
+
+// probeVerdictLocked closes (or leaves open) l's probe on ratio; relapse
+// is the revision a relapse publishes. A reinstatement publishes none: a
+// probing ladder already left the snapshot when its probe started.
+func (s *Scorer) probeVerdictLocked(l *ladder, ratio float64, relapse Revision) {
+	reinstated, relapsed := l.verdict(&s.cfg, s.clock, ratio)
+	if reinstated {
+		s.reinstates++
+	}
+	if relapsed {
+		s.relapses++
+		s.reviseLocked(relapse)
+	}
 }
 
 // baselines computes, per (class, bucket), the median of per-edge
@@ -397,7 +496,7 @@ func (s *Scorer) baselinesLocked() map[baseKey]baseline {
 	}
 	out := make(map[baseKey]baseline, len(meds))
 	for k, v := range meds {
-		out[k] = baseline{med: median(v), n: len(v)}
+		out[k] = baseline{med: autotune.Median(v), n: len(v)}
 	}
 	return out
 }
@@ -424,36 +523,24 @@ func (s *Scorer) worstRatioLocked(es *edgeState, base map[baseKey]baseline) (flo
 }
 
 func (s *Scorer) sortedEdgesLocked() [][2]int {
-	keys := make([][2]int, 0, len(s.edges))
-	for k := range s.edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	if s.order == nil {
+		s.order = make([][2]int, 0, len(s.edges))
+		for k := range s.edges {
+			s.order = append(s.order, k)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
-}
-
-func (s *Scorer) sortedRanksLocked() []int {
-	keys := make([]int, 0, len(s.ranks))
-	for r := range s.ranks {
-		keys = append(keys, r)
+		sortEdges(s.order)
 	}
-	sort.Ints(keys)
-	return keys
+	return s.order
 }
 
-func (s *Scorer) scanLocked(fired []Revision, dead []int) ([]Revision, []int) {
+func (s *Scorer) scanLocked() {
 	base := s.baselinesLocked()
 	for _, k := range s.sortedEdgesLocked() {
 		es := s.edges[k]
 		if es.class >= s.cfg.DemoteTo {
 			continue // already at or above the demotion class
 		}
-		if s.rankDownLocked(k[0]) || s.rankDownLocked(k[1]) {
+		if s.ranks[k[0]].down() || s.ranks[k[1]].down() {
 			// The rank demotion dominates: the view already prices every
 			// pair through the rank at DemoteTo, no traffic flows, and
 			// whatever samples remain predate the demotion.
@@ -469,68 +556,28 @@ func (s *Scorer) scanLocked(fired []Revision, dead []int) ([]Revision, []int) {
 			continue
 		}
 		ratio, ok := s.worstRatioLocked(es, base)
-		if !ok {
-			continue
-		}
 		switch {
+		case !ok || es.down():
 		case es.probing:
-			// Probe verdict. Between the two thresholds the probe stays
-			// open and the window keeps rolling.
-			if ratio <= s.cfg.ReinstateRatio {
-				es.demoted, es.probing, es.strikes, es.worst = false, false, 0, 0
-				s.reinstates++
-			} else if ratio >= s.cfg.DemoteRatio {
-				es.probing = false
-				es.worst = ratio
-				es.probation = minInt64(es.probation*2, int64(s.cfg.ProbationMax))
-				es.probeAt = s.clock + es.probation
-				s.relapses++
-				s.rev++
-				s.rebuildLocked()
-				fired = append(fired, Revision{Rev: s.rev, Action: "redemote", Edge: k, Rank: -1})
-			}
-		case !es.demoted:
-			if ratio >= s.cfg.DemoteRatio {
-				es.strikes++
-				if es.strikes >= s.cfg.Strikes {
-					es.demoted = true
-					es.worst = ratio
-					if es.probation == 0 {
-						es.probation = int64(s.cfg.ProbationOps)
-					} else {
-						// Re-demotion of a previously demoted edge —
-						// whether via relapse or via a reinstatement
-						// that didn't stick — climbs the same monotone
-						// ladder, so a flapping link converges to long
-						// probations instead of plan-thrash.
-						es.probation = minInt64(es.probation*2, int64(s.cfg.ProbationMax))
-					}
-					es.probeAt = s.clock + es.probation
-					s.demotions++
-					s.rev++
-					s.rebuildLocked()
-					fired = append(fired, Revision{Rev: s.rev, Action: "demote", Edge: k, Rank: -1})
-				}
-			} else {
+			s.probeVerdictLocked(&es.ladder, ratio, edgeRev("redemote", k))
+		case ratio < s.cfg.DemoteRatio:
+			es.strikes = 0
+		default:
+			es.strikes++
+			if es.strikes >= s.cfg.Strikes {
 				es.strikes = 0
+				es.demote(&s.cfg, s.clock, ratio)
+				s.demotions++
+				s.reviseLocked(edgeRev("demote", k))
 			}
 		}
 	}
-	fired, dead = s.scanRanksLocked(fired, dead, base)
-	return fired, dead
+	s.scanRanksLocked(base)
 }
 
-// rankDownLocked reports whether rank r is currently demoted and not
-// under an open probe.
-func (s *Scorer) rankDownLocked(r int) bool {
-	rs := s.ranks[r]
-	return rs != nil && rs.demoted && !rs.probing
-}
-
-// scanRanksLocked promotes edge-level evidence to rank level: a rank
-// most of whose serving edges are individually demoted is demoted
-// wholesale (its per-edge states are absorbed), and — when
-// EscalateRatio is set — handed to the hard-failure ladder.
+// rankCandidateLocked promotes edge-level evidence to rank level: it
+// returns the rank (-1: none) most of whose serving — or pulling — edges
+// are individually demoted, and the worst ratio among those edges.
 //
 // At most ONE rank is demoted per scan — the candidate with the
 // highest demoted fraction. A demoted edge counts toward BOTH its
@@ -538,9 +585,13 @@ func (s *Scorer) rankDownLocked(r int) bool {
 // pass cascades: when rank r's serving links all stall, the shared
 // edges push r's neighbors over threshold too, and a single gray rank
 // takes healthy ranks down with it. Demoting only the worst candidate
-// lets the absorption below erase the shared evidence first; if a
-// neighbor is independently sick, the very next scan still gets it.
-func (s *Scorer) scanRanksLocked(fired []Revision, dead []int, base map[baseKey]baseline) ([]Revision, []int) {
+// lets the absorption in scanRanksLocked erase the shared evidence
+// first; if a neighbor is independently sick, the very next scan still
+// gets it.
+func (s *Scorer) rankCandidateLocked() (int, float64) {
+	if len(s.snap.Load().edges) == 0 {
+		return -1, 0 // no edge is down: nothing to promote
+	}
 	// Two directional tallies per rank: edges it predominantly SERVES
 	// (sources the copies) and edges it predominantly PULLS (receives
 	// them). A sick rank leaves a consistent signature on one side —
@@ -553,14 +604,13 @@ func (s *Scorer) scanRanksLocked(fired []Revision, dead []int, base map[baseKey]
 	demotedBy := make(map[int]*[2]int)
 	totalBy := make(map[int]*[2]int)
 	worstBy := make(map[int]float64)
-	tally := func(m map[int]*[2]int, r, side int) *[2]int {
+	tally := func(m map[int]*[2]int, r, side int) {
 		t := m[r]
 		if t == nil {
 			t = &[2]int{}
 			m[r] = t
 		}
 		t[side]++
-		return t
 	}
 	for k, es := range s.edges {
 		hasData := false
@@ -587,7 +637,7 @@ func (s *Scorer) scanRanksLocked(fired []Revision, dead []int, base map[baseKey]
 			}
 			for _, sd := range sides {
 				tally(totalBy, r, sd)
-				if es.demoted && !es.probing {
+				if es.down() {
 					tally(demotedBy, r, sd)
 					if es.worst > worstBy[r] {
 						worstBy[r] = es.worst
@@ -596,15 +646,9 @@ func (s *Scorer) scanRanksLocked(fired []Revision, dead []int, base map[baseKey]
 			}
 		}
 	}
-	ranks := make([]int, 0, len(demotedBy))
-	for r := range demotedBy {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
 	best, bestFrac, bestDem := -1, 0.0, 0
-	for _, r := range ranks {
-		rs := s.ranks[r]
-		if rs != nil && (rs.demoted || rs.probing) {
+	for _, r := range sortedKeys(demotedBy) {
+		if l := s.ranks[r]; l != nil && l.demoted {
 			continue
 		}
 		for sd := srv; sd <= cli; sd++ {
@@ -623,112 +667,75 @@ func (s *Scorer) scanRanksLocked(fired []Revision, dead []int, base map[baseKey]
 			}
 		}
 	}
-	if r := best; r >= 0 {
-		rs := s.ranks[r]
-		if rs == nil {
-			rs = &rankState{}
-			s.ranks[r] = rs
+	return best, worstBy[best]
+}
+
+// scanRanksLocked demotes the scan's rank candidate wholesale (its
+// per-edge states are absorbed) and — when EscalateRatio is set — hands
+// it to the hard-failure ladder; then it judges every open rank probe.
+func (s *Scorer) scanRanksLocked(base map[baseKey]baseline) {
+	if r, worst := s.rankCandidateLocked(); r >= 0 {
+		l := s.ranks[r]
+		if l == nil {
+			l = &ladder{}
+			s.ranks[r] = l
 		}
 		action := "rank-demote"
-		if rs.probation > 0 {
+		if l.demote(&s.cfg, s.clock, worst) {
 			action = "rank-redemote"
-			rs.probation = minInt64(rs.probation*2, int64(s.cfg.ProbationMax))
 			s.relapses++
 		} else {
-			rs.probation = int64(s.cfg.ProbationOps)
 			s.rankDemotions++
 		}
-		rs.demoted, rs.probing = true, false
-		rs.worst = worstBy[r]
-		rs.probeAt = s.clock + rs.probation
-		// The rank state absorbs its edges' demotions so a rank probe
-		// measures the whole rank afresh. Their windows reset too: once
-		// the rank is demoted no traffic flows through these edges, so
-		// any retained samples are permanently stale evidence that would
+		// The rank absorbs its edges' demotions so a rank probe measures
+		// the whole rank afresh. Their samples go too: kept, they would
 		// re-demote the edges — and leak strikes onto their OTHER
 		// endpoints' rank tallies — forever.
-		for k, es := range s.edges {
-			if k[0] == r || k[1] == r {
-				es.demoted, es.probing, es.strikes = false, false, 0
-				es.srcN = [2]int{}
-				for _, w := range es.wins {
-					w.Reset()
-				}
-			}
-		}
-		s.rev++
-		s.rebuildLocked()
-		fired = append(fired, Revision{Rev: s.rev, Action: action, Edge: [2]int{-1, -1}, Rank: r})
-		if s.cfg.EscalateRatio > 0 && rs.worst >= s.cfg.EscalateRatio && !s.escalated[r] {
+		s.edgesOfLocked(r, func(es *edgeState) {
+			es.demoted, es.probing, es.strikes = false, false, 0
+			es.forget()
+		})
+		s.reviseLocked(rankRev(action, r))
+		if s.cfg.EscalateRatio > 0 && worst >= s.cfg.EscalateRatio && !s.escalated[r] {
 			s.escalated[r] = true
 			s.escalations++
-			dead = append(dead, r)
+			s.dead = append(s.dead, r)
 		}
 	}
 	// Rank probe verdicts: judged over every measured edge of the rank.
-	for _, r := range s.sortedRanksLocked() {
-		rs := s.ranks[r]
-		if !rs.probing {
+	for _, r := range sortedKeys(s.ranks) {
+		l := s.ranks[r]
+		if !l.probing {
 			continue
 		}
 		worst, ok := 0.0, false
-		for k, es := range s.edges {
-			if k[0] != r && k[1] != r {
-				continue
-			}
+		s.edgesOfLocked(r, func(es *edgeState) {
 			if ratio, has := s.worstRatioLocked(es, base); has {
-				ok = true
-				if ratio > worst {
-					worst = ratio
-				}
+				worst, ok = max(worst, ratio), true
 			}
-		}
-		if !ok {
-			continue
-		}
-		if worst <= s.cfg.ReinstateRatio {
-			rs.demoted, rs.probing, rs.worst = false, false, 0
-			s.reinstates++
-		} else if worst >= s.cfg.DemoteRatio {
-			rs.probing = false
-			rs.worst = worst
-			rs.probation = minInt64(rs.probation*2, int64(s.cfg.ProbationMax))
-			rs.probeAt = s.clock + rs.probation
-			s.relapses++
-			s.rev++
-			s.rebuildLocked()
-			fired = append(fired, Revision{Rev: s.rev, Action: "rank-redemote", Edge: [2]int{-1, -1}, Rank: r})
+		})
+		if ok {
+			s.probeVerdictLocked(l, worst, rankRev("rank-redemote", r))
 		}
 	}
-	return fired, dead
 }
 
 func (s *Scorer) mirrorLocked() {
-	if s.metrics == nil {
+	if s.mirror == nil {
 		return
 	}
-	lag := func(name string, v int64) {
-		c := s.metrics.Counter(s.prefix + name)
+	for i, v := range [len(mirrorCounters)]int64{s.demotions, s.reinstates, s.probes, s.relapses,
+		s.rankDemotions, s.escalations, s.partitionSkips, s.rev} {
+		c := s.mirror.counters[i]
 		c.Add(v - c.Load())
 	}
-	lag("demoted", s.demotions)
-	lag("reinstated", s.reinstates)
-	lag("probes", s.probes)
-	lag("relapses", s.relapses)
-	lag("rank_demoted", s.rankDemotions)
-	lag("escalated", s.escalations)
-	lag("partition_suspects", s.partitionSkips)
-	lag("revisions", s.rev)
-	s.metrics.Gauge(s.prefix + "demoted_edges").Set(float64(len(s.snap.edges)))
-	s.metrics.Gauge(s.prefix + "demoted_ranks").Set(float64(len(s.snap.ranks)))
+	snap := s.snap.Load()
+	s.mirror.edges.Set(float64(len(snap.edges)))
+	s.mirror.ranks.Set(float64(len(snap.ranks)))
 }
 
 // Snapshot returns the current immutable demotion snapshot (never nil).
-func (s *Scorer) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap
-}
+func (s *Scorer) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Revision returns the current revision counter; it advances on every
 // topology-affecting transition.
@@ -745,7 +752,7 @@ func (s *Scorer) Samples() int64 {
 	return s.samples
 }
 
-// Clock returns the op_end count seen so far — the probation time base.
+// Clock returns the collectives seen so far — the probation time base.
 func (s *Scorer) Clock() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -761,34 +768,10 @@ func (s *Scorer) Relapses() int64   { s.mu.Lock(); defer s.mu.Unlock(); return s
 
 // DemotedEdges returns the currently demoted edges (sorted, excluding
 // edges mid-probe).
-func (s *Scorer) DemotedEdges() [][2]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap.Edges()
-}
+func (s *Scorer) DemotedEdges() [][2]int { return s.Snapshot().Edges() }
 
 // DemotedRanks returns the currently demoted ranks (sorted).
-func (s *Scorer) DemotedRanks() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snap.Ranks()
-}
-
-func (s *Scorer) rebuildLocked() {
-	edges := make(map[[2]int]bool)
-	for k, es := range s.edges {
-		if es.demoted && !es.probing {
-			edges[k] = true
-		}
-	}
-	ranks := make(map[int]bool)
-	for r, rs := range s.ranks {
-		if rs.demoted && !rs.probing {
-			ranks[r] = true
-		}
-	}
-	s.snap = newSnapshot(s.rev, s.cfg.DemoteTo, edges, ranks)
-}
+func (s *Scorer) DemotedRanks() []int { return s.Snapshot().Ranks() }
 
 // EdgeScore is one row of the health report.
 type EdgeScore struct {
@@ -822,7 +805,7 @@ func (s *Scorer) Report() Report {
 	rep := Report{
 		Clock:     s.clock,
 		Samples:   s.samples,
-		Ranks:     s.snap.Ranks(),
+		Ranks:     s.Snapshot().Ranks(),
 		Demoted:   s.demotions,
 		Reinstate: s.reinstates,
 		Probes:    s.probes,
@@ -864,7 +847,7 @@ func (s *Scorer) Report() Report {
 // String renders the report as the disttrace health summary.
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "health: %d ops, %d copy samples, %d edges scored\n",
+	fmt.Fprintf(&b, "health: %d collectives, %d copy samples, %d edges scored\n",
 		r.Clock, r.Samples, len(r.Edges))
 	fmt.Fprintf(&b, "events: demoted=%d probes=%d reinstated=%d relapses=%d escalated=%d revisions=%d\n",
 		r.Demoted, r.Probes, r.Reinstate, r.Relapses, r.Escalated, r.Revisions)
@@ -881,24 +864,4 @@ func (r Report) String() string {
 		shown++
 	}
 	return b.String()
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), v...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,21 +1,22 @@
 package health
 
 import (
+	"math/rand"
 	"testing"
+	"time"
 
 	"distcoll/internal/distance"
 	"distcoll/internal/trace"
 )
 
-// cfg is the fast test configuration: tiny windows, scan every op_end,
-// short probation so every ladder transition fits in a few dozen events.
+// cfg is the fast test configuration: tiny windows, short probation so
+// every ladder transition fits in a few dozen collectives.
 func cfg() Config {
 	return Config{
 		Window:       8,
 		MinSamples:   4,
 		DemoteRatio:  3,
 		Strikes:      2,
-		Interval:     1,
 		ProbationOps: 8,
 		ProbationMax: 64,
 	}
@@ -28,11 +29,11 @@ func copyEv(src, dst, dist int, durUs int64) trace.Event {
 		Bytes: 1024, Dist: dist, Dur: durUs * 1000}
 }
 
-func opEnd() trace.Event { return trace.Event{Kind: trace.KindOpEnd} }
+func planReap() trace.Event { return trace.Event{Kind: trace.KindPlanReap} }
 
 // feedRound emits one "collective" worth of samples: every edge of a
 // 4-rank star at class 2 runs at 10µs except the edges in slow, which
-// run at slowUs. One op_end closes the round.
+// run at slowUs. One plan_reap closes the round.
 func feedRound(s *Scorer, slow map[[2]int]int64) {
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}} {
 		d := int64(10)
@@ -41,7 +42,7 @@ func feedRound(s *Scorer, slow map[[2]int]int64) {
 		}
 		s.Emit(copyEv(e[0], e[1], 2, d))
 	}
-	s.Emit(opEnd())
+	s.Emit(planReap())
 }
 
 func TestScorerDemotesPersistentlySlowEdge(t *testing.T) {
@@ -92,6 +93,77 @@ func TestScorerStrikesHysteresis(t *testing.T) {
 	}
 	if s.Demotions() != 0 {
 		t.Fatalf("occasional slow samples demoted the edge: %d demotions", s.Demotions())
+	}
+}
+
+// TestScorerStrikesCountCollectives: Strikes is in collectives. One
+// collective whose copies on an edge are all slow — enough of them to fill
+// the window, closed by every rank's op_end — is one scan and one strike,
+// however many ranks there are; the demotion needs a second collective.
+func TestScorerStrikesCountCollectives(t *testing.T) {
+	s := NewScorer(cfg())
+	collective := func() {
+		for i := 0; i < 8; i++ {
+			s.Emit(copyEv(0, 3, 2, 200))
+			for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
+				s.Emit(copyEv(e[0], e[1], 2, 10))
+			}
+		}
+		s.Emit(planReap())
+		for r := 0; r < 48; r++ {
+			s.Emit(trace.Event{Kind: trace.KindOpEnd, Rank: r})
+		}
+	}
+	collective()
+	if s.Clock() != 1 || s.Demotions() != 0 {
+		t.Fatalf("after one slow collective: clock %d, %d demotions; want 1 and none (Strikes = 2)", s.Clock(), s.Demotions())
+	}
+	collective()
+	if s.Demotions() != 1 || !s.Snapshot().Demoted(0, 3) {
+		t.Fatalf("after two slow collectives: %d demotions, edges %v; want edge 0-3 demoted", s.Demotions(), s.DemotedEdges())
+	}
+}
+
+// TestLadderProperty drives an edge's ladder and a rank's with the same
+// random ratio sequences, the way a scan does (a probe opens when probation
+// expires, an open probe gets a verdict, a trusted ladder over the ratio is
+// demoted): they are one type, so they must walk the same (state,
+// probation) trajectory, and on it probation never shrinks, never exceeds
+// ProbationMax, and a ladder is never probing without being demoted.
+func TestLadderProperty(t *testing.T) {
+	c := cfg().withDefaults()
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 200; trial++ {
+		es, rank := &edgeState{}, &ladder{}
+		var last int64
+		for clock := int64(1); clock <= 400; clock++ {
+			ratio := []float64{1, 1.2, 2, 3.5, 50}[rng.Intn(5)]
+			for _, l := range []*ladder{&es.ladder, rank} {
+				switch {
+				case l.startProbe(clock):
+				case l.probing:
+					l.verdict(&c, clock, ratio)
+				case !l.demoted && ratio >= c.DemoteRatio:
+					l.demote(&c, clock, ratio)
+				}
+			}
+			if es.ladder != *rank {
+				t.Fatalf("trial %d clock %d: edge ladder %+v, rank ladder %+v", trial, clock, es.ladder, *rank)
+			}
+			if rank.probation < last || rank.probation > int64(c.ProbationMax) {
+				t.Fatalf("trial %d clock %d: probation %d after %d (max %d)", trial, clock, rank.probation, last, c.ProbationMax)
+			}
+			if rank.probing && !rank.demoted {
+				t.Fatalf("trial %d clock %d: probing without a demotion: %+v", trial, clock, *rank)
+			}
+			if rank.down() && rank.probeAt != 0 && rank.probeAt > clock+rank.probation {
+				t.Fatalf("trial %d clock %d: probe scheduled past its probation: %+v", trial, clock, *rank)
+			}
+			last = rank.probation
+		}
+		if last != int64(c.ProbationMax) {
+			t.Fatalf("trial %d: 400 collectives of flapping left probation at %d, want the cap %d", trial, last, c.ProbationMax)
+		}
 	}
 }
 
@@ -192,7 +264,7 @@ func TestScorerRankDemotionAbsorbsEdges(t *testing.T) {
 			}
 			s.Emit(copyEv(e[0], e[1], 2, d))
 		}
-		s.Emit(opEnd())
+		s.Emit(planReap())
 	}
 	if got := s.DemotedRanks(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("DemotedRanks = %v, want [3]", got)
@@ -223,7 +295,7 @@ func TestScorerEscalatesToDead(t *testing.T) {
 			}
 			s.Emit(copyEv(e[0], e[1], 2, d))
 		}
-		s.Emit(opEnd())
+		s.Emit(planReap())
 	}
 	if len(dead) != 1 || dead[0] != 3 {
 		t.Fatalf("OnDead fired with %v, want [3]", dead)
@@ -251,6 +323,28 @@ func TestScorerIgnoresJunkEvents(t *testing.T) {
 	s.Emit(trace.Event{Kind: trace.KindFailure, Src: 0, Dst: 1})
 	if s.Samples() != 0 {
 		t.Errorf("junk events accepted: %d samples", s.Samples())
+	}
+}
+
+// TestSnapshotReadTakesNoLock: every collective call of every rank reads
+// the published snapshot while copy events queue on the scorer's mutex.
+func TestSnapshotReadTakesNoLock(t *testing.T) {
+	s := NewScorer(cfg())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := make(chan *Snapshot)
+	go func() {
+		s.DemotedEdges()
+		s.DemotedRanks()
+		done <- s.Snapshot()
+	}()
+	select {
+	case snap := <-done:
+		if snap == nil || !snap.Empty() {
+			t.Errorf("fresh scorer's snapshot = %v, want empty and non-nil", snap)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot waited for the scorer's lock")
 	}
 }
 

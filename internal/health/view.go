@@ -59,19 +59,25 @@ func (s *Snapshot) Edges() [][2]int {
 	for k := range s.edges {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	sortEdges(out)
 	return out
 }
 
 // Ranks returns the demoted ranks, sorted.
-func (s *Snapshot) Ranks() []int {
-	out := make([]int, 0, len(s.ranks))
-	for r := range s.ranks {
+func (s *Snapshot) Ranks() []int { return sortedKeys(s.ranks) }
+
+func sortEdges(keys [][2]int) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+}
+
+func sortedKeys[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
+	for r := range m {
 		out = append(out, r)
 	}
 	sort.Ints(out)

@@ -476,7 +476,7 @@ func (c *Comm) leave(plan *collPlan, local error) error {
 	gen := st.seqs[c.rank] // the plan's generation: the member's own entry, which only it advances
 	out := local           // what a member leaving without a vote returns: its crash, or its PartitionError
 	if !fault.IsCrashed(local) {
-		out = st.world.partitionGate(st.group[c.rank])
+		out = st.world.partitionRecheck(st.group[c.rank])
 	}
 	if out != nil {
 		st.setBroken()

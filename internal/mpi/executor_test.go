@@ -14,6 +14,7 @@ import (
 	"distcoll/internal/binding"
 	"distcoll/internal/distance"
 	"distcoll/internal/fault"
+	"distcoll/internal/health"
 	"distcoll/internal/hwtopo"
 	"distcoll/internal/integrity"
 	"distcoll/internal/sched"
@@ -212,6 +213,24 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 			return err
 		}},
 	}
+	// The scored cells run under WithHealth, whose scorer scans once per
+	// collective (at its plan_reap), not once per rank: a call costs the
+	// plain budget, a per-scan constant (the baseline table, the revision
+	// list: measured 23–39) and one median per (edge, size bucket) window
+	// the call's copies touched — the tree's n−1 edges, the ring's n, every
+	// pair for an alltoall. Measured 70, 72 and 1,167; one more allocation
+	// per rank fails the first two. When every rank's op_end ran the scan
+	// they cost 8,789, 8,981 and 113,429.
+	const scan = 40
+	scored := []cell{
+		{"scored bcast 64KiB", budget + scan + (n - 1), func(c *Comm, r int) error { return c.Bcast(b64k[r], 0, Adaptive) }},
+		{"scored allgather 16KiB", budget + scan + n, func(c *Comm, r int) error {
+			return c.Allgather(b16k[r], b16kAll[r], Adaptive)
+		}},
+		{"scored alltoall 1KiB", budget + scan + n*(n-1)/2, func(c *Comm, r int) error {
+			return c.Alltoall(big[r], exchanged[r], KNEMColl)
+		}},
+	}
 	run := func(cells []cell, opts func() []Option) {
 		for _, cell := range cells {
 			w := NewWorld(igWorld(t, "crosssocket", n).Binding(), opts()...)
@@ -231,6 +250,7 @@ func TestWarmCollectiveAllocBudget(t *testing.T) {
 		return []Option{WithIntegrity(integrity.Config{}),
 			WithTracer(trace.New(trace.NewRing(trace.DefaultRingCapacity)))}
 	})
+	run(scored, func() []Option { return []Option{WithHealth(health.Config{})} })
 }
 
 // TestManyRanksBlockedOnOneOp parks 15 ranks on one op of a straggling

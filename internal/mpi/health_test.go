@@ -14,15 +14,14 @@ import (
 	"distcoll/internal/tune"
 )
 
-// fastHealth is the test scorer configuration: tiny windows, a scan per
-// op_end, probation long enough that demotions stay put for the test.
+// fastHealth is the test scorer configuration: tiny windows, probation
+// long enough that demotions stay put for the test.
 func fastHealth() health.Config {
 	return health.Config{
 		Window:       8,
 		MinSamples:   4,
 		DemoteRatio:  3,
 		Strikes:      2,
-		Interval:     1,
 		ProbationOps: 1 << 20,
 	}
 }
@@ -44,10 +43,78 @@ func demoteEdge(t *testing.T, w *World, a, b, class int) {
 		feedEdge(s, a, b^1, class, 10)
 		feedEdge(s, a^1, b, class, 10)
 		feedEdge(s, a^1, b^1, class, 10)
-		s.Emit(trace.Event{Kind: trace.KindOpEnd})
+		s.Emit(trace.Event{Kind: trace.KindPlanReap})
 	}
 	if got := s.DemotedEdges(); len(got) != 1 || got[0] != [2]int{a, b} {
 		t.Fatalf("DemotedEdges = %v, want [[%d %d]]", got, a, b)
+	}
+}
+
+// TestHealthClockCountsCollectives: the scorer's clock — what Strikes,
+// ProbationOps and ProbationMax are counted in — is the collective, on the
+// world and on a sub-communicator alike. One 48-rank broadcast is one tick
+// (it was 48, one per rank's op_end), one allgather on a 12-rank Split child
+// is one, and a Barrier, which moves no bytes and has no plan, is none.
+func TestHealthClockCountsCollectives(t *testing.T) {
+	const n, sub = 48, 12
+	w := NewWorld(igWorld(t, "crosssocket", n).Binding(), WithHealth(health.Config{}))
+	s := w.Health()
+	var ticks [4]int64 // the clock after: the split, a world bcast, a child allgather, a world barrier
+	err := w.Run(func(p *Proc) error {
+		c := p.Comm()
+		color := 1
+		if p.Rank() < sub {
+			color = 0
+		}
+		child, err := c.Split(color, p.Rank())
+		if err != nil {
+			return err
+		}
+		step := 0
+		mark := func() error { // every member is back from the call before rank 0 reads
+			err := c.Barrier()
+			if p.Rank() == 0 {
+				ticks[step] = s.Clock()
+			}
+			step++
+			if err == nil {
+				err = c.Barrier()
+			}
+			return err
+		}
+		if err := mark(); err != nil {
+			return err
+		}
+		if err := c.Bcast(make([]byte, 4096), 0, KNEMColl); err != nil {
+			return err
+		}
+		if err := mark(); err != nil {
+			return err
+		}
+		if color == 0 {
+			if err := child.Allgather(make([]byte, 64), make([]byte, sub*64), KNEMColl); err != nil {
+				return err
+			}
+		}
+		if err := mark(); err != nil {
+			return err
+		}
+		return mark()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticks[0] != 0 {
+		t.Errorf("clock = %d after a Split and a Barrier, want 0: neither has a plan", ticks[0])
+	}
+	if got := ticks[1] - ticks[0]; got != 1 {
+		t.Errorf("one %d-rank broadcast advanced the clock by %d, want 1", n, got)
+	}
+	if got := ticks[2] - ticks[1]; got != 1 {
+		t.Errorf("one allgather on a %d-rank child advanced the clock by %d, want 1", sub, got)
+	}
+	if got := ticks[3] - ticks[2]; got != 0 {
+		t.Errorf("barriers advanced the clock by %d, want 0", got)
 	}
 }
 
@@ -177,7 +244,7 @@ func TestCongruentSplitsKeyTheirOwnDemotions(t *testing.T) {
 			feedEdge(s, a^1, b, class, 10)
 			feedEdge(s, a^1, b^1, class, 10)
 		}
-		s.Emit(trace.Event{Kind: trace.KindOpEnd})
+		s.Emit(trace.Event{Kind: trace.KindPlanReap})
 	}
 	want := [][2]int{{subs[0].WorldRank(0), subs[0].WorldRank(kids[0])}, {subs[1].WorldRank(0), subs[1].WorldRank(kids[1])}}
 	if got := s.DemotedEdges(); !reflect.DeepEqual(got, want) {
@@ -287,7 +354,7 @@ func TestHealthEscalationShrinks(t *testing.T) {
 			}
 			feedEdge(s, e[0], e[1], classes[e], d)
 		}
-		s.Emit(trace.Event{Kind: trace.KindOpEnd})
+		s.Emit(trace.Event{Kind: trace.KindPlanReap})
 	}
 	if got := w.Failed(); len(got) != 1 || got[0] != victim {
 		t.Fatalf("Failed() = %v, want [%d] via escalation", got, victim)

@@ -159,22 +159,32 @@ func (w *World) fenceCheck(caller int, op string) error {
 }
 
 // partitionGate is the collective/agreement entry check: it advances
-// the probe cadence, resolves the view when evidence (or the cadence)
-// calls for it, and fails fast with the caller's PartitionError when a
-// decision has left the caller outside the surviving component. A nil
-// detector gates nothing.
+// the probe cadence — one tick per rank per call, so ProbeEveryOps × n
+// ticks are ProbeEveryOps collectives — sweeps when the cadence calls for
+// it, and then rechecks. A nil detector gates nothing.
 func (w *World) partitionGate(me int) error {
 	if w.det == nil {
 		return nil
 	}
 	cadence := int64(w.det.Config().ProbeEveryOps) * int64(w.n)
-	tick := w.partOps.Add(1)
-	if w.det.Suspicious() {
-		w.resolvePartition(false)
-	} else if cadence > 0 && tick%cadence == 0 {
+	if tick := w.partOps.Add(1); cadence > 0 && tick%cadence == 0 && !w.det.Suspicious() {
 		// Scheduled sweep: pure-synchronization workloads move no
 		// payload bytes, so without this a partition would go unseen.
 		w.resolvePartition(true)
+	}
+	return w.partitionRecheck(me)
+}
+
+// partitionRecheck resolves the view when evidence calls for it and fails
+// fast with the caller's PartitionError when a decision has left the
+// caller outside the surviving component. The completion barrier calls it
+// directly: a collective is one tick of the cadence, at its entry.
+func (w *World) partitionRecheck(me int) error {
+	if w.det == nil {
+		return nil
+	}
+	if w.det.Suspicious() {
+		w.resolvePartition(false)
 	}
 	return w.partitionCheck(me)
 }

@@ -190,6 +190,32 @@ func TestBarrierCadenceDetectsSilentSplit(t *testing.T) {
 	}
 }
 
+// TestProbeCadenceCountsCollectives: ProbeEveryOps is in collectives for a
+// collective with a plan as for a barrier. A broadcast passes the gate at
+// its entry and rechecks at its completion barrier; only the entry is a
+// tick, so 12 broadcasts on a calm world are 12/3 = 4 sweeps of n(n−1)
+// probes each (the completion barrier ticking too made it 8).
+func TestProbeCadenceCountsCollectives(t *testing.T) {
+	const n = 4
+	w := partWorld(t, n)
+	err := w.Run(func(p *Proc) error {
+		buf := make([]byte, 64)
+		for i := 0; i < 12; i++ {
+			if err := p.Comm().Bcast(buf, 0, KNEMColl); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	every := w.PartitionDetector().Config().ProbeEveryOps
+	if got, want := w.PartitionDetector().Probes(), int64(12/every*n*(n-1)); got != want {
+		t.Errorf("12 broadcasts issued %d probes, want %d (one sweep per %d collectives)", got, want, every)
+	}
+}
+
 // TestHangOnSeveredPeerIsPartitionSuspicion (satellite): a Recv blocked
 // on a peer whose every link is cut is not a generic hang — the watchdog
 // verdict names the suspected unreachable component.

@@ -91,8 +91,7 @@ type World struct {
 	// Gray-failure detection (DESIGN.md §15): when configured, the scorer
 	// sits as a trace sink, and its demotion snapshots overlay every
 	// communicator's distance view so plans route around degraded links.
-	healthCfg *health.Config
-	scorer    *health.Scorer
+	scorer *health.Scorer
 
 	// Partition tolerance (DESIGN.md §16): when configured, the detector
 	// maintains the reachability view, quorum decisions fence minority
@@ -245,7 +244,7 @@ func WithAutotune(cfg autotune.Config) Option {
 // Scorer counters are mirrored into the tracer's metrics under
 // "health.".
 func WithHealth(cfg health.Config) Option {
-	return func(w *World) { w.healthCfg = &cfg }
+	return func(w *World) { w.scorer = health.NewScorer(cfg) }
 }
 
 // WithPlanCacheCapacity bounds the world's compiled-schedule cache (the
@@ -305,25 +304,17 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 		t := autotune.NewTuner(base, w.worldComm.baseView(), *w.autoCfg)
 		w.tuner = t
 		w.selector = t.Overlay()
-		if w.tracer == nil {
-			w.tracer = trace.New(t)
-		} else {
-			w.tracer.AddSink(t)
-		}
-		t.MirrorMetrics(w.tracer.Metrics(), "autotune.")
 		t.OnRevise(func(revs []autotune.Revision) {
 			for _, rev := range revs {
-				rev := rev
 				w.plans.Invalidate(func(k plancache.Key) bool {
 					return k.Tenant == w.tenant && k.Coll == string(rev.Coll) &&
 						k.Size >= rev.MinBytes && (rev.MaxBytes == 0 || k.Size < rev.MaxBytes)
 				})
 			}
 		})
+		w.attach(t, "autotune.")
 	}
-	if w.healthCfg != nil {
-		s := health.NewScorer(*w.healthCfg)
-		w.scorer = s
+	if s := w.scorer; s != nil {
 		s.OnRevise(func(rev health.Revision) {
 			// A demotion (or probe lift) changes the effective topology
 			// of every communicator containing the affected endpoints:
@@ -334,12 +325,7 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 			})
 		})
 		s.OnDead(func(rank int) { w.MarkFailed(rank) })
-		if w.tracer == nil {
-			w.tracer = trace.New(s)
-		} else {
-			w.tracer.AddSink(s)
-		}
-		s.MirrorMetrics(w.tracer.Metrics(), "health.")
+		w.attach(s, "health.")
 	}
 	if w.plans == nil {
 		w.plans = plancache.New(w.planCap, w.tracer.Metrics())
@@ -368,10 +354,24 @@ func NewWorld(b *binding.Binding, opts ...Option) *World {
 		}
 	}
 	if w.tracer != nil {
-		w.tracer.Meta(fmt.Sprintf("machine=%s bind=%s np=%d",
-			b.Topology().Name, b.Name, n))
+		w.tracer.Meta(trace.MetaInfo{Machine: b.Topology().Name, Binding: b.Name, Procs: n}.String())
 	}
 	return w
+}
+
+// attach arms one feedback layer (the tuner, the scorer): a sink behind the
+// world's tracer — made here when none was installed — whose state is
+// mirrored into the tracer's registry under prefix.
+func (w *World) attach(layer interface {
+	trace.Sink
+	MirrorMetrics(*trace.Metrics, string)
+}, prefix string) {
+	if w.tracer == nil {
+		w.tracer = trace.New(layer)
+	} else {
+		w.tracer.AddSink(layer)
+	}
+	layer.MirrorMetrics(w.tracer.Metrics(), prefix)
 }
 
 // mailbox returns the src→dst channel, creating it on first use. Sender

@@ -13,17 +13,15 @@ import (
 )
 
 // tenantHealthCfg is the fast scorer configuration used by the tenant
-// tests: tiny windows, one scan per collective (16 ranks emit 16
-// op_ends per op), a demote margin scheduler noise under parallel test
-// load cannot cross, and probation long enough that a demotion stays
-// put for the duration of a test.
+// tests: tiny windows, a demote margin scheduler noise under parallel
+// test load cannot cross, and probation long enough that a demotion
+// stays put for the duration of a test.
 func tenantHealthCfg() health.Config {
 	return health.Config{
 		Window:       8,
 		MinSamples:   4,
 		DemoteRatio:  5,
 		Strikes:      2,
-		Interval:     16,
 		ProbationOps: 1 << 20,
 	}
 }

@@ -98,13 +98,16 @@ func TestReapPartitionedFreesQuorumLossTenant(t *testing.T) {
 	}
 	doomed.World().Injector().SeverGroups([]int{0, 1}, []int{2, 3}, []int{4, 5})
 
-	// The first op lands the quorum decision (ranks whose pull chains
-	// stay inside their island may still complete it); from the next op
-	// on, every rank is outside the (empty) winner and nothing runs.
-	doomed.Submit(context.Background(), Request{Kind: "bcast", Size: 1024, Seed: 3})
-	_, err = doomed.Submit(context.Background(), Request{Kind: "bcast", Size: 1024, Seed: 4})
+	// A small adaptive broadcast moves its bytes over no severed link, so
+	// only the probe cadence (a sweep every 3 collectives) can see the cut:
+	// the decision must land within the 5-collective detection bound, and
+	// from then on every rank is outside the (empty) winner and nothing runs.
+	ops := 0
+	for err = nil; err == nil && ops < 5; ops++ {
+		_, err = doomed.Submit(context.Background(), Request{Kind: "bcast", Size: 1024, Seed: int64(3 + ops)})
+	}
 	if err == nil {
-		t.Fatal("quorum-loss tenant completed an op after the verdict")
+		t.Fatalf("quorum-loss tenant still completing ops after %d collectives", ops)
 	}
 	v := doomed.World().PartitionVerdict()
 	if v == nil || v.Winner != nil {

@@ -23,8 +23,8 @@ type Kind string
 
 const (
 	// KindMeta is the trace header: machine, binding, rank count — what a
-	// later analyzer needs to rebuild the distance matrix (Detail holds
-	// "machine=<name> bind=<name> np=<n>").
+	// later analyzer needs to rebuild the distance matrix (Det holds
+	// MetaInfo.String()).
 	KindMeta Kind = "meta"
 	// KindOpBegin / KindOpEnd bracket one collective call on one rank.
 	KindOpBegin Kind = "op_begin"
@@ -161,6 +161,30 @@ func (t *Tracer) emit(e Event) {
 // sentinel, ready for the caller to fill in.
 func blank(kind Kind) Event {
 	return Event{Kind: kind, Rank: -1, Src: -1, Dst: -1, OpID: -1, Chunk: -1, Dist: -1}
+}
+
+// MetaInfo is the meta record's content, and the one place its text format
+// "machine=<name> bind=<name> np=<n>" is written and read.
+type MetaInfo struct {
+	Machine, Binding string
+	Procs            int
+}
+
+func (m MetaInfo) String() string {
+	return fmt.Sprintf("machine=%s bind=%s np=%d", m.Machine, m.Binding, m.Procs)
+}
+
+// ParseMeta finds the first meta record of a trace and parses it.
+func ParseMeta(events []Event) (m MetaInfo, err error) {
+	for _, e := range events {
+		if e.Kind == KindMeta {
+			if _, err = fmt.Sscanf(e.Det, "machine=%s bind=%s np=%d", &m.Machine, &m.Binding, &m.Procs); err != nil {
+				err = fmt.Errorf("unparseable meta record %q: %w", e.Det, err)
+			}
+			return m, err
+		}
+	}
+	return m, fmt.Errorf("trace has no meta record; cannot rebuild its topology")
 }
 
 // Meta records the trace header. Emit it once, before any operation, with

@@ -61,6 +61,31 @@ func TestRingSinkWraps(t *testing.T) {
 	}
 }
 
+// TestMetaRoundTrip: the meta record is written and read in one place, so
+// what a world records is what an analyzer rebuilds its topology from; a
+// trace without the record, or with a mangled one, is an error (the two
+// cases disttrace verify and the autotune replay used to parse by hand).
+func TestMetaRoundTrip(t *testing.T) {
+	for _, m := range []MetaInfo{{"zoot", "contiguous", 16}, {"igrack", "crosssocket", 96}, {"ig", "rr", 1}} {
+		ring := NewRing(4)
+		tr := New(ring)
+		tr.OpBegin("bcast", 1, 0, 64) // the record need not come first
+		tr.Meta(m.String())
+		got, err := ParseMeta(ring.Events())
+		if err != nil || got != m {
+			t.Errorf("ParseMeta(%q) = %+v, %v; want %+v", m, got, err, m)
+		}
+	}
+	if _, err := ParseMeta([]Event{{Kind: KindCopy}}); err == nil || !strings.Contains(err.Error(), "no meta record") {
+		t.Errorf("trace without a meta record: %v", err)
+	}
+	for _, det := range []string{"", "m", "machine=zoot bind=contiguous", "machine=zoot bind=contiguous np=many"} {
+		if _, err := ParseMeta([]Event{{Kind: KindMeta, Det: det}}); err == nil || !strings.Contains(err.Error(), "unparseable") {
+			t.Errorf("meta record %q: %v", det, err)
+		}
+	}
+}
+
 // TestJSONLRoundTrip: marshaled traces read back field-for-field.
 func TestJSONLRoundTrip(t *testing.T) {
 	ring := NewRing(16)
