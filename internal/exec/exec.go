@@ -30,21 +30,30 @@ type Hooks interface {
 }
 
 // Progress is the completion state of one run of a schedule: one atomic
-// word per op (a single allocation) in place of a channel per op, plus each
-// rank's parking channel — capacity 1, owned by the caller, reusable across
-// runs. Completing an op stores its word and THEN offers a token to every
-// rank in Index.Waiters without blocking; a waiter checks the word and only
-// then parks. An offer is dropped only when a token is already pending, so
-// no wake-up is lost, and a stale token costs one re-check (DESIGN.md §17).
+// word per op in place of a channel per op, plus each rank's parking channel
+// — capacity 1, owned by the caller, reusable across runs. Completing an op
+// stores its word and THEN offers a token to every rank in Index.Waiters
+// without blocking; a waiter checks the word and only then parks. An offer
+// is dropped only when a token is already pending, so no wake-up is lost,
+// and a stale token costs one re-check (DESIGN.md §17).
 type Progress struct {
 	idx  *sched.Index
 	done []atomic.Uint32
 	wake []chan struct{}
 }
 
-// NewProgress starts a run; wake holds a capacity-1 channel per rank.
-func NewProgress(idx *sched.Index, wake []chan struct{}) Progress {
-	return Progress{idx: idx, done: make([]atomic.Uint32, len(idx.Schedule().Ops)), wake: wake}
+// Start begins a run of idx; wake holds a capacity-1 channel per rank. It
+// is the one way to start a run: the completion words of the previous run
+// are cleared and reused when there are enough of them, so a caller that
+// keeps its Progress allocates only when a schedule outgrows every earlier
+// one. The previous run must be over on every rank.
+func (p *Progress) Start(idx *sched.Index, wake []chan struct{}) {
+	n := len(idx.Schedule().Ops)
+	if cap(p.done) < n {
+		p.done = make([]atomic.Uint32, n)
+	}
+	p.idx, p.done, p.wake = idx, p.done[:n], wake
+	clear(p.done)
 }
 
 // Done reports whether op id has completed.
@@ -138,7 +147,8 @@ func RunReduceContext(ctx context.Context, s *sched.Schedule, b *Buffers, combin
 	for r := range wake {
 		wake[r] = make(chan struct{}, 1)
 	}
-	p := NewProgress(idx, wake)
+	var p Progress
+	p.Start(idx, wake)
 	h := &plainHooks{ctx: ctx, b: b, combine: combine}
 	var wg sync.WaitGroup
 	for r := 0; r < s.NumRanks; r++ {

@@ -385,11 +385,13 @@ func fanSchedule(n int, size int64) (s *sched.Schedule, data []sched.BufID, sum 
 }
 
 // TestManyRanksBlockedOnOneOp runs the fan schedule repeatedly on ONE set
-// of wake channels, the way a communicator reuses its members' channels
-// across collectives, with every channel pre-loaded with a stale token:
-// leftover tokens may only cost a re-check, never a lost or early wake-up.
-// Run with -race: the completion word is also the only thing ordering a
-// pull after the write it depends on.
+// of wake channels and ONE restarted Progress, the way a communicator reuses
+// its members' channels and its plan instance across collectives, with every
+// channel pre-loaded with a stale token: leftover tokens may only cost a
+// re-check, never a lost or early wake-up, and a completion word left set by
+// the previous run must not let an op skip its wait. Run with -race: the
+// completion word is also the only thing ordering a pull after the write it
+// depends on.
 func TestManyRanksBlockedOnOneOp(t *testing.T) {
 	const n, size = 32, 256
 	s, data, sum := fanSchedule(n, size)
@@ -409,6 +411,7 @@ func TestManyRanksBlockedOnOneOp(t *testing.T) {
 			dst[i] ^= src[i]
 		}
 	}
+	var p Progress // one Progress restarted per iteration, as the runtime keeps one per plan instance
 	for iter := 0; iter < 200; iter++ {
 		for r := range wake {
 			select {
@@ -420,7 +423,7 @@ func TestManyRanksBlockedOnOneOp(t *testing.T) {
 		seed, _ := s.FindBuffer(0, "seed")
 		msg := pattern(iter, size)
 		copy(bufs.Bytes(seed), msg)
-		p := NewProgress(idx, wake)
+		p.Start(idx, wake)
 		h := &plainHooks{ctx: context.Background(), b: bufs, combine: xor}
 		errs := make(chan error, n)
 		for r := 0; r < n; r++ {

@@ -39,12 +39,12 @@ type adecision struct {
 // variant, so a fixed call and an Adaptive call that name the same
 // schedule share one entry. unit is the full message or the per-rank
 // block, as the descriptor defines it; align the reduction element size.
-// The *adecision is non-nil only when the selector decided: a fixed
-// component emits no plan_cache event.
-func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int64) (*sched.Schedule, *adecision, error) {
+// The adecision is the zero value (no coll) unless the selector decided: a
+// fixed component emits no plan_cache event.
+func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int64) (*sched.Schedule, adecision, error) {
 	adaptive := comp == Adaptive && d.decided
 	if !adaptive && (comp < KNEMColl || comp > MPICH2) {
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
+		return nil, adecision{}, fmt.Errorf("mpi: unknown component %v", comp)
 	}
 	st := c.state
 	w := st.world
@@ -68,9 +68,9 @@ func (c *Comm) schedule(d *collective, comp Component, root int, unit, align int
 		return tune.CompileFor(d.coll, dec, v, root, unit, align)
 	})
 	if err != nil || !adaptive {
-		return s, nil, err
+		return s, adecision{}, err
 	}
-	return s, &adecision{coll: d.coll, bytes: unit, dec: dec, hit: hit}, nil
+	return s, adecision{coll: d.coll, bytes: unit, dec: dec, hit: hit}, nil
 }
 
 // topoHashLocked returns the cached fingerprint of the communicator's
@@ -134,13 +134,13 @@ func (st *commState) invalidatePlans() {
 }
 
 // Free releases the communicator's cached resources: the distance view,
-// topologies and auxiliary slab held by the communicator state and every compiled plan in
-// the world's cache keyed by its topology. Collectives on other
-// communicators with a *different* member placement are unaffected (their
-// plans hash to different topologies). Using the handle after Free simply
-// rebuilds state on demand; Free is an optimization hook, not a
-// correctness requirement — call it when a communicator built by Split or
-// Shrink goes out of scope in a long-running job.
+// topologies, auxiliary slab and spare plan held by the communicator state,
+// and every compiled plan in the world's cache keyed by its topology.
+// Collectives on other communicators with a *different* member placement
+// are unaffected (their plans hash to different topologies). Using the
+// handle after Free simply rebuilds state on demand; Free is an optimization
+// hook, not a correctness requirement — call it when a communicator built by
+// Split or Shrink goes out of scope in a long-running job.
 func (c *Comm) Free() {
 	st := c.state
 	st.invalidatePlans()
@@ -148,6 +148,6 @@ func (c *Comm) Free() {
 	st.view = nil
 	st.topoHashed = false
 	st.healthSnap = nil
-	st.slab = nil
+	st.slab, st.spare = nil, nil
 	st.mu.Unlock()
 }

@@ -13,6 +13,7 @@ import (
 	"distcoll/internal/integrity"
 	"distcoll/internal/knem"
 	"distcoll/internal/partition"
+	"distcoll/internal/recovery"
 	"distcoll/internal/sched"
 )
 
@@ -58,7 +59,8 @@ const (
 // schedule, the real backing buffers, KNEM cookies, the executor's
 // completion state, and the completion barrier, whose last leaver cleans up
 // — on every abandonment path (failure, watchdog timeout, crash) as on
-// success, since even a crashing member leaves.
+// success, since even a crashing member leaves. The instance is the
+// communicator's spare between clean calls (commState.spare).
 type collPlan struct {
 	s       *sched.Schedule
 	op      string // collective name for trace attribution
@@ -80,7 +82,7 @@ type collPlan struct {
 	// piggybacked to every member through the shared plan exactly like the
 	// payload itself travels the tree, or the allgather contributors'
 	// per-segment digests carried around the ring. Written once by the plan
-	// builder, read-only after.
+	// builder, read-only after; empty when off.
 	digests []uint32
 
 	// exact says a member with a progress ledger marks every op it performed
@@ -96,14 +98,17 @@ func (st *commState) emptyPlan(op string) *collPlan {
 	if st.emptyIdx == nil {
 		st.emptyIdx, _ = sched.New(len(st.group)).Index() // an op-less schedule over n ≥ 1 ranks is valid
 	}
-	return &collPlan{s: st.emptyIdx.Schedule(), op: op, prog: exec.NewProgress(st.emptyIdx, st.wake)}
+	plan, _ := st.newPlan(op, st.emptyIdx.Schedule(), nil) // binds nothing, so cannot fail
+	return plan
 }
 
 // newPlan checks the schedule (once per schedule object: Index memoises
 // it) and the caller buffer sizes (per call), binds caller buffers,
 // allocates auxiliary ones (bounce/temporary segments), and declares every
 // buffer as a KNEM region owned by the member's WORLD rank (fault plans
-// address world ranks).
+// address world ranks). The plan is the communicator's spare instance,
+// reset, when it has one: its tables and completion words grow only for a
+// schedule larger than every earlier one.
 func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int, name string) []byte) (*collPlan, error) {
 	idx, err := s.Index()
 	if err != nil {
@@ -112,14 +117,22 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 	if s.NumRanks > len(st.group) {
 		return nil, fmt.Errorf("mpi: schedule for %d ranks on a communicator of %d", s.NumRanks, len(st.group))
 	}
-	plan := &collPlan{
-		s:       s,
-		op:      op,
-		id:      st.world.nplan.Add(1),
-		bufs:    make([][]byte, len(s.Buffers)),
-		cookies: make([]knem.Cookie, len(s.Buffers)),
-		prog:    exec.NewProgress(idx, st.wake),
+	plan := st.spare
+	st.spare = nil
+	if plan == nil {
+		plan = new(collPlan)
 	}
+	if n := len(s.Buffers); cap(plan.bufs) < n {
+		plan.bufs, plan.cookies = make([][]byte, n), make([]knem.Cookie, n)
+	} else {
+		plan.bufs, plan.cookies = plan.bufs[:n], plan.cookies[:n]
+	}
+	plan.s, plan.op, plan.id = s, op, st.world.nplan.Add(1)
+	plan.prog.Start(idx, st.wake)
+	plan.leavers.Store(0)
+	plan.err.Store(nil)
+	plan.done.Store(0)
+	plan.verdict, plan.digests, plan.exact = nil, plan.digests[:0], false
 	var aux int64
 	for i, spec := range s.Buffers {
 		if b := caller(spec.Rank, spec.Name); b != nil {
@@ -204,7 +217,7 @@ func (c *Comm) verify(plan *collPlan, a *collArgs) error {
 	}
 	if err != nil {
 		a.led.Reset()
-	} else if plan.digests != nil {
+	} else if len(plan.digests) > 0 {
 		a.led.MarkAll()
 	}
 	return err
@@ -212,7 +225,7 @@ func (c *Comm) verify(plan *collPlan, a *collArgs) error {
 
 func (c *Comm) verifyDigests(plan *collPlan, a *collArgs) error {
 	w := c.state.world
-	if w.integ == nil || plan.digests == nil {
+	if w.integ == nil || len(plan.digests) == 0 {
 		return nil
 	}
 	rootRule := a.d.digest == digestRoot
@@ -249,11 +262,12 @@ func (c *Comm) opEnd(plan *collPlan, t0 time.Time, err error) {
 type member struct {
 	c       *Comm
 	plan    *collPlan
-	wr      int                 // the member's world rank
-	a       *collArgs           // its arguments, where it deposited them: the reduction operator, the progress ledger
-	scratch []byte              // landing buffer of kernel-assisted reduces (member.move); kept between calls
-	dist    *distance.Clustered // set only while tracing; covers every schedule rank (newPlan)
-	left    atomic.Int64        // generation of the last plan the member left; read by the others' completion waits
+	wr      int                  // the member's world rank
+	a       *collArgs            // its arguments, where it deposited them: the reduction operator, the progress ledger
+	scratch []byte               // landing buffer of kernel-assisted reduces (member.move); kept between calls
+	dist    *distance.Clustered  // set only while tracing; covers every schedule rank (newPlan)
+	left    atomic.Int64         // generation of the last plan the member left; read by the others' completion waits
+	led     recovery.ChunkLedger // the resilient ladder's progress ledger, restarted per call (Comm.resilient)
 }
 
 // BeforeOp consults the injector. A crash is published to the world (waking
@@ -501,7 +515,8 @@ func (c *Comm) leave(plan *collPlan, local error) error {
 // closePlan is the last leaver's half, the one point where no member can
 // still be mid-copy: release every KNEM region, decide the verdict (under
 // the lock a waiter gives up on a broken communicator under: the two agree
-// on which came first), hand the slab back after a clean call, clear the record.
+// on which came first), hand the slab and the instance back after a clean
+// call — the instance pinning no caller buffer — and clear the record.
 func (st *commState) closePlan(plan *collPlan, gen int64) {
 	for _, cookie := range plan.cookies {
 		st.world.dev.ForceDestroy(cookie)
@@ -513,8 +528,12 @@ func (st *commState) closePlan(plan *collPlan, gen int64) {
 		plan.verdict = &RankFailureError{Failed: deadIn(failed, st.group)}
 	} else if vote := plan.err.Load(); vote != nil {
 		plan.verdict = *vote
-	} else if plan.slab != nil && cap(plan.slab) <= slabCap {
-		st.slab = plan.slab
+	} else {
+		if plan.slab != nil && cap(plan.slab) <= slabCap {
+			st.slab = plan.slab
+		}
+		clear(plan.bufs)
+		plan.slab, st.spare = nil, plan
 	}
 	rv := &st.rv[gen&1]
 	rv.plan = nil

@@ -227,20 +227,18 @@ func (d *collective) mismatch() error {
 	return fmt.Errorf("mpi: %s arguments mismatch across ranks", d.name)
 }
 
-// digests computes the end-to-end digests a plan carries, from the clean
-// source buffers before any byte moves.
-func (d *collective) digests(args []collArgs, root int) []uint32 {
+// digests appends the end-to-end digests a plan carries to dst (the plan's
+// own, emptied storage), from the clean source buffers before any byte moves.
+func (d *collective) digests(dst []uint32, args []collArgs, root int) []uint32 {
 	switch d.digest {
 	case digestRoot:
-		return []uint32{integrity.Digest(args[root].recv)}
+		dst = append(dst, integrity.Digest(args[root].recv))
 	case digestSegments:
-		out := make([]uint32, len(args))
 		for i := range args {
-			out[i] = integrity.Digest(args[i].send)
+			dst = append(dst, integrity.Digest(args[i].send))
 		}
-		return out
 	}
-	return nil
+	return dst
 }
 
 // run is the one call path of every collective: deposit the arguments, let
@@ -294,11 +292,11 @@ func (c *Comm) buildPlan(rv *rendezvous) error {
 	if a0.recovering {
 		moved, fullBytes := s.TotalCopiedBytes(), full.TotalCopiedBytes()
 		c.state.world.tracer.Recovery(d.name, mode, missing, moved, fullBytes, fullBytes-moved)
-	} else if ad != nil { // the selector decided: tie its decision to the plan id the op_end events will carry
+	} else if ad.coll != "" { // the selector decided: tie its decision to the plan id the op_end events will carry
 		c.state.world.tracer.PlanCache(string(ad.coll), plan.id, ad.bytes, ad.dec.String(), ad.hit)
 	}
 	if c.state.world.e2eEnabled() {
-		plan.digests = d.digests(args, root)
+		plan.digests = d.digests(plan.digests, args, root)
 	}
 	// Per-op ledger marks are exact only where the schedule copies straight
 	// between caller buffers at true payload offsets: the distance-aware

@@ -41,13 +41,17 @@ type commState struct {
 	// calls it holds only the landing buffer of kernel-assisted reduces.
 	mem []member
 
-	// slab backs the next plan's auxiliary buffers. One owner at a time: the
-	// communicator between calls, the plan from newPlan until its last
-	// member hands it back (closePlan). Never cleared: no schedule reads an
-	// auxiliary byte before writing it. emptyIdx is every zero-byte plan's
-	// op-less schedule. Only plan builders and last leavers touch either,
-	// and the rendezvous orders those.
+	// slab backs the next plan's auxiliary buffers and spare is the next
+	// plan. One owner at a time: the communicator between calls, the plan
+	// from newPlan until its last member hands both back after a clean call
+	// (closePlan); after a failed one neither comes back. The slab is never
+	// cleared: no schedule reads an auxiliary byte before writing it. A spare
+	// is reset only by the next generation's builder, which runs once every
+	// member has arrived there, so has read the last verdict (DESIGN.md
+	// §17). emptyIdx is every zero-byte plan's op-less schedule. Only plan
+	// builders and last leavers touch these, and the rendezvous orders those.
 	slab     []byte
+	spare    *collPlan
 	emptyIdx *sched.Index
 
 	// Agreement rounds use their own sequence space and slots: Agree must

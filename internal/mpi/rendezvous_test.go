@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,13 +134,13 @@ func TestWakeTokensCrossEveryWait(t *testing.T) {
 			if err := c.Allreduce(pattern(p.Rank(), size), sum, OpBXOR, KNEMColl); err != nil {
 				return err
 			}
-			plan, err := runSchedule(c, fan)
+			bufs, err := runSchedule(c, fan)
 			if err != nil {
 				return err
 			}
 			seed, _ := fan.FindBuffer(0, "seed")
 			mine, _ := fan.FindBuffer(c.Rank(), "data")
-			if !bytes.Equal(plan.bufs[mine], plan.bufs[seed]) {
+			if !bytes.Equal(bufs[mine], bufs[seed]) {
 				return fmt.Errorf("round %d: rank %d pulled before the write completed", i, p.Rank())
 			}
 		}
@@ -287,5 +288,154 @@ func TestSlabHandBack(t *testing.T) {
 	}
 	if w.worldComm.slab != nil {
 		t.Error("the crashed plan handed its slab back to the broken communicator")
+	}
+}
+
+// TestPlanInstanceHandBack: the plan instance is the communicator's spare
+// between clean calls, under the slab's ownership rule. Two clean calls run
+// on one instance, which pins no caller buffer in between; a plan a member
+// crashed out of never comes back; Free drops the spare. And the instance is
+// the communicator's, not the schedule's: two congruent Split children run
+// one cached schedule at once, each on its own instance, with different
+// payloads, and both match the oracle (a -race target).
+func TestPlanInstanceHandBack(t *testing.T) {
+	const block = 512
+	// call runs a broadcast from a moving root, then an allgather — two
+	// schedules of different sizes through one instance — salted by salt,
+	// and checks both against the oracle.
+	call := func(c *Comm, salt int) error {
+		root := salt % c.Size()
+		buf := make([]byte, block)
+		if c.Rank() == root {
+			copy(buf, pattern(salt, block))
+		}
+		if err := c.Bcast(buf, root, KNEMColl); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, pattern(salt, block)) {
+			return fmt.Errorf("rank %d: wrong broadcast", c.Rank())
+		}
+		recv := make([]byte, c.Size()*block)
+		if err := c.Allgather(pattern(c.Rank()+salt, block), recv, KNEMColl); err != nil {
+			return err
+		}
+		for r := 0; r < c.Size(); r++ {
+			if !bytes.Equal(recv[r*block:(r+1)*block], pattern(r+salt, block)) {
+				return fmt.Errorf("rank %d: wrong allgather block %d", c.Rank(), r)
+			}
+		}
+		return nil
+	}
+	// between runs check on rank 0 while every member is between calls.
+	between := func(c *Comm, check func() error) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		return c.Barrier()
+	}
+
+	const n = 8
+	w := faultWorld(t, n, fault.Plan{})
+	err := w.Run(func(p *Proc) error {
+		c := p.Comm()
+		var first *collPlan
+		for i := 0; i < 2; i++ {
+			if err := call(c, i); err != nil {
+				return err
+			}
+			err := between(c, func() error {
+				spare := c.state.spare
+				switch {
+				case spare == nil:
+					return fmt.Errorf("call %d: no spare plan after a clean call", i)
+				case first != nil && spare != first:
+					return fmt.Errorf("call %d ran on a new plan instance, want the spare", i)
+				case slices.ContainsFunc(spare.bufs, func(b []byte) bool { return b != nil }):
+					return fmt.Errorf("call %d: the spare pins a buffer between calls", i)
+				}
+				first = spare
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return between(c, func() error {
+			if c.Free(); c.state.spare != nil {
+				return errors.New("Free kept the spare plan")
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The victim completes its first call (fewer than 10 ops) and dies in its second.
+	const victim = 5
+	w = faultWorld(t, n, fault.Plan{CrashAtOp: map[int]int{victim: 10}})
+	err = w.Run(func(p *Proc) error {
+		c := p.Comm()
+		if err := call(c, 0); err != nil {
+			return err
+		}
+		err := between(c, func() error {
+			if c.state.spare == nil {
+				return errors.New("no spare plan after the clean call")
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if err := call(c, 1); p.Rank() == victim && !fault.IsCrashed(err) {
+			return fmt.Errorf("victim got %v, want its crash", err)
+		} else if p.Rank() != victim && !IsRankFailure(err) {
+			return fmt.Errorf("survivor got %v, want a RankFailureError", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.worldComm.spare != nil {
+		t.Error("the plan a member crashed out of came back as the spare")
+	}
+
+	// One board each: placement-congruent, so one topology hash and one
+	// cached schedule per call shape.
+	const m, rounds = 48, 20
+	w = igWorld(t, "contiguous", m)
+	var children [2]*commState
+	err = w.Run(func(p *Proc) error {
+		color := p.Rank() / (m / 2)
+		sub, err := p.Comm().Split(color, p.Rank())
+		if err != nil {
+			return err
+		}
+		if sub.Rank() == 0 {
+			children[color] = sub.state
+		}
+		for i := 0; i < rounds; i++ {
+			if err := call(sub, 1000*color+i); err != nil {
+				return fmt.Errorf("child %d, round %d: %w", color, i, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := children[0].spare, children[1].spare
+	if a == nil || b == nil || a == b {
+		t.Fatalf("children's spares %p and %p: want one instance each", a, b)
+	}
+	if a.s != b.s {
+		t.Error("the congruent children ran their last allgather on different schedules: the test shares nothing")
 	}
 }

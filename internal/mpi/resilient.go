@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"distcoll/internal/fault"
-	"distcoll/internal/recovery"
 )
 
 // This file implements the self-healing entry points: every collective
@@ -150,8 +149,9 @@ func (b *retryBudget) spend(ctx context.Context, op string, cause error) error {
 // up, so can wedge when one never does, and return a HangError once it
 // expires. The first-run data path keeps the world watchdog as its bound.
 func (c *Comm) resilient(ctx context.Context, a collArgs) (*Comm, []byte, error) {
-	if a.d.ledger != "" {
-		a.led = recovery.NewChunkLedger(int64(len(a.d.bound(&a, a.d.ledger, true))))
+	if a.d.ledger != "" { // the member slot's ledger; collArgs.reseat re-seats it after a shrink
+		a.led = &c.state.mem[c.rank].led
+		a.led.Restart(int64(len(a.d.bound(&a, a.d.ledger, true))))
 	}
 	cur := c
 	budget := newRetryBudget(uint64(c.state.id)<<32 | uint64(c.rank))

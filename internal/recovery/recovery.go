@@ -140,10 +140,18 @@ type ChunkLedger struct {
 
 // NewChunkLedger creates an empty ledger over a size-byte buffer.
 func NewChunkLedger(size int64) *ChunkLedger {
-	if size < 0 {
-		size = 0
-	}
-	return &ChunkLedger{size: size}
+	l := &ChunkLedger{}
+	l.Restart(size)
+	return l
+}
+
+// Restart empties the ledger and resizes it to a size-byte buffer, keeping
+// its interval storage: a ledger restarted per call re-marks in place.
+func (l *ChunkLedger) Restart(size int64) {
+	l.mu.Lock()
+	l.size = max(size, 0)
+	l.set.Clear()
+	l.mu.Unlock()
 }
 
 // Size returns the payload size the ledger covers.

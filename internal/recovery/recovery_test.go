@@ -188,7 +188,9 @@ func TestChunkLedgerBlockMarks(t *testing.T) {
 
 // TestIntervalSetAllocations: a mark is on the path of every op of a
 // resilient collective. Once the set has capacity, adjacent, merging and
-// bridging Adds reuse it, and the lookups allocate nothing at all.
+// bridging Adds reuse it, and the lookups allocate nothing at all. A ledger
+// restarted per call (the member slot's) empties, takes the call's size and
+// keeps that capacity: its second fill allocates nothing either.
 func TestIntervalSetAllocations(t *testing.T) {
 	s := &IntervalSet{}
 	for i := int64(0); i < 16; i++ {
@@ -221,6 +223,27 @@ func TestIntervalSetAllocations(t *testing.T) {
 		l.MarkHeld(150, 150)
 	}); got != 0 {
 		t.Errorf("Contains/Holds/merging MarkHeld allocate %.0f times per run, want 0", got)
+	}
+	var led ChunkLedger // the zero value, as a member slot holds it
+	fill := func(size int64) {
+		led.Restart(size)
+		for i := int64(15); i >= 0; i -= 2 {
+			led.MarkHeld(i*size/16, 10) // disjoint, descending: every mark inserts
+		}
+	}
+	fill(800) // the first fill grows the storage
+	if led.HeldBytes() != 80 {
+		t.Fatalf("first fill holds %d bytes, want 80", led.HeldBytes())
+	}
+	if got := testing.AllocsPerRun(50, func() { fill(1600) }); got != 0 {
+		t.Errorf("a restarted ledger's fill allocates %.0f times per run, want 0", got)
+	}
+	if led.Size() != 1600 || len(led.Spans()) != 8 {
+		t.Errorf("after Restart(1600) and a fill: size %d, spans %v", led.Size(), led.Spans())
+	}
+	led.Restart(-1)
+	if led.Size() != 0 || led.HeldBytes() != 0 {
+		t.Errorf("Restart(-1): size %d, %d bytes held; want an empty ledger over 0 bytes", led.Size(), led.HeldBytes())
 	}
 }
 

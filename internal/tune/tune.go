@@ -78,9 +78,21 @@ type Decision struct {
 	Tree bool `json:"tree,omitempty"`
 }
 
-// String renders the decision for logs and the disttune CLI. Only a chunk
-// override is formatted: every other decision renders to a constant, so
-// the plan-cache key of a warm call (CacheKey) allocates nothing.
+// chunkNames memoises the names of chunked decisions, the one part of a
+// name that is formatted: a warm call's decision comes from a finite table,
+// so its plan-cache variant and its traced name are formatted once, not per
+// call. Any chunk makes a decision, hence the bound; past it a name is
+// formatted every time.
+var chunkNames = struct {
+	sync.RWMutex
+	m map[Decision]string
+}{m: make(map[Decision]string)}
+
+const maxChunkNames = 1024
+
+// String renders the decision for logs, traces and the disttune CLI. Every
+// unchunked decision renders to a constant and a chunked one to its memoised
+// name, so the plan-cache key of a warm call (CacheKey) allocates nothing.
 func (d Decision) String() string {
 	if d.Component != ComponentKNEM {
 		return d.Component
@@ -96,10 +108,21 @@ func (d Decision) String() string {
 	default:
 		shape = ComponentKNEM + "/hier"
 	}
-	if d.Chunk > 0 {
-		return fmt.Sprintf("%s/chunk=%d", shape, d.Chunk)
+	if d.Chunk <= 0 {
+		return shape
 	}
-	return shape
+	chunkNames.RLock()
+	name, ok := chunkNames.m[d]
+	chunkNames.RUnlock()
+	if !ok {
+		name = fmt.Sprintf("%s/chunk=%d", shape, d.Chunk)
+		chunkNames.Lock()
+		if len(chunkNames.m) < maxChunkNames {
+			chunkNames.m[d] = name
+		}
+		chunkNames.Unlock()
+	}
+	return name
 }
 
 // CacheKey returns a stable discriminator for plan-cache keys: two

@@ -61,10 +61,13 @@ func TestDecisionString(t *testing.T) {
 	}
 }
 
-// TestCacheKeyAllocatesNothing: the plan-cache variant of every decision a
-// warm call can carry — a fixed component, or the selector's unchunked
-// choice — is a constant string. (It used to be formatted per call: three
-// allocations on every warm knemcoll collective.)
+// TestCacheKeyAllocatesNothing: the plan-cache variant and the traced name
+// of every decision a warm call can carry — a fixed component, or the
+// selector's choice, chunked or not — cost no allocation: an unchunked name
+// is a constant string, a chunked one is formatted on its first use only.
+// (Every name used to be formatted per call: three allocations on every
+// warm knemcoll collective; a chunked one stayed at three per use, twice
+// per call — the plan-cache variant and the plan_cache event.)
 func TestCacheKeyAllocatesNothing(t *testing.T) {
 	var sink string
 	for _, d := range []Decision{
@@ -74,9 +77,15 @@ func TestCacheKeyAllocatesNothing(t *testing.T) {
 		{Component: ComponentKNEM, Tree: true, Linear: true},
 		{Component: ComponentTuned},
 		{Component: ComponentMPICH},
+		{Component: ComponentKNEM, Chunk: 64 << 10},
+		{Component: ComponentKNEM, Tree: true, Chunk: 64 << 10},
+		{Component: ComponentKNEM, Linear: true, Chunk: 12345},
 	} {
 		if a := testing.AllocsPerRun(100, func() { sink = d.CacheKey() }); a != 0 {
 			t.Errorf("CacheKey(%+v) = %q allocates %v times per call, want 0", d, sink, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { sink = d.String() }); a != 0 {
+			t.Errorf("String(%+v) = %q allocates %v times per call, want 0", d, sink, a)
 		}
 	}
 }
